@@ -23,7 +23,6 @@ from .trimesh import TAG_BOUNDARY, TriMesh
 
 TWO_PI = 2.0 * math.pi
 
-DEFAULT_ANALYSIS_RES = 128
 DEFAULT_EXPORT_RES = 32
 
 # Azimuthal span of the open-arc crease produced by gen_curved_crease.

@@ -17,6 +17,7 @@ TAG_INTERIOR = 0
 TAG_BOUNDARY = -1
 
 DEGENERATE_AREA_FACTOR = 1e-12
+_BLOCK = 1 << 13  # triangles per block in the mesh kernel; keeps temporaries in cache
 
 
 @dataclass
@@ -50,37 +51,18 @@ class TriMesh:
     def bbox_diagonal(self) -> float:
         if self.num_vertices == 0:
             return 0.0
-        span = self.vertices.max(axis=0) - self.vertices.min(axis=0)
+        span = [np.ptp(column) for column in self.vertices.T]
         return float(np.linalg.norm(span))
 
     def triangle_areas(self) -> np.ndarray:
-        p0 = self.vertices[self.triangles[:, 0]]
-        e1 = self.vertices[self.triangles[:, 1]] - p0
-        e2 = self.vertices[self.triangles[:, 2]] - p0
-        return 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
-
-    def _edge_arrays(self):
-        t = self.triangles
-        return np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-
-    def _edge_keys(self, directed: bool):
-        """Edges packed into scalar keys (fast to unique)."""
-        edges = self._edge_arrays()
-        if not directed:
-            edges = np.sort(edges, axis=1)
-        return edges[:, 0] * np.int64(self.num_vertices) + edges[:, 1]
+        return 0.5 * _corner_geometry(self.vertices, self.triangles)[0]
 
     def boundary_vertex_mask(self) -> np.ndarray:
         """Vertices lying on an edge used by exactly one triangle."""
-        uniq, counts = np.unique(self._edge_keys(directed=False), return_counts=True)
-        rim = uniq[counts == 1]
-        mask = np.zeros(self.num_vertices, dtype=bool)
-        mask[rim // self.num_vertices] = True
-        mask[rim % self.num_vertices] = True
-        return mask
+        return _edge_topology(self.triangles, self.num_vertices)[1]
 
     def euler_characteristic(self) -> int:
-        num_edges = len(np.unique(self._edge_keys(directed=False)))
+        num_edges, _ = _edge_topology(self.triangles, self.num_vertices)
         return self.num_vertices - num_edges + self.num_triangles
 
     def crease_arc_length(self, crease_id: int) -> float:
@@ -90,31 +72,27 @@ class TriMesh:
 
     # -- validation -------------------------------------------------------
 
-    def validate(self) -> None:
-        """Raise MeshError on any structural invariant violation."""
+    def validate(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Raise MeshError on any structural invariant violation.  Returns the
+        (twice_area, corner_dots, boundary) it computed on the way, so that
+        angle_defect measures the mesh without a second pass."""
         if self.num_vertices == 0 or self.num_triangles == 0:
             raise MeshError("mesh has no geometry")
-        if self.triangles.min() < 0 or self.triangles.max() >= self.num_vertices:
-            raise MeshError("triangle index out of range")
         if len(self.vertex_tags) != self.num_vertices:
             raise MeshError("vertex_tags length does not match vertex count")
+        nonfinite = np.flatnonzero(~np.isfinite(self.vertices))
+        if nonfinite.size:
+            raise MeshError(f"non-finite coordinates at vertex {nonfinite[0] // 3}")
+        _, boundary = _edge_topology(self.triangles, self.num_vertices)
 
         diag = self.bbox_diagonal()
-        areas = self.triangle_areas()
+        twice_area, dots = _corner_geometry(self.vertices, self.triangles)
         limit = DEGENERATE_AREA_FACTOR * diag * diag
-        if np.any(areas <= limit):
-            bad = int(np.argmin(areas))
+        if np.any(twice_area <= 2.0 * limit):
+            bad = int(np.argmin(twice_area))
             raise MeshError(
-                f"degenerate triangle {bad} (area {areas[bad]:.3e} <= {limit:.3e})"
+                f"degenerate triangle {bad} (area {twice_area[bad] / 2:.3e} <= {limit:.3e})"
             )
-
-        _, counts = np.unique(self._edge_keys(directed=False), return_counts=True)
-        if counts.max(initial=0) > 2:
-            raise MeshError("non-manifold edge shared by more than 2 triangles")
-        # Interior edges must be traversed once in each direction.
-        _, dcounts = np.unique(self._edge_keys(directed=True), return_counts=True)
-        if dcounts.max(initial=0) > 1:
-            raise OrientationError("inconsistent winding: repeated directed edge")
 
         for cid, chain in self.crease_polylines.items():
             if len(chain) < 2:
@@ -123,6 +101,7 @@ class TriMesh:
                 raise MeshError(f"crease {cid} polyline is self-intersecting")
             if chain.min() < 0 or chain.max() >= self.num_vertices:
                 raise MeshError(f"crease {cid} polyline index out of range")
+        return twice_area, dots, boundary
 
     # -- serialisation ----------------------------------------------------
 
@@ -162,6 +141,59 @@ class TriMesh:
             return cls.from_json_dict(json.load(fh))
 
 
+def _edge_topology(triangles: np.ndarray, num_vertices: int) -> tuple[int, np.ndarray]:
+    """(edge count, boundary vertex mask), from one sort of packed edge keys.
+
+    Directed edge a->b packs into the int64 key 2*(min*V + max) + (a > b),
+    which is exact while V <= 2**31.  After sorting, a run of equal key >> 1
+    is one undirected edge: a run of 1 is a boundary edge, a run of more than
+    2 a non-manifold one.  Two equal full keys are one directed edge used
+    twice, which consistent winding forbids.
+    """
+    if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= num_vertices:
+        raise MeshError("triangle index out of range")  # keys would alias
+    keys = np.empty(triangles.shape, dtype=np.int64)
+    for s in range(0, len(triangles), _BLOCK):
+        a = triangles[s:s + _BLOCK]
+        b = a[:, [1, 2, 0]]
+        pair = np.minimum(a, b) * np.int64(num_vertices) + np.maximum(a, b)
+        keys[s:s + _BLOCK] = 2 * pair + (a > b)
+    keys = np.sort(keys, axis=None)
+    edge = keys >> 1
+    if np.any(edge[2:] == edge[:-2]):
+        raise MeshError("non-manifold edge shared by more than 2 triangles")
+    if np.any(keys[1:] == keys[:-1]):
+        raise OrientationError("inconsistent winding: repeated directed edge")
+    starts = np.ones(len(edge) + 1, dtype=bool)  # starts[i]: edge[i] opens a run
+    np.not_equal(edge[1:], edge[:-1], out=starts[1:-1])
+    rim = edge[starts[:-1] & starts[1:]]
+    mask = np.zeros(num_vertices, dtype=bool)
+    mask[np.concatenate(np.divmod(rim, num_vertices))] = True
+    return int(np.count_nonzero(starts[:-1])), mask
+
+
+def _corner_geometry(vertices: np.ndarray, triangles: np.ndarray):
+    """(twice_area (T,), corner_dots (3, T)), one cross product per triangle.
+
+    With e_k = p_{k+1} - p_k, corner k lies between e_k and -e_{k-1}, so
+    corner_dots[k] = -e_k . e_{k-1}.  |e_0 x e_1| = 2A is common to the three
+    corners: corner k's angle is atan2(twice_area, corner_dots[k]).
+    """
+    twice_area = np.empty(len(triangles))
+    dots = np.empty((3, len(triangles)))
+    for s in range(0, len(triangles), _BLOCK):
+        idx = triangles[s:s + _BLOCK].T
+        # x, y, z are (3, block): one coordinate of e_0, e_1, e_2 per row
+        x, y, z = (p[[1, 2, 0]] - p for p in (vertices[:, c][idx] for c in range(3)))
+        nx = y[0] * z[1] - z[0] * y[1]
+        ny = z[0] * x[1] - x[0] * z[1]
+        nz = x[0] * y[1] - y[0] * x[1]
+        twice_area[s:s + _BLOCK] = np.sqrt(nx * nx + ny * ny + nz * nz)
+        prev = [2, 0, 1]
+        dots[:, s:s + _BLOCK] = -(x * x[prev] + y * y[prev] + z * z[prev])
+    return twice_area, dots
+
+
 def export_obj(mesh: TriMesh, path) -> None:
     """Write a Wavefront OBJ: v/f records plus one `l` polyline per crease
     under `g crease_<id>`.  1-based indices, LF endings, 9 significant digits."""
@@ -183,10 +215,13 @@ def export_obj(mesh: TriMesh, path) -> None:
 def load_obj(path) -> TriMesh:
     """Read an OBJ written by export_obj, reconstructing tags from the crease
     groups and the boundary from topology.  Raises InputFormatError if the
-    file carries no crease/tag information and cannot be analysed."""
+    file carries no crease/tag information and cannot be analysed, or if a
+    face or polyline index is not in 1..(vertex count)."""
     vertices: list[list[float]] = []
     triangles: list[list[int]] = []
+    face_lines: list[int] = []
     polylines: dict[int, list[int]] = {}
+    chains: list[tuple[int, list[int]]] = []  # (line, 0-based indices) per `l`
     group = None
     with open(path, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, 1):
@@ -204,6 +239,7 @@ def load_obj(path) -> TriMesh:
                             f"{path}:{ln}: only triangle faces are supported"
                         )
                     triangles.append(idx)
+                    face_lines.append(ln)
                 elif kind == "g":
                     group = parts[1] if len(parts) > 1 else None
                 elif kind == "l":
@@ -212,16 +248,24 @@ def load_obj(path) -> TriMesh:
                             f"{path}:{ln}: polyline outside a crease_<id> group"
                         )
                     cid = int(group.split("_", 1)[1])
-                    polylines.setdefault(cid, []).extend(
-                        int(p) - 1 for p in parts[1:]
-                    )
+                    chain = [int(p) - 1 for p in parts[1:]]
+                    chains.append((ln, chain))
+                    polylines.setdefault(cid, []).extend(chain)
             except (ValueError, IndexError) as exc:
                 raise InputFormatError(f"{path}:{ln}: {exc}") from exc
     if not vertices or not triangles:
         raise InputFormatError(f"{path}: no triangle geometry found")
+    n = len(vertices)
+    triangles = np.array(triangles, dtype=np.int64)
+    bad = np.flatnonzero(((triangles < 0) | (triangles >= n)).any(axis=1))
+    if bad.size:
+        raise InputFormatError(f"{path}:{face_lines[bad[0]]}: face index out of range 1..{n}")
+    for ln, chain in chains:
+        if min(chain, default=0) < 0 or max(chain, default=0) >= n:
+            raise InputFormatError(f"{path}:{ln}: polyline index out of range 1..{n}")
     mesh = TriMesh(
         vertices=np.array(vertices),
-        triangles=np.array(triangles),
+        triangles=triangles,
         vertex_tags=np.zeros(len(vertices), dtype=np.int64),
         crease_polylines={k: np.array(v) for k, v in polylines.items()},
     )

@@ -114,6 +114,15 @@ def test_analyze_missing_file_exit_3(tmp_path, capsys):
     assert run(["analyze", "--in", tmp_path / "nope.obj"]) == 3
 
 
+@pytest.mark.parametrize("face", ["f 1 2 9", "f -3 -2 -1", "f 0 1 2"])
+def test_analyze_out_of_range_obj_index_exit_3(tmp_path, capsys, face):
+    path = tmp_path / "x.obj"
+    path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{face}\ng crease_1\nl 1 2\n")
+    assert run(["analyze", "--in", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "x.obj:4: face index out of range" in err
+
+
 def test_verify_fast_suites(tmp_path, capsys):
     report = tmp_path / "verify.json"
     assert run(["verify", "--suite", "tube-balance", "--json", report]) == 0

@@ -6,6 +6,7 @@ import pytest
 from creasegeom import (
     CreaseSpec,
     GoreSphereSpec,
+    MeshError,
     MudguardSpec,
     OrientationError,
     ParameterError,
@@ -20,6 +21,7 @@ from creasegeom import (
     gen_gore_sphere,
     gen_mudguard,
     gen_twisted_patch,
+    gen_twisted_prismatic_tube,
     mudguard_surface,
     sphere_surface,
     tube_spec_for_strips,
@@ -91,6 +93,42 @@ def test_angle_defect_raises_on_bad_winding():
     mesh.triangles[0] = mesh.triangles[0][::-1]
     with pytest.raises(OrientationError):
         angle_defect(mesh)
+
+
+def test_angle_defect_rejects_non_finite_vertex():
+    mesh = gen_twisted_patch(0.1, 1.0, 1.0, 0.0, 8, 8)
+    mesh.vertices[40, 2] = np.nan
+    with pytest.raises(MeshError, match="non-finite coordinates at vertex 40"):
+        angle_defect(mesh)
+
+
+def per_corner_defect(mesh):
+    """Angle sums with one np.cross per corner, and lumped areas."""
+    pts = mesh.vertices[mesh.triangles]
+    angle_sum = np.zeros(mesh.num_vertices)
+    for k in range(3):
+        e1 = pts[:, (k + 1) % 3] - pts[:, k]
+        e2 = pts[:, (k + 2) % 3] - pts[:, k]
+        cross = np.linalg.norm(np.cross(e1, e2), axis=1)
+        dot = np.einsum("ij,ij->i", e1, e2)
+        angle_sum += np.bincount(
+            mesh.triangles[:, k], weights=np.arctan2(cross, dot), minlength=mesh.num_vertices
+        )
+    area = 0.5 * np.linalg.norm(np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]), axis=1)
+    lumped = np.bincount(
+        mesh.triangles.ravel(), weights=np.repeat(area / 3, 3), minlength=mesh.num_vertices
+    )
+    return angle_sum, lumped
+
+
+def test_angle_defect_matches_per_corner_reference():
+    spec = tube_spec_for_strips(1.0, math.pi / 4, 12)
+    mesh = gen_twisted_prismatic_tube(spec, 12, 48, 48)
+    field = angle_defect(mesh)
+    angle_sum, lumped = per_corner_defect(mesh)
+    flat = np.where(field.boundary_mask, math.pi, 2 * math.pi)
+    assert np.abs(field.defect - (flat - angle_sum)).max() <= 1e-14
+    assert np.allclose(field.lumped_area, lumped, rtol=1e-14, atol=0)
 
 
 def test_twisted_patch_defect_vs_gauss_map():
