@@ -9,16 +9,12 @@ quadrature) that verify them.
 from .creases import (
     BalanceReport,
     CreaseSpec,
-    SphericalPatchImage,
     crease_specific_curvature,
-    curved_crease_image,
     curved_crease_patch_solid_angle,
     gore_crease_rate,
     tube_balance,
     tube_crease_fold_angle,
-    twisted_crease_image,
     twisted_crease_solid_angle,
-    twisted_patch_image,
     twisted_patch_solid_angle,
 )
 from .curvature import (
@@ -49,7 +45,6 @@ from .oracle import (
     angle_defect,
     crease_rate_estimate,
     gauss_map_integrate,
-    gauss_map_patch,
 )
 from .quadrature import (
     MudguardTotal,
@@ -84,10 +79,8 @@ __all__ = [
     "prismatic_curvatures", "mohr_circle", "principal_curvatures",
     "gaussian_curvature", "strip_specific_curvature", "tube_spec_for_strips",
     # creases
-    "CreaseSpec", "SphericalPatchImage", "BalanceReport",
-    "twisted_patch_solid_angle", "twisted_crease_solid_angle",
-    "curved_crease_patch_solid_angle", "twisted_patch_image",
-    "twisted_crease_image", "curved_crease_image",
+    "CreaseSpec", "BalanceReport", "twisted_patch_solid_angle",
+    "twisted_crease_solid_angle", "curved_crease_patch_solid_angle",
     "crease_specific_curvature", "tube_crease_fold_angle", "tube_balance",
     "gore_crease_rate",
     # quadrature
@@ -101,7 +94,7 @@ __all__ = [
     "mudguard_surface", "sphere_surface",
     # oracles
     "DefectField", "GaussMapResult", "angle_defect", "crease_rate_estimate",
-    "gauss_map_patch", "gauss_map_integrate",
+    "gauss_map_integrate",
     # verification
     "VerificationReport", "run_suite",
     # errors

@@ -13,7 +13,9 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import __version__, creases, curvature, oracle, quadrature, surfaces, verify
 from .errors import InputFormatError, MeshError, ParameterError, ShallowRegimeWarning
@@ -38,48 +40,132 @@ def _write_json(path, payload) -> None:
 
 
 # ---------------------------------------------------------------------------
+# shapes
+# ---------------------------------------------------------------------------
+
+# Every shape parameter: type and help text.  The generate flags, the sweep
+# context flags and the sidecar check all read this table.
+PARAMS = {
+    "a": (float, "tube radius"),
+    "alpha": (float, "line angle to the tube axis"),
+    "h": (float, "strip width normal to the lines"),
+    "strips": (int, "number of tube strips"),
+    "kxy": (float, "twist curvature of the patch"),
+    "a_len": (float, "patch x extent"),
+    "b_len": (float, "patch y extent"),
+    "mu": (float, "half fold angle"),
+    "R": (float, "crease / sweep radius"),
+    "r": (float, "mudguard transverse arc radius"),
+    "width": (float, "curved-crease strip width"),
+    "radius": (float, "gore-sphere seam radius"),
+    "n": (int, "number of gores"),
+    "nu": (int, "mesh resolution along the first parameter"),
+    "nv": (int, "mesh resolution along the second parameter"),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+@dataclass(frozen=True)
+class Shape:
+    """One generated shape: its parameters (nu and nv besides), the spec
+    built from them, the mesh generator and the closed-form summary that
+    analyze compares the mesh against.  The last two take (spec, params)."""
+
+    params: tuple[str, ...]
+    spec: Callable[[dict], object]
+    mesh: Callable[[object, dict], TriMesh]
+    summary: Callable[[object, dict], dict]
+
+
+def _tube_summary(spec, state) -> dict:
+    balance = creases.tube_balance(spec)
+    return {
+        "strip_gaussian_curvature": curvature.gaussian_curvature(state),
+        "strip_specific_curvature": balance.strip_term,
+        "crease_specific_curvature": balance.crease_term,
+        "balance_residual": balance.residual,
+    }
+
+
+SHAPES = {
+    "cylinder": Shape(
+        ("a", "alpha", "h"),
+        lambda p: curvature.TubeSpec(a=p["a"], alpha=p["alpha"], h=p["h"]),
+        lambda s, p: surfaces.gen_cylinder(s, p["nu"], p["nv"]),
+        lambda s, p: _tube_summary(s, curvature.cylinder_curvatures(s)),
+    ),
+    "tube": Shape(
+        ("a", "alpha", "strips"),
+        lambda p: curvature.tube_spec_for_strips(p["a"], p["alpha"], p["strips"]),
+        lambda s, p: surfaces.gen_twisted_prismatic_tube(s, p["strips"], p["nu"], p["nv"]),
+        lambda s, p: _tube_summary(s, curvature.prismatic_curvatures(s)),
+    ),
+    "twisted-patch": Shape(
+        ("kxy", "a_len", "b_len", "mu"),
+        lambda p: None,  # the generator takes the parameters themselves
+        lambda s, p: surfaces.gen_twisted_patch(
+            p["kxy"], p["a_len"], p["b_len"], p["mu"], p["nu"], p["nv"]
+        ),
+        lambda s, p: {"pointwise_gaussian_curvature": -p["kxy"] ** 2},
+    ),
+    "curved-crease": Shape(
+        ("R", "mu", "width"),
+        lambda p: creases.CreaseSpec(R=p["R"], mu=p["mu"]),
+        lambda s, p: surfaces.gen_curved_crease(s, p["width"], p["nu"], p["nv"]),
+        lambda s, p: {"crease_specific_curvature": creases.crease_specific_curvature(s)},
+    ),
+    "mudguard": Shape(
+        ("R", "r", "mu"),
+        lambda p: surfaces.MudguardSpec(R=p["R"], r=p["r"], mu=p["mu"]),
+        lambda s, p: surfaces.gen_mudguard(s, p["nu"], p["nv"]),
+        lambda s, p: {"total_solid_angle": quadrature.mudguard_closed_form(s.R, s.r, s.mu)},
+    ),
+    "gore-sphere": Shape(
+        ("radius", "n"),
+        lambda p: surfaces.GoreSphereSpec(R=p["radius"], n=p["n"]),
+        lambda s, p: surfaces.gen_gore_sphere(s, p["nu"], p["nv"]),
+        lambda s, p: {
+            "seam_total_solid_angle": quadrature.gore_sphere_total(s),
+            "gauss_bonnet_total": 4.0 * math.pi,
+        },
+    ),
+}
+
+
+def _shape_params(shape: str, given: dict, label: Callable[[str], str]) -> dict:
+    """The shape's parameters, nu and nv included, taken from `given` and
+    type-checked (an int is accepted for a float).  Raises ParameterError
+    naming, through `label`, every parameter that is missing, then the first
+    of the wrong type."""
+    names = SHAPES[shape].params + ("nu", "nv")
+    missing = [label(name) for name in names if given.get(name) is None]
+    if missing:
+        raise ParameterError(f"{shape} needs {', '.join(missing)}")
+    params = {}
+    for name in names:
+        kind, value = PARAMS[name][0], given[name]
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            raise ParameterError(f"{label(name)} must be {kind.__name__}, got {value!r}")
+        params[name] = kind(value)
+    return params
+
+
+# ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
 
-def _build_mesh(shape: str, params: dict) -> TriMesh:
-    nu, nv = params["nu"], params["nv"]
-    if shape == "cylinder":
-        spec = curvature.TubeSpec(a=params["a"], alpha=params["alpha"], h=params["h"])
-        return surfaces.gen_cylinder(spec, nu, nv)
-    if shape == "tube":
-        spec = curvature.tube_spec_for_strips(
-            params["a"], params["alpha"], params["strips"]
-        )
-        return surfaces.gen_twisted_prismatic_tube(spec, params["strips"], nu, nv)
-    if shape == "twisted-patch":
-        return surfaces.gen_twisted_patch(
-            params["kxy"], params["a_len"], params["b_len"], params["mu"], nu, nv
-        )
-    if shape == "curved-crease":
-        spec = creases.CreaseSpec(R=params["R"], mu=params["mu"])
-        return surfaces.gen_curved_crease(spec, params["width"], nu, nv)
-    if shape == "mudguard":
-        spec = surfaces.MudguardSpec(R=params["R"], r=params["r"], mu=params["mu"])
-        return surfaces.gen_mudguard(spec, nu, nv)
-    if shape == "gore-sphere":
-        spec = surfaces.GoreSphereSpec(R=params["radius"], n=params["n"])
-        return surfaces.gen_gore_sphere(spec, nu, nv)
-    raise ParameterError(f"unknown shape {shape!r}")
-
-
 def cmd_generate(args) -> int:
-    params = {
-        key: getattr(args, key)
-        for key in (
-            "a", "alpha", "h", "strips", "kxy", "a_len", "b_len",
-            "mu", "R", "r", "width", "radius", "n", "nu", "nv",
-        )
-        if getattr(args, key, None) is not None
-    }
+    given = {name: getattr(args, name) for name in PARAMS}
     if args.degrees:
-        for key in ANGLE_PARAMS & params.keys():
-            params[key] = math.radians(params[key])
-    mesh = _build_mesh(args.shape, params)
+        for key in ANGLE_PARAMS:
+            if given[key] is not None:
+                given[key] = math.radians(given[key])
+    params = _shape_params(args.shape, given, _flag)
+    shape = SHAPES[args.shape]
+    mesh = shape.mesh(shape.spec(params), params)
     mesh.validate()
     out = Path(args.out)
     export_obj(mesh, out)
@@ -102,59 +188,34 @@ def cmd_generate(args) -> int:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _closed_form_summary(shape: str, params: dict) -> dict:
-    """Closed-form reference values for a generated shape, for comparison
-    against the mesh's discrete defects."""
-    if shape in ("cylinder", "tube"):
-        if shape == "tube":
-            spec = curvature.tube_spec_for_strips(
-                params["a"], params["alpha"], params["strips"]
-            )
-            state = curvature.prismatic_curvatures(spec)
-        else:
-            spec = curvature.TubeSpec(a=params["a"], alpha=params["alpha"], h=params["h"])
-            state = curvature.cylinder_curvatures(spec)
-        balance = creases.tube_balance(spec)
-        return {
-            "strip_gaussian_curvature": curvature.gaussian_curvature(state),
-            "strip_specific_curvature": balance.strip_term,
-            "crease_specific_curvature": balance.crease_term,
-            "balance_residual": balance.residual,
-        }
-    if shape == "curved-crease":
-        spec = creases.CreaseSpec(R=params["R"], mu=params["mu"])
-        return {"crease_specific_curvature": creases.crease_specific_curvature(spec)}
-    if shape == "mudguard":
-        return {
-            "total_solid_angle": quadrature.mudguard_closed_form(
-                params["R"], params["r"], params["mu"]
-            )
-        }
-    if shape == "gore-sphere":
-        total = quadrature.gore_sphere_total(
-            surfaces.GoreSphereSpec(R=params["radius"], n=params["n"])
+def _read_sidecar(path: Path) -> tuple[str, dict]:
+    """(shape name, checked parameters) of a sidecar written by generate;
+    InputFormatError naming the file if it is not one."""
+    with open(path, "r", encoding="utf-8") as fh:
+        sidecar = json.load(fh)
+    shape = sidecar.get("shape") if isinstance(sidecar, dict) else None
+    given = sidecar.get("params") if isinstance(sidecar, dict) else None
+    if not isinstance(shape, str) or not isinstance(given, dict):
+        raise InputFormatError(f"{path}: not a creasegeom sidecar")
+    if shape not in SHAPES:
+        raise InputFormatError(
+            f"{path}: unknown shape {shape!r}; choose from {', '.join(SHAPES)}"
         )
-        return {"seam_total_solid_angle": total, "gauss_bonnet_total": 4.0 * math.pi}
-    if shape == "twisted-patch":
-        return {
-            "pointwise_gaussian_curvature": -params["kxy"] ** 2,
-        }
-    return {}
+    try:
+        return shape, _shape_params(shape, given, repr)
+    except ParameterError as exc:
+        raise InputFormatError(f"{path}: {exc}") from None
 
 
 def cmd_analyze(args) -> int:
     path = Path(args.input)
     shape, params = None, None
     if path.suffix == ".json":
-        with open(path, "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
-        try:
-            shape, params = sidecar["shape"], sidecar["params"]
-        except (KeyError, TypeError):
-            raise InputFormatError(f"{path}: not a creasegeom sidecar") from None
+        shape, params = _read_sidecar(path)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ShallowRegimeWarning)
-            mesh = _build_mesh(shape, params)
+            spec = SHAPES[shape].spec(params)
+            mesh = SHAPES[shape].mesh(spec, params)
     else:
         mesh = load_obj(path)
         if not mesh.crease_polylines:
@@ -194,7 +255,7 @@ def cmd_analyze(args) -> int:
     if shape is not None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ShallowRegimeWarning)
-            report["closed_forms"] = _closed_form_summary(shape, params)
+            report["closed_forms"] = SHAPES[shape].summary(spec, params)
     if args.report:
         _write_json(args.report, report)
     else:
@@ -258,94 +319,75 @@ def _parse_range(text: str, integral: bool):
     return values
 
 
-def _sweep_rows(param: str, values, ctx: dict):
-    """One CSV row per swept value: closed forms plus the quadrature oracle
-    where one exists.  Context parameters come from the command line."""
-    rows = []
-    if param == "alpha":
-        header = ["alpha", "strip_specific_curvature", "gaussian_curvature",
-                  "mohr_center", "mohr_radius"]
-        for alpha in values:
-            spec = curvature.TubeSpec(a=ctx["a"], alpha=alpha, h=ctx["h"])
-            circle = curvature.mohr_circle(curvature.prismatic_curvatures(spec))
-            rows.append([
-                alpha,
-                curvature.strip_specific_curvature(spec),
-                curvature.gaussian_curvature(curvature.prismatic_curvatures(spec)),
-                circle.center,
-                circle.radius,
-            ])
-    elif param == "h":
-        header = ["h", "strip_term", "crease_term", "residual", "relative_residual"]
-        for h in values:
-            rep = creases.tube_balance(curvature.TubeSpec(a=ctx["a"], alpha=ctx["alpha"], h=h))
-            rows.append([h, rep.strip_term, rep.crease_term, rep.residual,
-                         rep.relative_residual])
-    elif param == "mu":
-        header = ["mu", "crease_specific_curvature", "mudguard_closed_form",
-                  "mudguard_quadrature", "residual"]
-        for mu in values:
-            rate = creases.crease_specific_curvature(
-                creases.CreaseSpec(R=ctx["R"], mu=mu)
-            )
-            total = quadrature.mudguard_total(
-                surfaces.MudguardSpec(R=ctx["R"], r=ctx["r"], mu=mu)
-            )
-            rows.append([mu, rate, total.closed_form, total.by_quadrature.value,
-                         total.residual])
-    elif param == "R":
-        header = ["R", "crease_specific_curvature", "mudguard_closed_form",
-                  "mudguard_quadrature", "residual"]
-        for R in values:
-            rate = creases.crease_specific_curvature(
-                creases.CreaseSpec(R=R, mu=ctx["mu"])
-            )
-            total = quadrature.mudguard_total(
-                surfaces.MudguardSpec(R=R, r=ctx["r"], mu=ctx["mu"])
-            )
-            rows.append([R, rate, total.closed_form, total.by_quadrature.value,
-                         total.residual])
-    elif param == "r":
-        header = ["r", "mudguard_closed_form", "mudguard_quadrature", "residual",
-                  "limit_4pi_sin_mu"]
-        limit = 4.0 * math.pi * math.sin(ctx["mu"])
-        for r in values:
-            total = quadrature.mudguard_total(
-                surfaces.MudguardSpec(R=ctx["R"], r=r, mu=ctx["mu"])
-            )
-            rows.append([r, total.closed_form, total.by_quadrature.value,
-                         total.residual, limit])
-    elif param == "n":
-        header = ["n", "gore_total", "deficit_from_4pi"]
-        for n in values:
-            total = quadrature.gore_sphere_total(surfaces.GoreSphereSpec(R=ctx["R"], n=n))
-            rows.append([n, total, 4.0 * math.pi - total])
-    else:
-        raise ParameterError(
-            f"unknown sweep parameter {param!r}; choose from alpha, h, mu, R, r, n"
-        )
-    return header, rows
+def _mudguard_row(c: dict):
+    total = quadrature.mudguard_total(surfaces.MudguardSpec(R=c["R"], r=c["r"], mu=c["mu"]))
+    return total.closed_form, total.by_quadrature.value, total.residual
+
+
+def _alpha_row(c: dict):
+    spec = curvature.TubeSpec(a=c["a"], alpha=c["alpha"], h=c["h"])
+    state = curvature.prismatic_curvatures(spec)
+    circle = curvature.mohr_circle(state)
+    return (curvature.strip_specific_curvature(spec), curvature.gaussian_curvature(state),
+            circle.center, circle.radius)
+
+
+def _h_row(c: dict):
+    rep = creases.tube_balance(curvature.TubeSpec(a=c["a"], alpha=c["alpha"], h=c["h"]))
+    return rep.strip_term, rep.crease_term, rep.residual, rep.relative_residual
+
+
+def _crease_mudguard_row(c: dict):
+    rate = creases.crease_specific_curvature(creases.CreaseSpec(R=c["R"], mu=c["mu"]))
+    return (rate, *_mudguard_row(c))
+
+
+def _r_row(c: dict):
+    return (*_mudguard_row(c), 4.0 * math.pi * math.sin(c["mu"]))
+
+
+def _n_row(c: dict):
+    total = quadrature.gore_sphere_total(surfaces.GoreSphereSpec(R=c["R"], n=c["n"]))
+    return total, 4.0 * math.pi - total
+
+
+_CREASE_MUDGUARD = ("crease_specific_curvature", "mudguard_closed_form",
+                    "mudguard_quadrature", "residual")
+
+# Swept parameter -> (CSV columns after the swept value, row function).  A row
+# function takes the sweep context with the swept value substituted in.
+SWEEPS = {
+    "alpha": (("strip_specific_curvature", "gaussian_curvature", "mohr_center",
+               "mohr_radius"), _alpha_row),
+    "h": (("strip_term", "crease_term", "residual", "relative_residual"), _h_row),
+    "mu": (_CREASE_MUDGUARD, _crease_mudguard_row),
+    "R": (_CREASE_MUDGUARD, _crease_mudguard_row),
+    "r": (("mudguard_closed_form", "mudguard_quadrature", "residual",
+           "limit_4pi_sin_mu"), _r_row),
+    "n": (("gore_total", "deficit_from_4pi"), _n_row),
+}
+
+# Sweep context flags and their defaults.
+SWEEP_CONTEXT = {"a": 1.0, "alpha": math.pi / 4, "h": 0.05, "mu": 0.2, "R": 10.0, "r": 0.1}
 
 
 def cmd_sweep(args) -> int:
     if args.degrees and args.param in ANGLE_PARAMS:
         values = [math.radians(v) for v in _parse_range(args.range, integral=False)]
     else:
-        values = _parse_range(args.range, integral=args.param == "n")
+        values = _parse_range(args.range, integral=PARAMS[args.param][0] is int)
     ctx = {
-        "a": args.a,
-        "alpha": _angle(args.alpha, args.degrees),
-        "h": args.h,
-        "mu": _angle(args.mu, args.degrees),
-        "R": args.R,
-        "r": args.r,
+        name: _angle(getattr(args, name), args.degrees) if name in ANGLE_PARAMS
+        else getattr(args, name)
+        for name in SWEEP_CONTEXT
     }
+    columns, row_of = SWEEPS[args.param]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ShallowRegimeWarning)
-        header, rows = _sweep_rows(args.param, values, ctx)
+        rows = [[value, *row_of({**ctx, args.param: value})] for value in values]
     with open(args.csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow([args.param, *columns])
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     print(f"wrote {len(rows)} rows to {args.csv}")
@@ -366,24 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate a mesh as OBJ + JSON sidecar")
-    gen.add_argument("shape", choices=[
-        "cylinder", "tube", "twisted-patch", "curved-crease", "mudguard", "gore-sphere",
-    ])
-    gen.add_argument("--a", type=float, help="tube radius")
-    gen.add_argument("--alpha", type=float, help="line angle to the tube axis")
-    gen.add_argument("--h", type=float, help="strip width normal to the lines")
-    gen.add_argument("--strips", type=int, help="number of tube strips")
-    gen.add_argument("--kxy", type=float, help="twist curvature of the patch")
-    gen.add_argument("--a-len", dest="a_len", type=float, help="patch x extent")
-    gen.add_argument("--b-len", dest="b_len", type=float, help="patch y extent")
-    gen.add_argument("--mu", type=float, help="half fold angle")
-    gen.add_argument("--R", type=float, help="crease / sweep radius")
-    gen.add_argument("--r", type=float, help="mudguard transverse arc radius")
-    gen.add_argument("--width", type=float, help="curved-crease strip width")
-    gen.add_argument("--radius", type=float, help="gore-sphere seam radius")
-    gen.add_argument("--n", type=int, help="number of gores")
-    gen.add_argument("--nu", type=int, default=surfaces.DEFAULT_EXPORT_RES)
-    gen.add_argument("--nv", type=int, default=surfaces.DEFAULT_EXPORT_RES)
+    gen.add_argument("shape", choices=list(SHAPES))
+    for name, (kind, text) in PARAMS.items():
+        default = surfaces.DEFAULT_EXPORT_RES if name in ("nu", "nv") else None
+        gen.add_argument(_flag(name), type=kind, default=default, help=text)
     gen.add_argument("--degrees", action="store_true", help="angles are degrees")
     gen.add_argument("--out", required=True, help="output OBJ path")
     gen.set_defaults(func=cmd_generate)
@@ -402,16 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=cmd_verify)
 
     swp = sub.add_parser("sweep", help="sweep one parameter to CSV")
-    swp.add_argument("--param", required=True,
-                     choices=["alpha", "h", "mu", "R", "r", "n"])
+    swp.add_argument("--param", required=True, choices=list(SWEEPS))
     swp.add_argument("--range", required=True, help="lo:hi:steps")
     swp.add_argument("--csv", required=True, help="output CSV path")
-    swp.add_argument("--a", type=float, default=1.0)
-    swp.add_argument("--alpha", type=float, default=math.pi / 4)
-    swp.add_argument("--h", type=float, default=0.05)
-    swp.add_argument("--mu", type=float, default=0.2)
-    swp.add_argument("--R", type=float, default=10.0)
-    swp.add_argument("--r", type=float, default=0.1)
+    for name, default in SWEEP_CONTEXT.items():
+        swp.add_argument(_flag(name), type=float, default=default, help=PARAMS[name][1])
     swp.add_argument("--degrees", action="store_true", help="angles are degrees")
     swp.set_defaults(func=cmd_sweep)
     return parser
@@ -425,7 +448,11 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InputFormatError, FileNotFoundError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # only analyze decodes a file, and these messages do not name it
+        print(f"error: {getattr(args, 'input', '')}: {exc}", file=sys.stderr)
+        return EXIT_INPUT_FORMAT
+    except (InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_FORMAT
     except MeshError as exc:

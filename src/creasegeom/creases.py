@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from .curvature import TubeSpec, strip_specific_curvature
 from .errors import ParameterError, ShallowRegimeWarning
 
-# Patch extents / fold angles above these are outside the shallow-regime
-# guarantee of the spherical-image construction; results are still computed.
+# Patch extents above this are outside the shallow-regime guarantee of the
+# spherical-image construction; results are still computed.
 SMALL_EXTENT_LIMIT = 0.5
-SHALLOW_FOLD_LIMIT = 0.3
 
 
 @dataclass(frozen=True)
@@ -51,35 +50,6 @@ class CreaseSpec:
     @property
     def is_straight(self) -> bool:
         return math.isinf(self.R)
-
-
-@dataclass(frozen=True)
-class SphericalPatchImage:
-    """Spherical image of a small patch: extents, fold shift and signed area.
-
-    The sign records the cyclic orientation of the mapped normals: negative
-    for the twisted patch, positive across a curved crease.
-    """
-
-    dxi: float
-    dgamma: float
-    mu: float
-    signed_area: float
-
-    def __post_init__(self):
-        if self.dxi < 0 or self.dgamma < 0 or self.mu < 0:
-            raise ParameterError("patch image extents must be >= 0")
-        if abs(self.signed_area) > 4 * math.pi:
-            raise ParameterError("solid angle magnitude cannot exceed 4*pi")
-
-    @property
-    def shallow(self) -> bool:
-        """Whether the inputs sit inside the small-rotation regime."""
-        return (
-            self.dxi <= SMALL_EXTENT_LIMIT
-            and self.dgamma <= SMALL_EXTENT_LIMIT
-            and self.mu <= SHALLOW_FOLD_LIMIT
-        )
 
 
 @dataclass(frozen=True)
@@ -140,30 +110,6 @@ def curved_crease_patch_solid_angle(dxi: float, mu: float) -> float:
     if not (0 <= mu < math.pi / 2):
         raise ParameterError(f"half fold angle mu must lie in [0, pi/2), got {mu}")
     return dxi * 2.0 * math.sin(mu)
-
-
-def twisted_patch_image(dxi: float, dgamma: float) -> SphericalPatchImage:
-    """Spherical image record for the twisted patch."""
-    return SphericalPatchImage(
-        dxi=dxi, dgamma=dgamma, mu=0.0,
-        signed_area=twisted_patch_solid_angle(dxi, dgamma),
-    )
-
-
-def twisted_crease_image(dxi: float, dgamma: float, mu: float) -> SphericalPatchImage:
-    """Spherical image record for the creased twisted patch."""
-    return SphericalPatchImage(
-        dxi=dxi, dgamma=dgamma, mu=mu,
-        signed_area=twisted_crease_solid_angle(dxi, dgamma, mu),
-    )
-
-
-def curved_crease_image(dxi: float, mu: float) -> SphericalPatchImage:
-    """Spherical image record for a patch spanning a curved crease."""
-    return SphericalPatchImage(
-        dxi=dxi, dgamma=0.0, mu=mu,
-        signed_area=curved_crease_patch_solid_angle(dxi, mu),
-    )
 
 
 def crease_specific_curvature(spec: CreaseSpec) -> float:

@@ -171,14 +171,6 @@ def _swept_area(normals: np.ndarray) -> float:
     return float(math.fsum(cells.ravel()))
 
 
-def gauss_map_patch(
-    fn: Callable, u0: float, v0: float, du: float, dv: float
-) -> float:
-    """Signed solid angle of the normal image of one parameter cell."""
-    result = gauss_map_integrate(fn, (u0, u0 + du, v0, v0 + dv), nu=4, nv=4)
-    return result.value
-
-
 def gauss_map_integrate(
     fn: Callable,
     region: tuple[float, float, float, float],

@@ -19,7 +19,7 @@ from .errors import (
     ResolutionError,
     ShallowRegimeWarning,
 )
-from .trimesh import TAG_BOUNDARY, TriMesh
+from .trimesh import TriMesh
 
 TWO_PI = 2.0 * math.pi
 
@@ -100,21 +100,6 @@ def _grid_triangles(ids: np.ndarray, pts: np.ndarray, flip: bool = False) -> np.
     return tris
 
 
-def _finish(vertices, triangles, tags, polylines) -> TriMesh:
-    mesh = TriMesh(
-        vertices=np.asarray(vertices),
-        triangles=np.asarray(triangles),
-        vertex_tags=np.asarray(tags),
-        crease_polylines=polylines,
-    )
-    boundary = mesh.boundary_vertex_mask()
-    # crease tags win over the boundary tag; the oracle uses topology anyway
-    mesh.vertex_tags = np.where(
-        (mesh.vertex_tags == 0) & boundary, TAG_BOUNDARY, mesh.vertex_tags
-    )
-    return mesh
-
-
 # ---------------------------------------------------------------------------
 # helical band: smooth cylinder and twisted-prismatic tube
 # ---------------------------------------------------------------------------
@@ -191,7 +176,7 @@ def _helical_band(a, alpha, n_strips, nu, nv, flatten):
     polylines = {
         j + 1: np.arange(j * n_line, (j + 1) * n_line) for j in range(n_strips)
     }
-    return _finish(vertices, triangles, np.concatenate(tags), polylines)
+    return TriMesh(vertices, triangles, np.concatenate(tags), polylines)
 
 
 def gen_cylinder(spec: TubeSpec, nu: int, nv: int) -> TriMesh:
@@ -283,7 +268,7 @@ def gen_twisted_patch(
     crease_row = ids[:, nv // 2].copy()
     tags = np.zeros(len(verts), dtype=np.int64)
     tags[crease_row] = 1
-    return _finish(verts, tris, tags, {1: crease_row})
+    return TriMesh(verts, tris, tags, {1: crease_row})
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +309,7 @@ def gen_curved_crease(
     crease_row = ids[:, nv].copy()
     tags = np.zeros(len(verts), dtype=np.int64)
     tags[crease_row] = 1
-    return _finish(verts, tris, tags, {1: crease_row})
+    return TriMesh(verts, tris, tags, {1: crease_row})
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +348,7 @@ def gen_mudguard(spec: MudguardSpec, nu: int, nv: int) -> TriMesh:
     wrapped = np.vstack([ids, ids[:1]])  # close the hoop
     tris = _grid_triangles(wrapped, np.concatenate([grid, grid[:1]], axis=0))
     tags = np.zeros(len(verts), dtype=np.int64)
-    return _finish(verts, tris, tags, {})
+    return TriMesh(verts, tris, tags)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +425,7 @@ def gen_gore_sphere(spec: GoreSphereSpec, nu: int, nv: int) -> TriMesh:
     polylines = {
         j + 1: seam_base + j * ni + np.arange(ni) for j in range(n)
     }
-    return _finish(vertices, triangles, np.concatenate(tags), polylines)
+    return TriMesh(vertices, triangles, np.concatenate(tags), polylines)
 
 
 def sphere_surface(R: float):

@@ -1,12 +1,12 @@
 """Indexed triangle meshes with vertex tags and crease polylines.
 
-Vertex tags: 0 = interior, -1 = boundary, k >= 1 = vertex of crease k.
-Crease polylines are ordered vertex-index chains, one per crease id.
+Vertex tags: k >= 1 on the vertices of crease k, 0 elsewhere; the boundary
+comes from topology.  Crease polylines are ordered vertex-index chains, one
+per crease id.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +14,6 @@ import numpy as np
 from .errors import InputFormatError, MeshError, OrientationError
 
 TAG_INTERIOR = 0
-TAG_BOUNDARY = -1
 
 DEGENERATE_AREA_FACTOR = 1e-12
 _BLOCK = 1 << 13  # triangles per block in the mesh kernel; keeps temporaries in cache
@@ -103,43 +102,6 @@ class TriMesh:
                 raise MeshError(f"crease {cid} polyline index out of range")
         return twice_area, dots, boundary
 
-    # -- serialisation ----------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": self.vertices.tolist(),
-            "triangles": self.triangles.tolist(),
-            "vertex_tags": self.vertex_tags.tolist(),
-            "crease_polylines": {
-                str(k): v.tolist() for k, v in sorted(self.crease_polylines.items())
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TriMesh":
-        try:
-            return cls(
-                vertices=np.array(data["vertices"], dtype=np.float64),
-                triangles=np.array(data["triangles"], dtype=np.int64),
-                vertex_tags=np.array(data["vertex_tags"], dtype=np.int64),
-                crease_polylines={
-                    int(k): np.array(v, dtype=np.int64)
-                    for k, v in data.get("crease_polylines", {}).items()
-                },
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputFormatError(f"bad mesh JSON: {exc}") from exc
-
-    def save_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load_json(cls, path) -> "TriMesh":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
-
 
 def _edge_topology(triangles: np.ndarray, num_vertices: int) -> tuple[int, np.ndarray]:
     """(edge count, boundary vertex mask), from one sort of packed edge keys.
@@ -214,9 +176,9 @@ def export_obj(mesh: TriMesh, path) -> None:
 
 def load_obj(path) -> TriMesh:
     """Read an OBJ written by export_obj, reconstructing tags from the crease
-    groups and the boundary from topology.  Raises InputFormatError if the
-    file carries no crease/tag information and cannot be analysed, or if a
-    face or polyline index is not in 1..(vertex count)."""
+    groups.  Raises InputFormatError with the file and line if a `v` record
+    has fewer than three coordinates, or a face or polyline index is not in
+    1..(vertex count)."""
     vertices: list[list[float]] = []
     triangles: list[list[int]] = []
     face_lines: list[int] = []
@@ -231,22 +193,20 @@ def load_obj(path) -> TriMesh:
             kind = parts[0]
             try:
                 if kind == "v":
+                    if len(parts) < 4:
+                        raise ValueError("a vertex needs 3 coordinates")
                     vertices.append([float(x) for x in parts[1:4]])
                 elif kind == "f":
                     idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
                     if len(idx) != 3:
-                        raise InputFormatError(
-                            f"{path}:{ln}: only triangle faces are supported"
-                        )
+                        raise ValueError("only triangle faces are supported")
                     triangles.append(idx)
                     face_lines.append(ln)
                 elif kind == "g":
                     group = parts[1] if len(parts) > 1 else None
                 elif kind == "l":
                     if group is None or not group.startswith("crease_"):
-                        raise InputFormatError(
-                            f"{path}:{ln}: polyline outside a crease_<id> group"
-                        )
+                        raise ValueError("polyline outside a crease_<id> group")
                     cid = int(group.split("_", 1)[1])
                     chain = [int(p) - 1 for p in parts[1:]]
                     chains.append((ln, chain))
@@ -263,15 +223,7 @@ def load_obj(path) -> TriMesh:
     for ln, chain in chains:
         if min(chain, default=0) < 0 or max(chain, default=0) >= n:
             raise InputFormatError(f"{path}:{ln}: polyline index out of range 1..{n}")
-    mesh = TriMesh(
-        vertices=np.array(vertices),
-        triangles=triangles,
-        vertex_tags=np.zeros(len(vertices), dtype=np.int64),
-        crease_polylines={k: np.array(v) for k, v in polylines.items()},
-    )
-    tags = np.zeros(mesh.num_vertices, dtype=np.int64)
-    tags[mesh.boundary_vertex_mask()] = TAG_BOUNDARY
-    for cid, chain in mesh.crease_polylines.items():
+    tags = np.zeros(n, dtype=np.int64)
+    for cid, chain in polylines.items():
         tags[chain] = cid
-    mesh.vertex_tags = tags
-    return mesh
+    return TriMesh(np.array(vertices), triangles, tags, polylines)

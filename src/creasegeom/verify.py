@@ -317,19 +317,13 @@ _SUITES = {
 
 def run_suite(name: str) -> list[VerificationReport]:
     """Run one named suite, or every suite for name = 'all'."""
-    if name == "all":
-        reports = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ShallowRegimeWarning)
-            for suite in _SUITES.values():
-                reports.extend(suite())
-        return reports
-    try:
-        suite = _SUITES[name]
-    except KeyError:
+    if name != "all" and name not in _SUITES:
         raise ParameterError(
             f"unknown suite {name!r}; choose from all, {', '.join(_SUITES)}"
-        ) from None
+        )
+    reports = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ShallowRegimeWarning)
-        return suite()
+        for suite in _SUITES if name == "all" else (name,):
+            reports.extend(_SUITES[suite]())
+    return reports

@@ -174,3 +174,67 @@ def test_sweep_n_monotone(tmp_path, capsys):
 def test_sweep_bad_range_exit_2(tmp_path, capsys):
     assert run(["sweep", "--param", "h", "--range", "oops",
                 "--csv", tmp_path / "x.csv"]) == 2
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_generate_missing_flag_exit_2(tmp_path, capsys):
+    out = tmp_path / "t.obj"
+    assert run(["generate", "tube", "--a", 1, "--out", out]) == 2
+    assert "tube needs --alpha, --strips" in assert_one_line_error(capsys)
+    assert not out.exists()
+
+
+def tube_sidecar(tmp_path):
+    out = tmp_path / "t.obj"
+    assert run(["generate", "tube", "--a", 1, "--alpha", 0.7, "--strips", 6,
+                "--nu", 8, "--nv", 4, "--out", out]) == 0
+    return tmp_path / "t.obj.json"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: s.update(shape="cone"), "unknown shape 'cone'"),
+    (lambda s: s["params"].pop("nu"), "tube needs 'nu'"),
+    (lambda s: s["params"].update(strips="12"), "'strips' must be int, got '12'"),
+])
+def test_analyze_bad_sidecar_exit_3(tmp_path, capsys, edit, message):
+    path = tube_sidecar(tmp_path)
+    sidecar = json.loads(path.read_text())
+    edit(sidecar)
+    path.write_text(json.dumps(sidecar))
+    capsys.readouterr()
+    assert run(["analyze", "--in", path]) == 3
+    err = assert_one_line_error(capsys)
+    assert "t.obj.json" in err and message in err
+
+
+def test_analyze_short_vertex_record_exit_3(tmp_path, capsys):
+    path = tmp_path / "x.obj"
+    path.write_text("v 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\ng crease_1\nl 1 2\n")
+    assert run(["analyze", "--in", path]) == 3
+    assert "x.obj:1: a vertex needs 3 coordinates" in assert_one_line_error(capsys)
+
+
+def truncated_sidecar(tmp_path):
+    path = tube_sidecar(tmp_path)
+    path.write_text(path.read_text()[:40])
+    return path
+
+
+def utf16_obj(tmp_path):
+    path = tmp_path / "x.obj"
+    path.write_bytes(b"\xff\xfev 0 0 0\n")
+    return path
+
+
+@pytest.mark.parametrize("make", [truncated_sidecar, utf16_obj, lambda p: p],
+                         ids=["truncated-sidecar", "utf16-obj", "directory"])
+def test_analyze_unreadable_input_exit_3(tmp_path, capsys, make):
+    path = make(tmp_path)
+    capsys.readouterr()
+    assert run(["analyze", "--in", path]) == 3
+    assert path.name in assert_one_line_error(capsys)

@@ -8,15 +8,12 @@ from creasegeom import (
     ShallowRegimeWarning,
     TubeSpec,
     crease_specific_curvature,
-    curved_crease_image,
     curved_crease_patch_solid_angle,
     gore_crease_rate,
     strip_specific_curvature,
     tube_balance,
     tube_crease_fold_angle,
-    twisted_crease_image,
     twisted_crease_solid_angle,
-    twisted_patch_image,
     twisted_patch_solid_angle,
 )
 
@@ -54,17 +51,6 @@ def test_curved_crease_patch_solid_angle():
 def test_solid_angle_signs_oppose():
     assert twisted_patch_solid_angle(0.1, 0.2) < 0
     assert curved_crease_patch_solid_angle(0.1, 0.2) > 0
-
-
-def test_patch_images_record_inputs():
-    img = twisted_patch_image(0.1, 0.2)
-    assert img.signed_area == twisted_patch_solid_angle(0.1, 0.2)
-    assert img.shallow
-    img = twisted_crease_image(0.1, 0.2, 0.25)
-    assert img.signed_area == twisted_crease_solid_angle(0.1, 0.2, 0.25)
-    img = curved_crease_image(0.5, math.pi / 6)
-    assert img.signed_area == pytest.approx(0.5)
-    assert not img.shallow  # pi/6 exceeds the shallow fold limit
 
 
 def test_large_extent_warns():

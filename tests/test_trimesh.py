@@ -27,7 +27,7 @@ def square_mesh(crease=True):
     """Two triangles over a unit square; diagonal 0-2 tagged as crease 1."""
     vertices = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
     triangles = [[0, 1, 2], [0, 2, 3]]
-    tags = [1, -1, 1, -1] if crease else [-1, -1, -1, -1]
+    tags = [1, 0, 1, 0] if crease else [0, 0, 0, 0]
     polylines = {1: [0, 2]} if crease else {}
     return TriMesh(
         vertices=np.array(vertices, float),
@@ -106,22 +106,6 @@ def test_validate_rejects_bad_polyline():
         mesh.validate()
 
 
-def test_json_round_trip(tmp_path):
-    mesh = square_mesh()
-    path = tmp_path / "mesh.json"
-    mesh.save_json(path)
-    loaded = TriMesh.load_json(path)
-    assert np.array_equal(loaded.vertices, mesh.vertices)
-    assert np.array_equal(loaded.triangles, mesh.triangles)
-    assert np.array_equal(loaded.vertex_tags, mesh.vertex_tags)
-    assert np.array_equal(loaded.crease_polylines[1], mesh.crease_polylines[1])
-
-
-def test_json_rejects_malformed(tmp_path):
-    with pytest.raises(InputFormatError):
-        TriMesh.from_json_dict({"vertices": [[0, 0, 0]]})
-
-
 def test_obj_round_trip(tmp_path):
     mesh = square_mesh()
     path = tmp_path / "mesh.obj"
@@ -134,9 +118,9 @@ def test_obj_round_trip(tmp_path):
     assert loaded.num_vertices == 4
     assert np.array_equal(loaded.triangles, mesh.triangles)
     assert np.array_equal(loaded.crease_polylines[1], mesh.crease_polylines[1])
-    # tags reconstructed: crease wins over boundary
+    # tags reconstructed from the crease group; the boundary is not a tag
     assert loaded.vertex_tags[0] == 1 and loaded.vertex_tags[2] == 1
-    assert loaded.vertex_tags[1] == -1 and loaded.vertex_tags[3] == -1
+    assert loaded.vertex_tags[1] == 0 and loaded.vertex_tags[3] == 0
 
 
 def test_obj_deterministic(tmp_path):
@@ -204,6 +188,15 @@ def test_topology_matches_unique_reference(shape):
     assert np.array_equal(boundary, mask)
     assert np.array_equal(twice_area, 2 * mesh.triangle_areas())
     assert dots.shape == (3, mesh.num_triangles)
+
+
+@pytest.mark.parametrize("shape", sorted(GENERATED))
+def test_generator_tags_are_crease_ids(shape):
+    mesh = GENERATED[shape]()
+    expected = np.zeros(mesh.num_vertices, dtype=np.int64)
+    for cid, chain in mesh.crease_polylines.items():
+        expected[chain] = cid
+    assert np.array_equal(mesh.vertex_tags, expected)
 
 
 def test_kernel_error_types_on_hand_built_meshes():
