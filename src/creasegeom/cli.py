@@ -214,8 +214,11 @@ def cmd_analyze(args) -> int:
         shape, params = _read_sidecar(path)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ShallowRegimeWarning)
-            spec = SHAPES[shape].spec(params)
-            mesh = SHAPES[shape].mesh(spec, params)
+            try:
+                spec = SHAPES[shape].spec(params)
+                mesh = SHAPES[shape].mesh(spec, params)
+            except ParameterError as exc:  # a value no generator accepts
+                raise InputFormatError(f"{path}: {exc}") from None
     else:
         mesh = load_obj(path)
         if not mesh.crease_polylines:
@@ -225,7 +228,12 @@ def cmd_analyze(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_INPUT_FORMAT
-    field = oracle.angle_defect(mesh)
+    try:
+        field = oracle.angle_defect(mesh)
+    except MeshError as exc:
+        if shape is not None:  # a generator's fault, not the input's
+            raise
+        raise InputFormatError(f"{path}: {exc}") from None
     creases_out = {
         str(cid): {
             "rate": field.crease_rates[cid],
@@ -243,7 +251,7 @@ def cmd_analyze(args) -> int:
         "mesh": {
             "num_vertices": mesh.num_vertices,
             "num_triangles": mesh.num_triangles,
-            "euler_characteristic": mesh.euler_characteristic(),
+            "euler_characteristic": field.euler_characteristic,
         },
         "total_defect": field.total_defect,
         "creases": creases_out,

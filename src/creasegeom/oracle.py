@@ -33,6 +33,7 @@ class DefectField:
     crease_rates  defect per unit arc length for each crease id, boundary
                   chain endpoints excluded
     total_defect  sum of defect over all non-boundary vertices
+    euler_characteristic  V - E + T of the mesh
     """
 
     defect: np.ndarray
@@ -41,6 +42,7 @@ class DefectField:
     vertex_tags: np.ndarray
     crease_rates: dict[int, float] = field(default_factory=dict)
     total_defect: float = 0.0
+    euler_characteristic: int = 0
 
     def interior_defect_density(self) -> float:
         """Defect per unit area over untagged, non-boundary vertices."""
@@ -67,7 +69,7 @@ def angle_defect(mesh: TriMesh) -> DefectField:
     valence-6 rings, where defect / barycentric area converges pointwise to
     K (Borrelli, Cazals & Morvan 2003).
     """
-    twice_area, dots, boundary = mesh.validate()
+    twice_area, dots, boundary, num_edges = mesh.validate()
     tri = mesh.triangles
     nv = mesh.num_vertices
     angles = np.arctan2(twice_area, dots)  # (3, T): corner k of each triangle
@@ -101,6 +103,7 @@ def angle_defect(mesh: TriMesh) -> DefectField:
         vertex_tags=mesh.vertex_tags.copy(),
         crease_rates=rates,
         total_defect=math.fsum(defect[~boundary]),
+        euler_characteristic=nv - num_edges + mesh.num_triangles,
     )
 
 

@@ -28,6 +28,19 @@ DEFAULT_EXPORT_RES = 32
 # Azimuthal span of the open-arc crease produced by gen_curved_crease.
 CREASE_ARC_SPAN = math.pi / 2
 
+# Largest mesh, in vertices, that a generator builds: 13 times the
+# strip-curvature suite's tube.  Generating and analysing peak at about 300
+# bytes per vertex (measured at 944k vertices), so about 3 GB at the limit.
+MAX_VERTICES = 10_000_000
+
+
+def _check_size(num_vertices: int) -> None:
+    """ResolutionError if a generator's mesh would exceed MAX_VERTICES; the
+    generators call it with their exact vertex count before building arrays."""
+    if num_vertices > MAX_VERTICES:
+        raise ResolutionError(f"nu and nv give a mesh of {num_vertices} vertices, "
+                              f"over the limit of {MAX_VERTICES}")
+
 
 @dataclass(frozen=True)
 class MudguardSpec:
@@ -116,13 +129,15 @@ def _helical_band(a, alpha, n_strips, nu, nv, flatten):
         )
     nu += nu % 2  # the helical seam shift below needs an even count
     h = TWO_PI * a * math.cos(alpha) / n_strips
-    xhat = np.array([math.sin(alpha), math.cos(alpha)])
-    yhat = np.array([math.cos(alpha), -math.sin(alpha)])
     l_shift = TWO_PI * a * math.sin(alpha)
     if l_shift == 0.0:
         length, m = TWO_PI * a, 0
     else:
         length, m = 2.0 * l_shift, nu // 2
+    # n_strips lines of nu + 1, the last strip's interior m columns short
+    _check_size(n_strips * (nu + 1) * nv - m * (nv - 1))
+    xhat = np.array([math.sin(alpha), math.cos(alpha)])
+    yhat = np.array([math.cos(alpha), -math.sin(alpha)])
     x = np.linspace(0.0, length, nu + 1)
 
     def wrap(dev):
@@ -253,6 +268,7 @@ def gen_twisted_patch(
             stacklevel=2,
         )
     nv += nv % 2  # keep the y = 0 crease row on the grid
+    _check_size((nu + 1) * (nv + 1))
     x = np.linspace(-a_len / 2, a_len / 2, nu + 1)
     y = np.linspace(-b_len / 2, b_len / 2, nv + 1)
     X, Y = np.meshgrid(x, y, indexing="ij")
@@ -295,6 +311,7 @@ def gen_curved_crease(
         )
     if nu < 3 or nv < 3:
         raise ResolutionError(f"nu and nv must be >= 3, got ({nu}, {nv})")
+    _check_size((nu + 1) * (2 * nv + 1))
     phi = np.linspace(0.0, span, nu + 1)
     rho_hat = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1)
     zhat = np.array([0.0, 0.0, 1.0])
@@ -338,6 +355,7 @@ def gen_mudguard(spec: MudguardSpec, nu: int, nv: int) -> TriMesh:
     """Mudguard band: closed in the sweep direction, open across the arc."""
     if nu < 3 or nv < 3:
         raise ResolutionError(f"nu and nv must be >= 3, got ({nu}, {nv})")
+    _check_size(nu * (nv + 1))
     fn = mudguard_surface(spec)
     phi = np.linspace(0.0, TWO_PI, nu + 1)[:-1]
     eps = np.linspace(-spec.mu, spec.mu, nv + 1)
@@ -365,6 +383,7 @@ def gen_gore_sphere(spec: GoreSphereSpec, nu: int, nv: int) -> TriMesh:
     if nu < 4 or nv < 2:
         raise ResolutionError(f"need nu >= 4 and nv >= 2, got ({nu}, {nv})")
     R, n = spec.R, spec.n
+    _check_size(2 + n * (nu - 1) * nv)  # poles, seams, gore interiors
     beta = math.pi / n
     theta = np.linspace(-math.pi / 2, math.pi / 2, nu + 1)[1:-1]
     ni = len(theta)

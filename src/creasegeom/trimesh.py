@@ -7,6 +7,8 @@ per crease id.
 
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +19,10 @@ TAG_INTERIOR = 0
 
 DEGENERATE_AREA_FACTOR = 1e-12
 _BLOCK = 1 << 13  # triangles per block in the mesh kernel; keeps temporaries in cache
+_WRITE_BLOCK = 1 << 16  # OBJ records per write
+# byte -> is ASCII and not whitespace, so continues an OBJ keyword
+_WORD = np.array([c < 128 and not chr(c).isspace() for c in range(256)])
+_SLASH_TAIL = re.compile(r"(?<=\S)/\S*")  # the "/b/c" of a face token "a/b/c"
 
 
 @dataclass
@@ -71,10 +77,10 @@ class TriMesh:
 
     # -- validation -------------------------------------------------------
 
-    def validate(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def validate(self) -> tuple:
         """Raise MeshError on any structural invariant violation.  Returns the
-        (twice_area, corner_dots, boundary) it computed on the way, so that
-        angle_defect measures the mesh without a second pass."""
+        (twice_area, corner_dots, boundary, edge count) it computed on the
+        way, so that angle_defect measures the mesh without a second pass."""
         if self.num_vertices == 0 or self.num_triangles == 0:
             raise MeshError("mesh has no geometry")
         if len(self.vertex_tags) != self.num_vertices:
@@ -82,7 +88,7 @@ class TriMesh:
         nonfinite = np.flatnonzero(~np.isfinite(self.vertices))
         if nonfinite.size:
             raise MeshError(f"non-finite coordinates at vertex {nonfinite[0] // 3}")
-        _, boundary = _edge_topology(self.triangles, self.num_vertices)
+        num_edges, boundary = _edge_topology(self.triangles, self.num_vertices)
 
         diag = self.bbox_diagonal()
         twice_area, dots = _corner_geometry(self.vertices, self.triangles)
@@ -100,7 +106,7 @@ class TriMesh:
                 raise MeshError(f"crease {cid} polyline is self-intersecting")
             if chain.min() < 0 or chain.max() >= self.num_vertices:
                 raise MeshError(f"crease {cid} polyline index out of range")
-        return twice_area, dots, boundary
+        return twice_area, dots, boundary, num_edges
 
 
 def _edge_topology(triangles: np.ndarray, num_vertices: int) -> tuple[int, np.ndarray]:
@@ -158,72 +164,141 @@ def _corner_geometry(vertices: np.ndarray, triangles: np.ndarray):
 
 def export_obj(mesh: TriMesh, path) -> None:
     """Write a Wavefront OBJ: v/f records plus one `l` polyline per crease
-    under `g crease_<id>`.  1-based indices, LF endings, 9 significant digits."""
+    under `g crease_<id>`.  1-based indices, LF endings, 9 significant digits
+    (`%.9g` formats a float as an f-string's `.9g` does)."""
     if mesh.num_vertices == 0 or mesh.num_triangles == 0:
         raise MeshError("refusing to export an empty mesh")
-    lines = []
-    for v in mesh.vertices:
-        lines.append(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}")
-    for t in mesh.triangles:
-        lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
-    for cid in sorted(mesh.crease_polylines):
-        chain = mesh.crease_polylines[cid]
-        lines.append(f"g crease_{cid}")
-        lines.append("l " + " ".join(str(i + 1) for i in chain))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for template, rows in (("v %.9g %.9g %.9g\n", mesh.vertices),
+                               ("f %d %d %d\n", mesh.triangles + 1)):
+            for s in range(0, len(rows), _WRITE_BLOCK):  # one % format per block
+                block = rows[s:s + _WRITE_BLOCK]
+                fh.write(template * len(block) % tuple(block.ravel().tolist()))
+        for cid in sorted(mesh.crease_polylines):
+            chain = (mesh.crease_polylines[cid] + 1).tolist()
+            fh.write(f"g crease_{cid}\nl {' '.join(map(str, chain))}\n")
 
 
 def load_obj(path) -> TriMesh:
     """Read an OBJ written by export_obj, reconstructing tags from the crease
-    groups.  Raises InputFormatError with the file and line if a `v` record
-    has fewer than three coordinates, or a face or polyline index is not in
-    1..(vertex count)."""
-    vertices: list[list[float]] = []
-    triangles: list[list[int]] = []
-    face_lines: list[int] = []
-    polylines: dict[int, list[int]] = {}
-    chains: list[tuple[int, list[int]]] = []  # (line, 0-based indices) per `l`
-    group = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, 1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            kind = parts[0]
-            try:
-                if kind == "v":
-                    if len(parts) < 4:
-                        raise ValueError("a vertex needs 3 coordinates")
-                    vertices.append([float(x) for x in parts[1:4]])
-                elif kind == "f":
-                    idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
-                    if len(idx) != 3:
-                        raise ValueError("only triangle faces are supported")
-                    triangles.append(idx)
-                    face_lines.append(ln)
-                elif kind == "g":
-                    group = parts[1] if len(parts) > 1 else None
-                elif kind == "l":
-                    if group is None or not group.startswith("crease_"):
-                        raise ValueError("polyline outside a crease_<id> group")
-                    cid = int(group.split("_", 1)[1])
-                    chain = [int(p) - 1 for p in parts[1:]]
-                    chains.append((ln, chain))
-                    polylines.setdefault(cid, []).extend(chain)
-            except (ValueError, IndexError) as exc:
-                raise InputFormatError(f"{path}:{ln}: {exc}") from exc
-    if not vertices or not triangles:
-        raise InputFormatError(f"{path}: no triangle geometry found")
+    groups; other records are ignored, and face token a/b/c names vertex a.
+    Raises InputFormatError with the file and line for a `v` record without
+    three finite coordinates, a face without three integer indices, or a
+    face or polyline index not in 1..(vertex count).  The `v` and `f` records
+    go to numpy's text parser as blocks; a file that fails there is read
+    again record by record."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        data.decode("utf-8")  # raises what a text-mode read would
+    if b"\r" in data:  # universal newlines, as a text-mode read sees them
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    parsed = _parse_blocks(path, data)
+    if parsed is None:
+        parsed = _parse_records(path, enumerate(data.decode("utf-8").split("\n"), 1))
+    vertices, vertex_lines, triangles, face_lines, chains = parsed
     n = len(vertices)
-    triangles = np.array(triangles, dtype=np.int64)
+    if not n or not len(triangles):
+        raise InputFormatError(f"{path}: no triangle geometry found")
     bad = np.flatnonzero(((triangles < 0) | (triangles >= n)).any(axis=1))
     if bad.size:
         raise InputFormatError(f"{path}:{face_lines[bad[0]]}: face index out of range 1..{n}")
-    for ln, chain in chains:
+    polylines: dict[int, list[int]] = {}
+    for ln, cid, chain in chains:
         if min(chain, default=0) < 0 or max(chain, default=0) >= n:
             raise InputFormatError(f"{path}:{ln}: polyline index out of range 1..{n}")
+        polylines.setdefault(cid, []).extend(chain)
+    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    if bad.size:
+        raise InputFormatError(f"{path}:{vertex_lines[bad[0]]}: non-finite coordinate")
     tags = np.zeros(n, dtype=np.int64)
     for cid, chain in polylines.items():
+        if not -2**63 <= cid < 2**63:
+            raise InputFormatError(f"{path}: crease id {cid} does not fit in 64 bits")
         tags[chain] = cid
-    return TriMesh(np.array(vertices), triangles, tags, polylines)
+    return TriMesh(vertices, triangles, tags, polylines)
+
+
+def _parse_records(path, lines) -> tuple:
+    """(vertices, their lines, triangles, their lines, (line, crease id,
+    chain) per `l` record) from numbered lines, one record at a time;
+    InputFormatError at the first record that does not parse."""
+    vertices, vertex_lines, triangles, face_lines, chains = [], [], [], [], []
+    group = None
+    for ln, raw in lines:
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        kind = parts[0]
+        try:
+            if kind == "v":
+                if len(parts) < 4:
+                    raise ValueError("a vertex needs 3 coordinates")
+                vertices.append([float(x) for x in parts[1:4]])
+                vertex_lines.append(ln)
+            elif kind == "f":
+                idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
+                if len(idx) != 3:
+                    raise ValueError("only triangle faces are supported")
+                triangles.append(idx)
+                face_lines.append(ln)
+            elif kind == "g":
+                group = parts[1] if len(parts) > 1 else None
+            elif kind == "l":
+                if group is None or not group.startswith("crease_"):
+                    raise ValueError("polyline outside a crease_<id> group")
+                cid = int(group.split("_", 1)[1])
+                chains.append((ln, cid, [int(p) - 1 for p in parts[1:]]))
+        except (ValueError, IndexError) as exc:
+            raise InputFormatError(f"{path}:{ln}: {exc}") from exc
+    # object dtype: an index too large for int64 is still out of range
+    return (np.array(vertices, dtype=np.float64).reshape(-1, 3), vertex_lines,
+            np.array(triangles, dtype=object).reshape(-1, 3), face_lines, chains)
+
+
+def _parse_blocks(path, data: bytes) -> tuple | None:
+    """_parse_records' result, with the `v` and `f` records parsed as two
+    blocks, or None if the file needs the record scan.  Lines of "v" or "f"
+    and an ASCII blank are block records; lines whose first word starts with
+    "#" or two ASCII non-blanks (vt, usemtl) are skipped.  The rest (g and l
+    records) are scanned, and a v or f record among them fails the blocks."""
+    buf = np.frombuffer(data + b"  ", dtype=np.uint8)  # every line has 2 more bytes
+    newline = np.flatnonzero(buf == ord("\n"))
+    starts, stops = np.r_[0, newline + 1], np.r_[newline, len(data)]
+    first, second = buf[starts], buf[starts + 1]
+    block = ((first == ord("v")) | (first == ord("f"))) & ~_WORD[second] & (second < 128)
+    skip = (first == ord("#")) | (_WORD[first] & _WORD[second])
+    try:
+        scanned = _parse_records(path, ((i + 1, data[starts[i]:stops[i]].decode("utf-8"))
+                                        for i in np.flatnonzero(~(block | skip)).tolist()))
+    except InputFormatError:
+        return None
+    v, f = (np.flatnonzero(block & (first == ord(c))) for c in "vf")
+    if len(scanned[0]) or len(scanned[2]) or not len(v) or not len(f):
+        return None
+    vertices = _loadtxt(_block_text(data, starts, stops, v), usecols=(1, 2, 3))
+    # blank the first len(f) "f"s, which are the lines' leading ones unless a
+    # token holds an "f": then a leading "f" is left and its line fails
+    text = _block_text(data, starts, stops, f).replace("f", " ", len(f))
+    triangles = _loadtxt(_SLASH_TAIL.sub("", text) if "/" in text else text, dtype=np.int64)
+    if vertices is None or triangles is None or len(vertices) != len(v) \
+            or triangles.shape != (len(f), 3):
+        return None
+    return vertices, v + 1, triangles - 1, f + 1, scanned[4]
+
+
+def _block_text(data: bytes, starts, stops, idx) -> str:
+    """Lines idx of data as one string, one slice per run of adjacent lines."""
+    cut = np.flatnonzero(np.diff(idx) != 1) + 1
+    runs = zip(idx[np.r_[0, cut]].tolist(), idx[np.r_[cut - 1, -1]].tolist())
+    return b"\n".join(data[starts[a]:stops[b]] for a, b in runs).decode("utf-8")
+
+
+def _loadtxt(text: str, **kw) -> np.ndarray | None:
+    """np.loadtxt of text's non-blank lines; None if any fails or warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(text.split("\n"), comments=None, ndmin=2, **kw)
+        except (ValueError, Warning):
+            return None

@@ -1,9 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
 
-from creasegeom import __version__, load_obj
+from creasegeom import MeshError, __version__, cli, load_obj, surfaces, trimesh
 from creasegeom.cli import main
 
 
@@ -238,3 +240,114 @@ def test_analyze_unreadable_input_exit_3(tmp_path, capsys, make):
     capsys.readouterr()
     assert run(["analyze", "--in", path]) == 3
     assert path.name in assert_one_line_error(capsys)
+
+
+TRIANGLE = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+
+
+@pytest.mark.parametrize("records, message", [
+    ("v 0 1 1e999\nf 1 2 3\n", "x.obj:4: non-finite coordinate"),
+    ("v 0 1 0.5.5\nf 1 2 3\n", "x.obj:4: could not convert string to float: '0.5.5'"),
+    ("f 1 2 99999999999999999999\n", "x.obj:4: face index out of range 1..3"),
+    ("f 1 2 3x\n", "x.obj:4: invalid literal for int() with base 10: '3x'"),
+    ("f 1 2 3\ng crease_1\nl 1 99999999999999999999\n",
+     "x.obj:6: polyline index out of range 1..3"),
+    ("f 1 2 3\ng crease_1\nl 1 2e0\n", "x.obj:6: invalid literal for int() with base 10: '2e0'"),
+], ids=["v-overflow", "v-not-a-number", "f-overflow", "f-not-a-number",
+        "l-overflow", "l-not-a-number"])
+def test_analyze_malformed_obj_number_exit_3(tmp_path, capsys, records, message):
+    path = tmp_path / "x.obj"
+    path.write_text(TRIANGLE + records + "g crease_1\nl 1 2\n")
+    assert run(["analyze", "--in", path]) == 3
+    assert message in assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("records, message", [
+    ("v 1 1 0\nf 1 2 3\nf 1 2 3\n", "inconsistent winding"),
+    ("v 0 -1 0\nv 0 0 1\nf 1 2 3\nf 2 1 4\nf 1 2 5\n", "non-manifold edge"),
+    ("v 2 0 0\nf 1 2 4\nf 1 3 2\n", "degenerate triangle"),
+    ("f 1 2 3\n", "crease 1 has no non-boundary vertices"),
+], ids=["mis-wound", "non-manifold", "degenerate", "one-triangle"])
+def test_analyze_broken_obj_geometry_exit_3(tmp_path, capsys, records, message):
+    path = tmp_path / "x.obj"
+    path.write_text(TRIANGLE + records + "g crease_1\nl 1 2\n")
+    assert run(["analyze", "--in", path]) == 3
+    err = assert_one_line_error(capsys)
+    assert f"error: {path}: " in err and message in err
+
+
+def test_analyze_sidecar_mesh_error_stays_exit_2(tmp_path, capsys, monkeypatch):
+    path = tube_sidecar(tmp_path)
+
+    def broken(mesh):
+        raise MeshError("generator fault")
+
+    monkeypatch.setattr(cli.oracle, "angle_defect", broken)
+    capsys.readouterr()
+    assert run(["analyze", "--in", path]) == 2
+    assert "generator fault" in assert_one_line_error(capsys)
+
+
+def test_resolution_cap_exit_codes(tmp_path, capsys, monkeypatch):
+    sidecar = tube_sidecar(tmp_path)  # 6 strips at nu=8, nv=4: 204 vertices
+    monkeypatch.setattr(surfaces, "MAX_VERTICES", 100)
+    capsys.readouterr()
+    out = tmp_path / "big.obj"
+    assert run(["generate", "tube", "--a", 1, "--alpha", 0.7, "--strips", 6,
+                "--nu", 8, "--nv", 4, "--out", out]) == 2
+    assert "over the limit of 100" in assert_one_line_error(capsys)
+    assert not out.exists()
+    assert run(["analyze", "--in", sidecar]) == 3
+    err = assert_one_line_error(capsys)
+    assert "t.obj.json" in err and "over the limit of 100" in err
+
+
+def test_analyze_sorts_edges_once(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "g.obj"
+    assert run(["generate", "gore-sphere", "--n", 6, "--radius", 1,
+                "--nu", 8, "--nv", 3, "--out", out]) == 0
+    calls = []
+    topology = trimesh._edge_topology
+
+    def counted(*args):
+        calls.append(1)
+        return topology(*args)
+
+    monkeypatch.setattr(trimesh, "_edge_topology", counted)
+    report = tmp_path / "r.json"
+    assert run(["analyze", "--in", out, "--report", report]) == 0
+    assert len(calls) == 1
+    assert json.loads(report.read_text())["mesh"]["euler_characteristic"] == 2
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
+
+# A valid, analyzable OBJ: a square fan around vertex 5 with crease 1 on a diagonal.
+FUZZ_OBJ = (b"v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nv 0.5 0.5 0.1\n"
+            b"f 1 2 5\nf 2 3 5\nf 3 4 5\nf 4 1 5\ng crease_1\nl 1 5 3\n")
+
+
+if HAVE_HYPOTHESIS:  # mutated OBJ bytes through main()
+    @settings(max_examples=100, deadline=None)
+    @given(edits=st.lists(
+        st.tuples(st.integers(0, len(FUZZ_OBJ)), st.sampled_from(["insert", "replace", "delete"]),
+                  st.sampled_from(list(b"0123456789 \t\r\n/#vfgl-+.e\xff"))),
+        max_size=6,
+    ))
+    def test_analyze_mutated_obj_exits_0_or_3(tmp_path_factory, edits):
+        data = bytearray(FUZZ_OBJ)
+        for pos, op, byte in edits:
+            span = slice(pos, pos) if op == "insert" else slice(pos, pos + 1)
+            data[span] = b"" if op == "delete" else bytes([byte])
+        path = tmp_path_factory.getbasetemp() / "fuzz.obj"
+        path.write_bytes(bytes(data))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(["analyze", "--in", path])
+        assert code in (0, 3)
+        if code == 3:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -12,6 +12,7 @@ from creasegeom import (
     ParameterError,
     ResolutionError,
     ShallowRegimeWarning,
+    TubeSpec,
     gen_curved_crease,
     gen_cylinder,
     gen_gore_sphere,
@@ -23,6 +24,7 @@ from creasegeom import (
     tube_spec_for_strips,
     twisted_patch_surface,
 )
+from creasegeom import surfaces
 
 
 def signed_volume(mesh):
@@ -259,3 +261,42 @@ def test_generators_share_seam_vertices_exactly():
     )
     _, counts = np.unique(edges, axis=0, return_counts=True)
     assert (counts == 2).all()
+
+
+# -- resolution cap ------------------------------------------------------------
+
+SIZED = {  # odd nu/nv where a generator rounds them up to even
+    "cylinder": lambda: gen_cylinder(tube_spec_for_strips(1.0, 0.6, 7), 9, 5),
+    "cylinder-alpha0": lambda: gen_cylinder(TubeSpec(a=1.0, alpha=0.0, h=0.7), 9, 5),
+    "tube": lambda: gen_twisted_prismatic_tube(tube_spec_for_strips(1.0, 0.7, 7), 7, 9, 4),
+    "twisted-patch": lambda: gen_twisted_patch(0.1, 1.0, 1.0, 0.2, 7, 5),
+    "curved-crease": lambda: gen_curved_crease(CreaseSpec(R=2.0, mu=0.5), 0.3, 9, 4),
+    "mudguard": lambda: gen_mudguard(MudguardSpec(R=2.0, r=0.1, mu=0.6), 9, 4),
+    "gore-sphere": lambda: gen_gore_sphere(GoreSphereSpec(R=1.0, n=5), 7, 3),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SIZED))
+def test_size_check_counts_vertices_exactly(shape, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ShallowRegimeWarning)
+        count = SIZED[shape]().num_vertices
+        monkeypatch.setattr(surfaces, "MAX_VERTICES", count)
+        SIZED[shape]()
+        monkeypatch.setattr(surfaces, "MAX_VERTICES", count - 1)
+        with pytest.raises(ResolutionError, match=f"{count} vertices, over the limit"):
+            SIZED[shape]()
+
+
+class NoArrays:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} called before the size check")
+
+
+def test_oversized_resolution_is_refused_before_any_array(monkeypatch):
+    # generate tube --nu 1000000 --nv 1000 would allocate about 7.5 GiB; with
+    # numpy taken away the generator can only fail at the check
+    spec = tube_spec_for_strips(1.0, 0.7, 12)
+    monkeypatch.setattr(surfaces, "np", NoArrays())
+    with pytest.raises(ResolutionError, match="11500512000 vertices"):
+        gen_twisted_prismatic_tube(spec, 12, 1_000_000, 1000)

@@ -19,6 +19,7 @@ from creasegeom import (
     gen_twisted_patch,
     gen_twisted_prismatic_tube,
     load_obj,
+    trimesh,
     tube_spec_for_strips,
 )
 
@@ -184,7 +185,8 @@ def test_topology_matches_unique_reference(shape):
     mask, euler = unique_topology(mesh)
     assert np.array_equal(mesh.boundary_vertex_mask(), mask)
     assert mesh.euler_characteristic() == euler
-    twice_area, dots, boundary = mesh.validate()
+    twice_area, dots, boundary, num_edges = mesh.validate()
+    assert mesh.num_vertices - num_edges + mesh.num_triangles == euler
     assert np.array_equal(boundary, mask)
     assert np.array_equal(twice_area, 2 * mesh.triangle_areas())
     assert dots.shape == (3, mesh.num_triangles)
@@ -240,3 +242,246 @@ def test_validate_rejects_non_finite_vertex(value):
     mesh.vertices[9, 0] = value
     with pytest.raises(MeshError, match="non-finite coordinates at vertex 5$"):
         mesh.validate()
+
+
+# -- bulk OBJ I/O against the per-record writer and parser -------------------
+
+try:
+    from hypothesis import given, settings, strategies as st
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
+
+
+def reference_export_obj(mesh, path):
+    """The per-record writer that export_obj must match byte for byte."""
+    lines = []
+    for v in mesh.vertices:
+        lines.append(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}")
+    for t in mesh.triangles:
+        lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
+    for cid in sorted(mesh.crease_polylines):
+        chain = mesh.crease_polylines[cid]
+        lines.append(f"g crease_{cid}")
+        lines.append("l " + " ".join(str(i + 1) for i in chain))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def reference_load_obj(path):
+    """The per-record parser whose accepted syntax load_obj keeps."""
+    vertices, triangles, face_lines, polylines, chains = [], [], [], {}, []
+    group = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for ln, raw in enumerate(fh, 1):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            kind = parts[0]
+            try:
+                if kind == "v":
+                    if len(parts) < 4:
+                        raise ValueError("a vertex needs 3 coordinates")
+                    vertices.append([float(x) for x in parts[1:4]])
+                elif kind == "f":
+                    idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
+                    if len(idx) != 3:
+                        raise ValueError("only triangle faces are supported")
+                    triangles.append(idx)
+                    face_lines.append(ln)
+                elif kind == "g":
+                    group = parts[1] if len(parts) > 1 else None
+                elif kind == "l":
+                    if group is None or not group.startswith("crease_"):
+                        raise ValueError("polyline outside a crease_<id> group")
+                    cid = int(group.split("_", 1)[1])
+                    chain = [int(p) - 1 for p in parts[1:]]
+                    chains.append((ln, chain))
+                    polylines.setdefault(cid, []).extend(chain)
+            except (ValueError, IndexError) as exc:
+                raise InputFormatError(f"{path}:{ln}: {exc}") from exc
+    if not vertices or not triangles:
+        raise InputFormatError(f"{path}: no triangle geometry found")
+    n = len(vertices)
+    triangles = np.array(triangles, dtype=np.int64)
+    bad = np.flatnonzero(((triangles < 0) | (triangles >= n)).any(axis=1))
+    if bad.size:
+        raise InputFormatError(f"{path}:{face_lines[bad[0]]}: face index out of range 1..{n}")
+    for ln, chain in chains:
+        if min(chain, default=0) < 0 or max(chain, default=0) >= n:
+            raise InputFormatError(f"{path}:{ln}: polyline index out of range 1..{n}")
+    tags = np.zeros(n, dtype=np.int64)
+    for cid, chain in polylines.items():
+        tags[chain] = cid
+    return TriMesh(np.array(vertices), triangles, tags, polylines)
+
+
+def awkward_values_mesh():
+    """A tetrahedron-shaped mesh whose coordinates stress %.9g: signed zero,
+    extreme exponents, subnormals and values that need all nine digits."""
+    vertices = np.array([
+        [-0.0, 0.0, 1e-300],
+        [1e300, -1e300, 123456789.0],
+        [0.123456789, 2.0 / 3.0, -1.23456789e-5],
+        [5e-324, 987654321.5, -999999999.0],
+    ])
+    triangles = np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]])
+    return TriMesh(vertices, triangles, np.array([7, 0, 7, 0]), {7: [0, 2]})
+
+
+OBJ_MESHES = {
+    **GENERATED,
+    # a coarser tube keeps the per-record reference parser quick
+    "tube": lambda: gen_twisted_prismatic_tube(
+        tube_spec_for_strips(1.0, math.pi / 4, 12), 12, 8, 4
+    ),
+    "awkward-values": awkward_values_mesh,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBJ_MESHES))
+def test_export_obj_matches_reference_writer(tmp_path, name):
+    mesh = OBJ_MESHES[name]()
+    export_obj(mesh, tmp_path / "bulk.obj")
+    reference_export_obj(mesh, tmp_path / "reference.obj")
+    assert (tmp_path / "bulk.obj").read_bytes() == (tmp_path / "reference.obj").read_bytes()
+
+
+def assert_same_mesh(a, b):
+    assert np.array_equal(a.vertices, b.vertices)
+    assert np.array_equal(a.triangles, b.triangles)
+    assert np.array_equal(a.vertex_tags, b.vertex_tags)
+    assert list(a.crease_polylines) == list(b.crease_polylines)
+    for cid, chain in a.crease_polylines.items():
+        assert np.array_equal(chain, b.crease_polylines[cid])
+
+
+def _face_tokens(line, form):
+    if not line.startswith("f "):
+        return line
+    return "f " + " ".join(form.format(i) for i in line.split()[1:])
+
+
+# Rewrites of an exported OBJ that keep its geometry: each must load to the
+# same mesh through both parsers.
+OBJ_VARIANTS = {
+    "as-written": lambda lines: lines,
+    "crlf": lambda lines: [line + "\r" for line in lines],
+    "tabs": lambda lines: [line.replace(" ", "\t") for line in lines],
+    "comments": lambda lines: ["# header", ""] + [
+        x for line in lines for x in (line, "# after " + line.split()[0], "   ")
+    ],
+    "vt-vn": lambda lines: [
+        x for line in lines
+        for x in ((line, "vt 0.5 0.25", "vn 0 0 1") if line.startswith("v ") else (line,))
+    ],
+    "a//c": lambda lines: [_face_tokens(line, "{0}//{0}") for line in lines],
+    "a/b/c": lambda lines: [_face_tokens(line, "{0}/1/{0}") for line in lines],
+    "4-column-v": lambda lines: [
+        line + " 1.0" if line.startswith("v ") else line for line in lines
+    ],
+    "indented": lambda lines: ["  " + line for line in lines],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBJ_MESHES))
+def test_load_obj_matches_reference_parser(tmp_path, name):
+    written = tmp_path / "mesh.obj"
+    export_obj(OBJ_MESHES[name](), written)
+    as_written = load_obj(written)
+    lines = written.read_text().splitlines()
+    for variant, rewrite in OBJ_VARIANTS.items():
+        path = tmp_path / f"{variant.replace('/', '_')}.obj"
+        path.write_bytes(("\n".join(rewrite(lines)) + "\n").encode())
+        loaded = load_obj(path)
+        assert_same_mesh(loaded, reference_load_obj(path))
+        assert_same_mesh(loaded, as_written)
+        # only indented records need the record-by-record scan
+        data = path.read_bytes().replace(b"\r\n", b"\n")
+        assert (trimesh._parse_blocks(path, data) is None) == (variant == "indented")
+
+
+def test_load_obj_rejects_non_finite_and_oversized_ids(tmp_path):
+    # malformed numbers per record kind are covered through the CLI
+    path = tmp_path / "bad.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 nan\nf 1 2 3\n")
+    with pytest.raises(InputFormatError, match="bad.obj:3: non-finite coordinate"):
+        load_obj(path)
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
+                    "g crease_99999999999999999999\nl 1 2\n")
+    with pytest.raises(InputFormatError, match="bad.obj: crease id 9+ does not fit in 64 bits"):
+        load_obj(path)
+
+
+# A small OBJ that exercises every record kind the parser handles.
+FUZZ_SEED_OBJ = (
+    "# seed\nv 0 0 0\nv 1 0 0\nv 1 1 0.5\nv 0 1 0\nvt 0 1\n"
+    "f 1 2 3\nf 1/1 3/2/1 4//3\ng crease_1\nl 1 3\nv\t0.5\t0.5\t1e-3\n"
+)
+MUTATION_BYTES = b"0123456789 \t\r\n/#vfgl-+.e_x\xa0\xff"
+
+
+def mutated(seed: bytes, edits) -> bytes:
+    data = bytearray(seed)
+    for pos, op, byte in edits:
+        pos %= len(data) + 1
+        if op == "insert":
+            data[pos:pos] = bytes([byte])
+        elif op == "delete":
+            del data[pos:pos + 1]
+        else:
+            data[pos:pos + 1] = bytes([byte])
+    return bytes(data)
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except (InputFormatError, OverflowError, UnicodeDecodeError) as exc:
+        return exc
+
+
+# One odd record each, inserted at line 4 of FUZZ_SEED_OBJ: the bulk reader
+# must accept, reject and report them exactly as the reference parser does.
+ODD_RECORDS = [
+    "f 1 2 3 /", "f 1 2 3f", "f ", "f 1/ 2/x 3//4", "f 1 2 3 # c", "f +1 02 3",
+    "f \u0661 2 3", "f\t1\t2\t3", " v 0.5 0.5 0.5", "v\xa00.5 0.5 0.5",
+    "\x0cv 0.5 0.5 0.5", "v\u00e9 1 2 3", "v 1 2 3 # c", "v 1_0 2 3", "v 1e5 -.5 +3.",
+    "v 1 2", "vt 1 2", "#v 1 2 3", "v# 1 2 3", "g crease_2\nl 1 2", "g other\nl 1 2",
+]
+
+
+@pytest.mark.parametrize("record", ODD_RECORDS)
+def test_load_obj_odd_record_matches_reference(tmp_path, record):
+    lines = FUZZ_SEED_OBJ.splitlines()
+    path = tmp_path / "odd.obj"
+    path.write_text("\n".join(lines[:3] + [record] + lines[3:]) + "\n", encoding="utf-8")
+    new, old = _outcome(load_obj, path), _outcome(reference_load_obj, path)
+    if isinstance(old, TriMesh):
+        assert_same_mesh(new, old)
+    else:
+        assert type(new) is type(old) and str(new) == str(old)
+
+
+if HAVE_HYPOTHESIS:  # mutated files against the reference parser
+    @settings(max_examples=100, deadline=None)
+    @given(edits=st.lists(
+        st.tuples(st.integers(0, 200), st.sampled_from(["insert", "delete", "replace"]),
+                  st.sampled_from(list(MUTATION_BYTES))),
+        max_size=6,
+    ))
+    def test_load_obj_agrees_with_reference_on_mutated_files(tmp_path_factory, edits):
+        path = tmp_path_factory.getbasetemp() / "mutated.obj"
+        path.write_bytes(mutated(FUZZ_SEED_OBJ.encode(), edits))
+        new, old = _outcome(load_obj, path), _outcome(reference_load_obj, path)
+        if isinstance(old, OverflowError):
+            # the reference crashed on an index or crease id beyond int64
+            assert isinstance(new, InputFormatError)
+        elif isinstance(old, TriMesh) and not np.isfinite(old.vertices).all():
+            assert isinstance(new, InputFormatError) and "non-finite coordinate" in str(new)
+        elif isinstance(old, TriMesh):
+            assert_same_mesh(new, old)
+        else:
+            assert type(new) is type(old)
+            if isinstance(old, InputFormatError):
+                assert str(new) == str(old)
