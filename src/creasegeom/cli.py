@@ -2,15 +2,17 @@
 forms, run verification suites, and sweep parameters to CSV.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parameter error,
-3 input-format error.
+3 input-format error, 141 (128 + SIGPIPE) when stdout is closed early.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -25,6 +27,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INPUT_FORMAT = 3
+EXIT_BROKEN_PIPE = 141
 
 ANGLE_PARAMS = {"alpha", "mu"}
 
@@ -452,7 +455,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return status
+    except BrokenPipeError:  # the reader left (`analyze ... | head`): not an input fault
+        with open(os.devnull, "w") as devnull, contextlib.suppress(OSError, ValueError):
+            os.dup2(devnull.fileno(), sys.stdout.fileno())  # the exit's flush goes here
+        return EXIT_BROKEN_PIPE
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -32,7 +32,6 @@ class DefectField:
     vertex_tags   (V,) copied from the mesh
     crease_rates  defect per unit arc length for each crease id, boundary
                   chain endpoints excluded
-    total_defect  sum of defect over all non-boundary vertices
     euler_characteristic  V - E + T of the mesh
     """
 
@@ -41,8 +40,12 @@ class DefectField:
     boundary_mask: np.ndarray
     vertex_tags: np.ndarray
     crease_rates: dict[int, float] = field(default_factory=dict)
-    total_defect: float = 0.0
     euler_characteristic: int = 0
+
+    @property
+    def total_defect(self) -> float:
+        """Sum of defect over all non-boundary vertices."""
+        return math.fsum(self.defect[~self.boundary_mask])
 
     def interior_defect_density(self) -> float:
         """Defect per unit area over untagged, non-boundary vertices."""
@@ -61,7 +64,7 @@ def angle_defect(mesh: TriMesh) -> DefectField:
     """Angle-defect field of a validated mesh.
 
     Validation runs first, so inconsistent winding raises OrientationError
-    before any curvature is reported; its twice-areas, corner dots and
+    before any curvature is reported; its twice-areas, corner angles and
     boundary mask give every angle and area used here.  The barycentric
     lumped area, not the mixed Voronoi area of Meyer, Desbrun, Schroeder &
     Barr (2003), suffices: each strip is a uniform grid split along its
@@ -69,17 +72,16 @@ def angle_defect(mesh: TriMesh) -> DefectField:
     valence-6 rings, where defect / barycentric area converges pointwise to
     K (Borrelli, Cazals & Morvan 2003).
     """
-    twice_area, dots, boundary, num_edges = mesh.validate()
-    tri = mesh.triangles
+    twice_area, angles, boundary, num_edges = mesh.validate()
     nv = mesh.num_vertices
-    angles = np.arctan2(twice_area, dots)  # (3, T): corner k of each triangle
     third = twice_area / 6.0
 
     angle_sum = np.zeros(nv)
     lumped = np.zeros(nv)
     for k in range(3):
-        angle_sum += np.bincount(tri[:, k], weights=angles[k], minlength=nv)
-        lumped += np.bincount(tri[:, k], weights=third, minlength=nv)
+        corner = np.ascontiguousarray(mesh.triangles[:, k])  # one copy, two bincounts
+        angle_sum += np.bincount(corner, weights=angles[k], minlength=nv)
+        lumped += np.bincount(corner, weights=third, minlength=nv)
 
     flat = np.where(boundary, math.pi, 2.0 * math.pi)
     defect = flat - angle_sum
@@ -102,7 +104,6 @@ def angle_defect(mesh: TriMesh) -> DefectField:
         boundary_mask=boundary,
         vertex_tags=mesh.vertex_tags.copy(),
         crease_rates=rates,
-        total_defect=math.fsum(defect[~boundary]),
         euler_characteristic=nv - num_edges + mesh.num_triangles,
     )
 

@@ -29,8 +29,8 @@ DEFAULT_EXPORT_RES = 32
 CREASE_ARC_SPAN = math.pi / 2
 
 # Largest mesh, in vertices, that a generator builds: 13 times the
-# strip-curvature suite's tube.  Generating and analysing peak at about 300
-# bytes per vertex (measured at 944k vertices), so about 3 GB at the limit.
+# strip-curvature suite's tube.  Analysing a generated mesh peaks at about
+# 220 bytes per vertex (measured at 944k vertices), so 2.2 GB at the limit.
 MAX_VERTICES = 10_000_000
 
 
@@ -89,7 +89,8 @@ class GoreSphereSpec:
 def _grid_triangles(ids: np.ndarray, pts: np.ndarray, flip: bool = False) -> np.ndarray:
     """Triangulate a quad grid of vertex ids with positions pts (same grid
     shape plus a trailing 3), splitting each cell along its shorter diagonal
-    (keeps thin twisted strips well conditioned)."""
+    (keeps thin twisted strips well conditioned).  The first triangle of
+    every cell comes first, then the second; flip reverses each winding."""
     v00 = ids[:-1, :-1].ravel()
     v10 = ids[1:, :-1].ravel()
     v01 = ids[:-1, 1:].ravel()
@@ -101,16 +102,16 @@ def _grid_triangles(ids: np.ndarray, pts: np.ndarray, flip: bool = False) -> np.
     d_main = np.linalg.norm(p00 - p11, axis=1)
     d_anti = np.linalg.norm(p10 - p01, axis=1)
     use_main = d_main <= d_anti
-    t1 = np.where(use_main[:, None],
-                  np.stack([v00, v10, v11], axis=1),
-                  np.stack([v00, v10, v01], axis=1))
-    t2 = np.where(use_main[:, None],
-                  np.stack([v00, v11, v01], axis=1),
-                  np.stack([v10, v11, v01], axis=1))
-    tris = np.concatenate([t1, t2])
-    if flip:
-        tris = tris[:, ::-1]
-    return tris
+    # main diagonal: (v00, v10, v11), (v00, v11, v01); anti: (v00, v10, v01), (v10, v11, v01)
+    tris = np.empty((2, len(v00), 3), dtype=ids.dtype)
+    first, last = (2, 0) if flip else (0, 2)
+    tris[0, :, first] = v00
+    tris[0, :, 1] = v10
+    tris[0, :, last] = np.where(use_main, v11, v01)
+    tris[1, :, first] = np.where(use_main, v00, v10)
+    tris[1, :, 1] = v11
+    tris[1, :, last] = v01
+    return tris.reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +136,9 @@ def _helical_band(a, alpha, n_strips, nu, nv, flatten):
     else:
         length, m = 2.0 * l_shift, nu // 2
     # n_strips lines of nu + 1, the last strip's interior m columns short
-    _check_size(n_strips * (nu + 1) * nv - m * (nv - 1))
+    n_line = nu + 1
+    num_vertices = n_strips * n_line * nv - m * (nv - 1)
+    _check_size(num_vertices)
     xhat = np.array([math.sin(alpha), math.cos(alpha)])
     yhat = np.array([math.cos(alpha), -math.sin(alpha)])
     x = np.linspace(0.0, length, nu + 1)
@@ -144,17 +147,17 @@ def _helical_band(a, alpha, n_strips, nu, nv, flatten):
         s, z = dev[..., 0], dev[..., 1]
         return np.stack([a * np.cos(s / a), a * np.sin(s / a), z], axis=-1)
 
-    # crease-line vertices, line j at developed offset j*h*yhat
-    n_line = nu + 1
-    line_pts = np.empty((n_strips, n_line, 3))
+    vertices = np.empty((num_vertices, 3))
+    triangles = np.empty((2 * nv * (n_strips * nu - m), 3), dtype=np.int64)
+    tags = np.zeros(num_vertices, dtype=np.int64)
+    # crease-line vertices first, line j at developed offset j*h*yhat
+    line_pts = vertices[:n_strips * n_line].reshape(n_strips, n_line, 3)
     for j in range(n_strips):
         dev = j * h * yhat[None, :] + x[:, None] * xhat[None, :]
         line_pts[j] = wrap(dev)
-    verts = [line_pts.reshape(-1, 3)]
-    tags = [np.repeat(np.arange(1, n_strips + 1), n_line)]
-    offset = n_strips * n_line
+    tags[:n_strips * n_line] = np.repeat(np.arange(1, n_strips + 1), n_line)
 
-    tris = []
+    offset, done = n_strips * n_line, 0
     for j in range(n_strips):
         jn = (j + 1) % n_strips
         shift = m if j == n_strips - 1 else 0
@@ -164,34 +167,27 @@ def _helical_band(a, alpha, n_strips, nu, nv, flatten):
         ids[:, nv] = jn * n_line + (i - shift)
         n_int = (len(i)) * (nv - 1)
         ids[:, 1:nv] = offset + np.arange(n_int).reshape(len(i), nv - 1)
+        interior = vertices[offset:offset + n_int].reshape(len(i), nv - 1, 3)
         offset += n_int
 
-        t = (np.arange(1, nv) / nv)[None, :, None]
-        p0 = line_pts[j, i][:, None, :]
-        p1 = line_pts[jn, i - shift][:, None, :]
         if flatten:
-            interior = (1.0 - t) * p0 + t * p1
+            t = (np.arange(1, nv) / nv)[None, :, None]
+            p0, p1 = line_pts[j, i][:, None, :], line_pts[jn, i - shift][:, None, :]
+            np.add((1.0 - t) * p0, t * p1, out=interior)
         else:
             dev = (
                 (j * h + np.arange(1, nv) / nv * h)[None, :, None] * yhat[None, None, :]
                 + x[i][:, None, None] * xhat[None, None, :]
             )
-            interior = wrap(dev)
-        verts.append(interior.reshape(-1, 3))
-        tags.append(np.zeros(n_int, dtype=np.int64))
+            interior[...] = wrap(dev)
+        cells = _grid_triangles(ids, vertices[ids], flip=True)
+        triangles[done:done + len(cells)] = cells
+        done += len(cells)
 
-        grid = np.empty((len(i), nv + 1, 3))
-        grid[:, 0] = p0[:, 0]
-        grid[:, nv] = p1[:, 0]
-        grid[:, 1:nv] = interior
-        tris.append(_grid_triangles(ids, grid, flip=True))
-
-    vertices = np.concatenate(verts)
-    triangles = np.concatenate(tris)
     polylines = {
         j + 1: np.arange(j * n_line, (j + 1) * n_line) for j in range(n_strips)
     }
-    return TriMesh(vertices, triangles, np.concatenate(tags), polylines)
+    return TriMesh(vertices, triangles, tags, polylines)
 
 
 def gen_cylinder(spec: TubeSpec, nu: int, nv: int) -> TriMesh:
@@ -383,26 +379,29 @@ def gen_gore_sphere(spec: GoreSphereSpec, nu: int, nv: int) -> TriMesh:
     if nu < 4 or nv < 2:
         raise ResolutionError(f"need nu >= 4 and nv >= 2, got ({nu}, {nv})")
     R, n = spec.R, spec.n
-    _check_size(2 + n * (nu - 1) * nv)  # poles, seams, gore interiors
+    num_vertices = 2 + n * (nu - 1) * nv  # poles, seams, gore interiors
+    _check_size(num_vertices)
     beta = math.pi / n
     theta = np.linspace(-math.pi / 2, math.pi / 2, nu + 1)[1:-1]
     ni = len(theta)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
 
-    verts = [np.array([[0.0, 0.0, -R], [0.0, 0.0, R]])]
-    tags = [np.zeros(2, dtype=np.int64)]
+    vertices = np.empty((num_vertices, 3))
+    vertices[:2] = [[0.0, 0.0, -R], [0.0, 0.0, R]]
+    tags = np.zeros(num_vertices, dtype=np.int64)
     # seam j vertices: ids 2 + j*ni + i, lying in the plane at azimuth 2*pi*j/n
-    seam_base = 2
+    seams = 2 + np.arange(n * ni).reshape(n, ni)
     for j in range(n):
         phi_j = TWO_PI * j / n
         rho = R * cos_t / math.cos(beta)
-        verts.append(
-            np.stack([rho * math.cos(phi_j), rho * math.sin(phi_j), R * sin_t], axis=-1)
+        vertices[seams[j]] = np.stack(
+            [rho * math.cos(phi_j), rho * math.sin(phi_j), R * sin_t], axis=-1
         )
-        tags.append(np.full(ni, j + 1, dtype=np.int64))
-    offset = seam_base + n * ni
+        tags[seams[j]] = j + 1
+    offset = 2 + n * ni
 
-    tris = []
+    # gore j's triangles: its 2*(ni - 1)*nv cells, then nv south and nv north pole fans
+    triangles = np.empty((n, 2 * ni * nv, 3), dtype=np.int64)
     interior_cols = nv - 1
     for j in range(n):
         phi_c = TWO_PI * (j + 0.5) / n
@@ -415,36 +414,22 @@ def gen_gore_sphere(spec: GoreSphereSpec, nu: int, nv: int) -> TriMesh:
             + w[:, :, None] * u
             + (R * sin_t)[:, None, None] * np.array([0.0, 0.0, 1.0])
         )
-        verts.append(interior.reshape(-1, 3))
-        tags.append(np.zeros(ni * interior_cols, dtype=np.int64))
+        vertices[offset:offset + ni * interior_cols] = interior.reshape(-1, 3)
 
         ids = np.empty((ni, nv + 1), dtype=np.int64)
-        ids[:, 0] = seam_base + j * ni + np.arange(ni)
-        ids[:, nv] = seam_base + ((j + 1) % n) * ni + np.arange(ni)
+        ids[:, 0] = seams[j]
+        ids[:, nv] = seams[(j + 1) % n]
         ids[:, 1:nv] = offset + np.arange(ni * interior_cols).reshape(ni, interior_cols)
         offset += ni * interior_cols
 
-        grid = np.empty((ni, nv + 1, 3))
-        grid[:, 0] = verts[1 + j]
-        grid[:, nv] = verts[1 + (j + 1) % n]
-        grid[:, 1:nv] = interior
-        tris.append(_grid_triangles(ids, grid, flip=True))
-        # pole fans: south pole is vertex 0 (below row i=0), north is 1
-        south = np.stack(
-            [np.zeros(nv, np.int64), ids[0, 1:], ids[0, :-1]], axis=1
-        )
-        north = np.stack(
-            [np.ones(nv, np.int64), ids[-1, :-1], ids[-1, 1:]], axis=1
-        )
-        tris.append(south)
-        tris.append(north)
+        triangles[j, :-2 * nv] = _grid_triangles(ids, vertices[ids], flip=True)
+        # pole fans, a row per corner: south pole 0 below row i=0, north pole 1
+        south, north = triangles[j, -2 * nv:].reshape(2, nv, 3).transpose(0, 2, 1)
+        south[0], south[1], south[2] = 0, ids[0, 1:], ids[0, :-1]
+        north[0], north[1], north[2] = 1, ids[-1, :-1], ids[-1, 1:]
 
-    vertices = np.concatenate(verts)
-    triangles = np.concatenate(tris)
-    polylines = {
-        j + 1: seam_base + j * ni + np.arange(ni) for j in range(n)
-    }
-    return TriMesh(vertices, triangles, np.concatenate(tags), polylines)
+    polylines = {j + 1: seams[j] for j in range(n)}
+    return TriMesh(vertices, triangles.reshape(-1, 3), tags, polylines)
 
 
 def sphere_surface(R: float):

@@ -8,6 +8,7 @@ per crease id.
 from __future__ import annotations
 
 import re
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -67,7 +68,7 @@ class TriMesh:
         return _edge_topology(self.triangles, self.num_vertices)[1]
 
     def euler_characteristic(self) -> int:
-        num_edges, _ = _edge_topology(self.triangles, self.num_vertices)
+        num_edges = _edge_topology(self.triangles, self.num_vertices)[0]
         return self.num_vertices - num_edges + self.num_triangles
 
     def crease_arc_length(self, crease_id: int) -> float:
@@ -78,9 +79,9 @@ class TriMesh:
     # -- validation -------------------------------------------------------
 
     def validate(self) -> tuple:
-        """Raise MeshError on any structural invariant violation.  Returns the
-        (twice_area, corner_dots, boundary, edge count) it computed on the
-        way, so that angle_defect measures the mesh without a second pass."""
+        """Raise MeshError on any structural invariant violation, topology faults
+        first.  Returns the (twice_area (T,), corner_angles (3, T), boundary (V,),
+        edge count) it computed, so angle_defect measures without a second pass."""
         if self.num_vertices == 0 or self.num_triangles == 0:
             raise MeshError("mesh has no geometry")
         if len(self.vertex_tags) != self.num_vertices:
@@ -88,10 +89,12 @@ class TriMesh:
         nonfinite = np.flatnonzero(~np.isfinite(self.vertices))
         if nonfinite.size:
             raise MeshError(f"non-finite coordinates at vertex {nonfinite[0] // 3}")
-        num_edges, boundary = _edge_topology(self.triangles, self.num_vertices)
 
-        diag = self.bbox_diagonal()
-        twice_area, dots = _corner_geometry(self.vertices, self.triangles)
+        def geometry():  # runs while the edge keys are sorted
+            twice_area, dots = _corner_geometry(self.vertices, self.triangles)
+            return self.bbox_diagonal(), twice_area, np.arctan2(twice_area, dots, out=dots)
+        num_edges, boundary, (diag, twice_area, angles) = _edge_topology(
+            self.triangles, self.num_vertices, geometry)
         limit = DEGENERATE_AREA_FACTOR * diag * diag
         if np.any(twice_area <= 2.0 * limit):
             bad = int(np.argmin(twice_area))
@@ -106,17 +109,18 @@ class TriMesh:
                 raise MeshError(f"crease {cid} polyline is self-intersecting")
             if chain.min() < 0 or chain.max() >= self.num_vertices:
                 raise MeshError(f"crease {cid} polyline index out of range")
-        return twice_area, dots, boundary, num_edges
+        return twice_area, angles, boundary, num_edges
 
 
-def _edge_topology(triangles: np.ndarray, num_vertices: int) -> tuple[int, np.ndarray]:
-    """(edge count, boundary vertex mask), from one sort of packed edge keys.
+def _edge_topology(triangles: np.ndarray, num_vertices: int, meanwhile=lambda: None) -> tuple:
+    """(edge count, boundary vertex mask, meanwhile()) from one in-place sort of
+    packed edge keys, which a second thread runs (numpy releases the GIL) while
+    this one calls meanwhile; it is joined before this returns or raises.
 
     Directed edge a->b packs into the int64 key 2*(min*V + max) + (a > b),
-    which is exact while V <= 2**31.  After sorting, a run of equal key >> 1
-    is one undirected edge: a run of 1 is a boundary edge, a run of more than
-    2 a non-manifold one.  Two equal full keys are one directed edge used
-    twice, which consistent winding forbids.
+    exact while V <= 2**31.  Equal keys are a directed edge used twice, which
+    consistent winding forbids (an edge of 3+ triangles always has one); then
+    key >> 1, shifted in place, is an undirected edge id, a run of 1 a rim edge.
     """
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= num_vertices:
         raise MeshError("triangle index out of range")  # keys would alias
@@ -126,18 +130,24 @@ def _edge_topology(triangles: np.ndarray, num_vertices: int) -> tuple[int, np.nd
         b = a[:, [1, 2, 0]]
         pair = np.minimum(a, b) * np.int64(num_vertices) + np.maximum(a, b)
         keys[s:s + _BLOCK] = 2 * pair + (a > b)
-    keys = np.sort(keys, axis=None)
-    edge = keys >> 1
-    if np.any(edge[2:] == edge[:-2]):
-        raise MeshError("non-manifold edge shared by more than 2 triangles")
+    keys = keys.reshape(-1)
+    sorter = threading.Thread(target=keys.sort)
+    sorter.start()
+    try:
+        during = meanwhile()
+    finally:
+        sorter.join()
     if np.any(keys[1:] == keys[:-1]):
+        if np.any(keys[2:] >> 1 == keys[:-2] >> 1):
+            raise MeshError("non-manifold edge shared by more than 2 triangles")
         raise OrientationError("inconsistent winding: repeated directed edge")
+    edge = np.right_shift(keys, 1, out=keys)
     starts = np.ones(len(edge) + 1, dtype=bool)  # starts[i]: edge[i] opens a run
     np.not_equal(edge[1:], edge[:-1], out=starts[1:-1])
     rim = edge[starts[:-1] & starts[1:]]
     mask = np.zeros(num_vertices, dtype=bool)
     mask[np.concatenate(np.divmod(rim, num_vertices))] = True
-    return int(np.count_nonzero(starts[:-1])), mask
+    return int(np.count_nonzero(starts[:-1])), mask, during
 
 
 def _corner_geometry(vertices: np.ndarray, triangles: np.ndarray):

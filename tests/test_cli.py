@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -318,6 +322,45 @@ def test_analyze_sorts_edges_once(tmp_path, capsys, monkeypatch):
     assert run(["analyze", "--in", out, "--report", report]) == 0
     assert len(calls) == 1
     assert json.loads(report.read_text())["mesh"]["euler_characteristic"] == 2
+
+
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path, capsys, monkeypatch):
+    sidecar = tube_sidecar(tmp_path)
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert run(["analyze", "--in", tmp_path / "t.obj"]) == 141
+    assert run(["analyze", "--in", sidecar]) == 141
+    assert capsys.readouterr().err == ""
+    assert run(["analyze", "--in", tmp_path / "missing.obj"]) == 3  # input still 3
+    assert "missing.obj" in assert_one_line_error(capsys)
+
+
+def test_closed_stdout_pipe_in_a_subprocess(tmp_path, capsys):
+    # the shell's `creasegeom analyze --in t.obj | true`: the reader is gone
+    # before the report is written, and the interpreter's exit stays quiet;
+    # stdout is block-buffered, as it is for a pipe unless PYTHONUNBUFFERED
+    tube_sidecar(tmp_path)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        for argv in (["analyze", "--in", "t.obj"], ["generate", "gore-sphere", "--n", "6",
+                                                    "--radius", "1", "--out", "g.obj"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "creasegeom.cli", *argv], cwd=tmp_path, env=env,
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+            assert (proc.returncode, proc.stderr) == (141, ""), argv
+    finally:
+        os.close(write_end)
 
 
 try:

@@ -12,6 +12,7 @@ from creasegeom import (
     ParameterError,
     ResolutionError,
     ShallowRegimeWarning,
+    TriMesh,
     TubeSpec,
     gen_curved_crease,
     gen_cylinder,
@@ -300,3 +301,177 @@ def test_oversized_resolution_is_refused_before_any_array(monkeypatch):
     monkeypatch.setattr(surfaces, "np", NoArrays())
     with pytest.raises(ResolutionError, match="11500512000 vertices"):
         gen_twisted_prismatic_tube(spec, 12, 1_000_000, 1000)
+
+
+# -- preallocating builders against the stacking ones they replaced ----------
+
+def reference_grid_triangles(ids, pts, flip=False):
+    """Both diagonal variants stacked, then chosen per cell."""
+    v00 = ids[:-1, :-1].ravel()
+    v10 = ids[1:, :-1].ravel()
+    v01 = ids[:-1, 1:].ravel()
+    v11 = ids[1:, 1:].ravel()
+    p00 = pts[:-1, :-1].reshape(-1, 3)
+    p10 = pts[1:, :-1].reshape(-1, 3)
+    p01 = pts[:-1, 1:].reshape(-1, 3)
+    p11 = pts[1:, 1:].reshape(-1, 3)
+    d_main = np.linalg.norm(p00 - p11, axis=1)
+    d_anti = np.linalg.norm(p10 - p01, axis=1)
+    use_main = d_main <= d_anti
+    t1 = np.where(use_main[:, None],
+                  np.stack([v00, v10, v11], axis=1),
+                  np.stack([v00, v10, v01], axis=1))
+    t2 = np.where(use_main[:, None],
+                  np.stack([v00, v11, v01], axis=1),
+                  np.stack([v10, v11, v01], axis=1))
+    tris = np.concatenate([t1, t2])
+    if flip:
+        tris = tris[:, ::-1]
+    return tris
+
+
+def reference_helical_band(a, alpha, n_strips, nu, nv, flatten):
+    """The band built from per-strip lists that are concatenated at the end."""
+    if nu < 3 or nv < 3:
+        raise ResolutionError(f"nu and nv must be >= 3, got ({nu}, {nv})")
+    nu += nu % 2
+    h = 2 * math.pi * a * math.cos(alpha) / n_strips
+    l_shift = 2 * math.pi * a * math.sin(alpha)
+    if l_shift == 0.0:
+        length, m = 2 * math.pi * a, 0
+    else:
+        length, m = 2.0 * l_shift, nu // 2
+    surfaces._check_size(n_strips * (nu + 1) * nv - m * (nv - 1))
+    xhat = np.array([math.sin(alpha), math.cos(alpha)])
+    yhat = np.array([math.cos(alpha), -math.sin(alpha)])
+    x = np.linspace(0.0, length, nu + 1)
+
+    def wrap(dev):
+        s, z = dev[..., 0], dev[..., 1]
+        return np.stack([a * np.cos(s / a), a * np.sin(s / a), z], axis=-1)
+
+    n_line = nu + 1
+    line_pts = np.empty((n_strips, n_line, 3))
+    for j in range(n_strips):
+        dev = j * h * yhat[None, :] + x[:, None] * xhat[None, :]
+        line_pts[j] = wrap(dev)
+    verts = [line_pts.reshape(-1, 3)]
+    tags = [np.repeat(np.arange(1, n_strips + 1), n_line)]
+    offset = n_strips * n_line
+    tris = []
+    for j in range(n_strips):
+        jn = (j + 1) % n_strips
+        shift = m if j == n_strips - 1 else 0
+        i = np.arange(shift, nu + 1)
+        ids = np.empty((len(i), nv + 1), dtype=np.int64)
+        ids[:, 0] = j * n_line + i
+        ids[:, nv] = jn * n_line + (i - shift)
+        n_int = (len(i)) * (nv - 1)
+        ids[:, 1:nv] = offset + np.arange(n_int).reshape(len(i), nv - 1)
+        offset += n_int
+        t = (np.arange(1, nv) / nv)[None, :, None]
+        p0 = line_pts[j, i][:, None, :]
+        p1 = line_pts[jn, i - shift][:, None, :]
+        if flatten:
+            interior = (1.0 - t) * p0 + t * p1
+        else:
+            dev = (
+                (j * h + np.arange(1, nv) / nv * h)[None, :, None] * yhat[None, None, :]
+                + x[i][:, None, None] * xhat[None, None, :]
+            )
+            interior = wrap(dev)
+        verts.append(interior.reshape(-1, 3))
+        tags.append(np.zeros(n_int, dtype=np.int64))
+        grid = np.empty((len(i), nv + 1, 3))
+        grid[:, 0] = p0[:, 0]
+        grid[:, nv] = p1[:, 0]
+        grid[:, 1:nv] = interior
+        tris.append(reference_grid_triangles(ids, grid, flip=True))
+    polylines = {j + 1: np.arange(j * n_line, (j + 1) * n_line) for j in range(n_strips)}
+    return TriMesh(np.concatenate(verts), np.concatenate(tris), np.concatenate(tags), polylines)
+
+
+def reference_gore_sphere(spec, nu, nv):
+    """The gore sphere built from per-gore lists that are concatenated."""
+    R, n = spec.R, spec.n
+    beta = math.pi / n
+    theta = np.linspace(-math.pi / 2, math.pi / 2, nu + 1)[1:-1]
+    ni = len(theta)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    verts = [np.array([[0.0, 0.0, -R], [0.0, 0.0, R]])]
+    tags = [np.zeros(2, dtype=np.int64)]
+    for j in range(n):
+        phi_j = 2 * math.pi * j / n
+        rho = R * cos_t / math.cos(beta)
+        verts.append(
+            np.stack([rho * math.cos(phi_j), rho * math.sin(phi_j), R * sin_t], axis=-1)
+        )
+        tags.append(np.full(ni, j + 1, dtype=np.int64))
+    offset = 2 + n * ni
+    tris = []
+    interior_cols = nv - 1
+    for j in range(n):
+        phi_c = 2 * math.pi * (j + 0.5) / n
+        e1 = np.array([math.cos(phi_c), math.sin(phi_c), 0.0])
+        u = np.array([-math.sin(phi_c), math.cos(phi_c), 0.0])
+        f = (2.0 * np.arange(1, nv) / nv - 1.0)
+        w = f[None, :] * (R * cos_t * math.tan(beta))[:, None]
+        interior = (
+            (R * cos_t)[:, None, None] * e1
+            + w[:, :, None] * u
+            + (R * sin_t)[:, None, None] * np.array([0.0, 0.0, 1.0])
+        )
+        verts.append(interior.reshape(-1, 3))
+        tags.append(np.zeros(ni * interior_cols, dtype=np.int64))
+        ids = np.empty((ni, nv + 1), dtype=np.int64)
+        ids[:, 0] = 2 + j * ni + np.arange(ni)
+        ids[:, nv] = 2 + ((j + 1) % n) * ni + np.arange(ni)
+        ids[:, 1:nv] = offset + np.arange(ni * interior_cols).reshape(ni, interior_cols)
+        offset += ni * interior_cols
+        grid = np.empty((ni, nv + 1, 3))
+        grid[:, 0] = verts[1 + j]
+        grid[:, nv] = verts[1 + (j + 1) % n]
+        grid[:, 1:nv] = interior
+        tris.append(reference_grid_triangles(ids, grid, flip=True))
+        tris.append(np.stack([np.zeros(nv, np.int64), ids[0, 1:], ids[0, :-1]], axis=1))
+        tris.append(np.stack([np.ones(nv, np.int64), ids[-1, :-1], ids[-1, 1:]], axis=1))
+    polylines = {j + 1: 2 + j * ni + np.arange(ni) for j in range(n)}
+    return TriMesh(np.concatenate(verts), np.concatenate(tris), np.concatenate(tags), polylines)
+
+BUILT = {  # called through surfaces, so that the references can stand in
+    **SIZED,
+    "gore-sphere": lambda: surfaces.gen_gore_sphere(GoreSphereSpec(R=1.0, n=5), 7, 3),
+    "gore-sphere-8": lambda: surfaces.gen_gore_sphere(GoreSphereSpec(R=2.0, n=8), 24, 4),
+    "cylinder-8-lines": lambda: gen_cylinder(tube_spec_for_strips(1.0, math.pi / 4, 8), 32, 6),
+    "tube-12-strips-64": lambda: gen_twisted_prismatic_tube(
+        tube_spec_for_strips(1.0, math.pi / 4, 12), 12, 64, 64
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BUILT))
+def test_generators_match_stacking_reference(shape, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ShallowRegimeWarning)
+        mesh = BUILT[shape]()
+        monkeypatch.setattr(surfaces, "_grid_triangles", reference_grid_triangles)
+        monkeypatch.setattr(surfaces, "_helical_band", reference_helical_band)
+        monkeypatch.setattr(surfaces, "gen_gore_sphere", reference_gore_sphere)
+        ref = BUILT[shape]()
+    for name in ("vertices", "triangles", "vertex_tags"):
+        got, want = getattr(mesh, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert mesh.crease_polylines.keys() == ref.crease_polylines.keys()
+    for cid, chain in ref.crease_polylines.items():
+        assert np.array_equal(mesh.crease_polylines[cid], chain)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_grid_triangles_matches_reference_on_ties(flip):
+    ids = np.arange(30).reshape(5, 6)
+    u, v = np.meshgrid(np.arange(5.0), np.arange(6.0), indexing="ij")
+    square = np.stack([u, v, np.zeros_like(u)], axis=-1)  # every cell's diagonals tie
+    bent = square + np.random.default_rng(3).normal(scale=0.2, size=square.shape)
+    for pts in (square, bent):
+        got = surfaces._grid_triangles(ids, pts, flip)
+        assert np.array_equal(got, reference_grid_triangles(ids, pts, flip))

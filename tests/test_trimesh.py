@@ -1,4 +1,6 @@
 import math
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -185,11 +187,12 @@ def test_topology_matches_unique_reference(shape):
     mask, euler = unique_topology(mesh)
     assert np.array_equal(mesh.boundary_vertex_mask(), mask)
     assert mesh.euler_characteristic() == euler
-    twice_area, dots, boundary, num_edges = mesh.validate()
+    twice_area, angles, boundary, num_edges = mesh.validate()
     assert mesh.num_vertices - num_edges + mesh.num_triangles == euler
     assert np.array_equal(boundary, mask)
     assert np.array_equal(twice_area, 2 * mesh.triangle_areas())
-    assert dots.shape == (3, mesh.num_triangles)
+    assert angles.shape == (3, mesh.num_triangles)
+    assert np.allclose(angles.sum(axis=0), math.pi, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", sorted(GENERATED))
@@ -233,6 +236,69 @@ def test_in_place_edit_after_topology_query_is_seen():
     mesh.triangles[0] = mesh.triangles[0][::-1]
     with pytest.raises(OrientationError):
         mesh.validate()
+
+
+# -- validate's sort thread and the order of its faults ----------------------
+
+def test_topology_faults_are_raised_before_degenerate_triangles():
+    wound = square_mesh()
+    wound.triangles[1] = wound.triangles[1][::-1]  # directed edge 2->0 twice
+    wound.vertices[3] = wound.vertices[0]  # and triangle 1 has no area
+    with pytest.raises(OrientationError):
+        wound.validate()
+    wound.triangles[1] = wound.triangles[1][::-1]
+    with pytest.raises(MeshError, match="degenerate triangle 1"):
+        wound.validate()
+
+    fan = TriMesh(  # edge 0-1 in three triangles, the last one flat
+        vertices=np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0], [2, 0, 0]], float),
+        triangles=np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]),
+        vertex_tags=None,
+    )
+    with pytest.raises(MeshError, match="non-manifold"):
+        fan.validate()
+
+
+def test_index_range_is_checked_before_any_gather(monkeypatch):
+    def gather(*args):
+        raise AssertionError("vertices gathered before the index range check")
+
+    monkeypatch.setattr(trimesh, "_corner_geometry", gather)
+    for index in (4, -1, 2**40):
+        mesh = square_mesh()
+        mesh.triangles[1, 2] = index
+        with pytest.raises(MeshError, match="triangle index out of range"):
+            mesh.validate()
+
+
+def test_validate_joins_its_sort_thread_on_every_path(monkeypatch):
+    started, joined = [], []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+        def join(self, timeout=None):
+            joined.append(self)
+            super().join(timeout)
+
+    monkeypatch.setattr(trimesh, "threading", types.SimpleNamespace(Thread=Recorded))
+    mesh = GENERATED["tube"]()
+    before = threading.active_count()
+    mesh.validate()
+    during = []
+
+    def failing(*args):
+        during.append(threading.active_count())
+        raise RuntimeError("corner geometry failed")
+
+    monkeypatch.setattr(trimesh, "_corner_geometry", failing)
+    with pytest.raises(RuntimeError, match="corner geometry failed"):
+        mesh.validate()
+    assert before <= during[0] <= before + 1  # at most the one sort thread
+    assert len(started) == 2 and joined == started
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
