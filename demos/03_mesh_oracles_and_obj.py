@@ -12,7 +12,6 @@ from pathlib import Path
 from creasegeom import (
     CreaseSpec,
     angle_defect,
-    crease_rate_estimate,
     crease_specific_curvature,
     export_obj,
     gaussian_curvature,
@@ -28,7 +27,7 @@ law = crease_specific_curvature(spec)
 print(f"{'nu':>5} {'mesh rate':>12} {'rel error':>11}")
 for nu in (32, 64, 128, 256):
     mesh = gen_curved_crease(spec, strip_width=0.3, nu=nu, nv=max(4, nu // 8))
-    rate = crease_rate_estimate(mesh, 1)
+    rate = angle_defect(mesh).crease_rates[1]
     print(f"{nu:>5} {rate:12.8f} {abs(rate - law) / law:11.2e}")
 
 print("\ntwisted-prismatic tube: a = 1, alpha = 45 degrees, 12 strips")

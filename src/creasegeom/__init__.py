@@ -11,7 +11,6 @@ from .creases import (
     CreaseSpec,
     crease_specific_curvature,
     curved_crease_patch_solid_angle,
-    gore_crease_rate,
     tube_balance,
     tube_crease_fold_angle,
     twisted_crease_solid_angle,
@@ -43,7 +42,6 @@ from .oracle import (
     DefectField,
     GaussMapResult,
     angle_defect,
-    crease_rate_estimate,
     gauss_map_integrate,
 )
 from .quadrature import (
@@ -64,8 +62,6 @@ from .surfaces import (
     gen_twisted_patch,
     gen_twisted_prismatic_tube,
     mudguard_surface,
-    sphere_surface,
-    twisted_patch_surface,
 )
 from .trimesh import TriMesh, export_obj, load_obj
 from .verify import VerificationReport, run_suite
@@ -82,7 +78,6 @@ __all__ = [
     "CreaseSpec", "BalanceReport", "twisted_patch_solid_angle",
     "twisted_crease_solid_angle", "curved_crease_patch_solid_angle",
     "crease_specific_curvature", "tube_crease_fold_angle", "tube_balance",
-    "gore_crease_rate",
     # quadrature
     "QuadratureResult", "MudguardTotal", "integrate",
     "mudguard_closed_form", "mudguard_total", "gore_sphere_total",
@@ -90,11 +85,9 @@ __all__ = [
     "TriMesh", "export_obj", "load_obj",
     "MudguardSpec", "GoreSphereSpec", "gen_cylinder",
     "gen_twisted_prismatic_tube", "gen_twisted_patch", "gen_curved_crease",
-    "gen_mudguard", "gen_gore_sphere", "twisted_patch_surface",
-    "mudguard_surface", "sphere_surface",
+    "gen_mudguard", "gen_gore_sphere", "mudguard_surface",
     # oracles
-    "DefectField", "GaussMapResult", "angle_defect", "crease_rate_estimate",
-    "gauss_map_integrate",
+    "DefectField", "GaussMapResult", "angle_defect", "gauss_map_integrate",
     # verification
     "VerificationReport", "run_suite",
     # errors

@@ -32,10 +32,6 @@ EXIT_BROKEN_PIPE = 141
 ANGLE_PARAMS = {"alpha", "mu"}
 
 
-def _angle(value: float, degrees: bool) -> float:
-    return math.radians(value) if degrees else value
-
-
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -225,12 +221,8 @@ def cmd_analyze(args) -> int:
     else:
         mesh = load_obj(path)
         if not mesh.crease_polylines:
-            print(
-                f"error: {path} carries no crease tags; analyze the JSON "
-                "sidecar written by `generate` instead",
-                file=sys.stderr,
-            )
-            return EXIT_INPUT_FORMAT
+            raise InputFormatError(f"{path} carries no crease tags; analyze the JSON "
+                                   "sidecar written by `generate` instead")
     try:
         field = oracle.angle_defect(mesh)
     except MeshError as exc:
@@ -388,7 +380,7 @@ def cmd_sweep(args) -> int:
     else:
         values = _parse_range(args.range, integral=PARAMS[args.param][0] is int)
     ctx = {
-        name: _angle(getattr(args, name), args.degrees) if name in ANGLE_PARAMS
+        name: math.radians(getattr(args, name)) if args.degrees and name in ANGLE_PARAMS
         else getattr(args, name)
         for name in SWEEP_CONTEXT
     }
@@ -451,6 +443,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _to_devnull(stream) -> None:
+    """Point stream's descriptor at the null device, so that the interpreter's
+    exit-time flush of what the stream still holds succeeds."""
+    with open(os.devnull, "w") as devnull, contextlib.suppress(OSError, ValueError):
+        os.dup2(devnull.fileno(), stream.fileno())
+
+
+def _error(message, status: int) -> int:
+    """Print `error: message` to stderr and return status, which a full or
+    closed stderr does not change."""
+    try:
+        print(f"error: {message}", file=sys.stderr, flush=True)
+    except (OSError, ValueError):
+        _to_devnull(sys.stderr)
+    return status
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -459,22 +468,15 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return status
     except BrokenPipeError:  # the reader left (`analyze ... | head`): not an input fault
-        with open(os.devnull, "w") as devnull, contextlib.suppress(OSError, ValueError):
-            os.dup2(devnull.fileno(), sys.stdout.fileno())  # the exit's flush goes here
+        _to_devnull(sys.stdout)
         return EXIT_BROKEN_PIPE
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (ParameterError, MeshError) as exc:
+        return _error(exc, EXIT_USAGE)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         # only analyze decodes a file, and these messages do not name it
-        print(f"error: {getattr(args, 'input', '')}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_FORMAT
+        return _error(f"{getattr(args, 'input', '')}: {exc}", EXIT_INPUT_FORMAT)
     except (InputFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_FORMAT
-    except MeshError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_INPUT_FORMAT)
 
 
 if __name__ == "__main__":

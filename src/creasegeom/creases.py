@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .curvature import TubeSpec, strip_specific_curvature
 from .errors import ParameterError, ShallowRegimeWarning
@@ -42,11 +42,6 @@ class CreaseSpec:
         if not math.isfinite(self.twist):
             raise ParameterError(f"twist rate must be finite, got {self.twist}")
 
-    @classmethod
-    def straight(cls, mu: float, twist: float = 0.0) -> "CreaseSpec":
-        """A straight crease (infinite radius along its length)."""
-        return cls(R=math.inf, mu=mu, twist=twist)
-
     @property
     def is_straight(self) -> bool:
         return math.isinf(self.R)
@@ -60,7 +55,6 @@ class BalanceReport:
     crease_term: float
     residual: float
     relative_residual: float
-    metadata: dict = field(default_factory=dict, compare=False)
 
 
 def _check_extents(dxi: float, dgamma: float) -> None:
@@ -153,20 +147,4 @@ def tube_balance(spec: TubeSpec) -> BalanceReport:
         crease_term=crease_term,
         residual=residual,
         relative_residual=relative_residual,
-        metadata={"a": spec.a, "alpha": spec.alpha, "h": spec.h, "mu": mu},
     )
-
-
-def gore_crease_rate(n: int, theta: float, R: float) -> float:
-    """Specific curvature of one gore-sphere seam at latitude theta.
-
-    The seam folds by 2*mu with mu = (pi/n)*cos(theta); with arc length
-    R*dtheta along the meridian this gives 2*sin((pi/n)*cos(theta))/R.
-    """
-    if n < 3:
-        raise ParameterError(f"number of gores must be >= 3, got {n}")
-    if abs(theta) > math.pi / 2:
-        raise ParameterError(f"latitude must lie in [-pi/2, pi/2], got {theta}")
-    if not (math.isfinite(R) and R > 0):
-        raise ParameterError(f"seam radius R must be positive, got {R}")
-    return 2.0 * math.sin((math.pi / n) * math.cos(theta)) / R

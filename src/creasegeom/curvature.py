@@ -32,10 +32,6 @@ class CurvatureState:
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"curvature component {name} must be finite")
 
-    def swapped(self) -> "CurvatureState":
-        """The same tensor with the x and y axes exchanged."""
-        return CurvatureState(kxx=self.kyy, kyy=self.kxx, kxy=self.kxy)
-
     def rotated(self, phi: float) -> "CurvatureState":
         """The same tensor expressed in axes rotated by phi."""
         c, s = math.cos(phi), math.sin(phi)

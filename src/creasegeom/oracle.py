@@ -108,17 +108,6 @@ def angle_defect(mesh: TriMesh) -> DefectField:
     )
 
 
-def crease_rate_estimate(mesh: TriMesh, crease_id: int) -> float:
-    """Discrete specific curvature (defect per arc length) of one crease."""
-    field_ = angle_defect(mesh)
-    try:
-        return field_.crease_rates[crease_id]
-    except KeyError:
-        raise ParameterError(
-            f"mesh has no crease polyline with id {crease_id}"
-        ) from None
-
-
 # ---------------------------------------------------------------------------
 # numerical Gauss map
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .creases import CreaseSpec
-from .curvature import TubeSpec, tube_spec_for_strips
+from .curvature import TubeSpec
 from .errors import (
     ClosureError,
     ParameterError,
@@ -194,8 +194,12 @@ def gen_cylinder(spec: TubeSpec, nu: int, nv: int) -> TriMesh:
     """Open circular cylinder with helical lines at angle alpha tagged as
     zero-fold crease polylines.  The line spacing is adjusted to the nearest
     value that closes the hoop; large adjustments are warned about."""
-    n_lines = max(3, round(TWO_PI * spec.a * math.cos(spec.alpha) / spec.h))
-    h_eff = TWO_PI * spec.a * math.cos(spec.alpha) / n_lines
+    hoop = TWO_PI * spec.a * math.cos(spec.alpha)
+    if hoop / spec.h > MAX_VERTICES:  # a line has vertices of its own; inf must not reach round
+        raise ResolutionError(f"a and h give {hoop / spec.h:.3g} lines, over the limit of "
+                              f"{MAX_VERTICES} vertices")
+    n_lines = max(3, round(hoop / spec.h))
+    h_eff = hoop / n_lines
     if abs(h_eff - spec.h) > 0.05 * spec.h:
         warnings.warn(
             f"line spacing adjusted from {spec.h:.6g} to {h_eff:.6g} to close the hoop",
@@ -231,17 +235,6 @@ def gen_twisted_prismatic_tube(
 # ---------------------------------------------------------------------------
 # twisted patch
 # ---------------------------------------------------------------------------
-
-def twisted_patch_surface(kxy: float):
-    """Parametric map of the uncreased twisted surface z = kxy * x * y."""
-
-    def fn(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.stack(np.broadcast_arrays(x, y, kxy * x * y), axis=-1)
-
-    return fn
-
 
 def gen_twisted_patch(
     kxy: float, a_len: float, b_len: float, mu: float, nu: int, nv: int
@@ -287,10 +280,7 @@ def gen_twisted_patch(
 # curved crease with conical strips
 # ---------------------------------------------------------------------------
 
-def gen_curved_crease(
-    spec: CreaseSpec, strip_width: float, nu: int, nv: int,
-    span: float = CREASE_ARC_SPAN,
-) -> TriMesh:
+def gen_curved_crease(spec: CreaseSpec, strip_width: float, nu: int, nv: int) -> TriMesh:
     """Circular-arc crease of radius R flanked by two conical strips.
 
     The crease lies in the z = 0 plane, which bisects the total fold angle;
@@ -308,7 +298,7 @@ def gen_curved_crease(
     if nu < 3 or nv < 3:
         raise ResolutionError(f"nu and nv must be >= 3, got ({nu}, {nv})")
     _check_size((nu + 1) * (2 * nv + 1))
-    phi = np.linspace(0.0, span, nu + 1)
+    phi = np.linspace(0.0, CREASE_ARC_SPAN, nu + 1)
     rho_hat = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1)
     zhat = np.array([0.0, 0.0, 1.0])
     v = np.linspace(-strip_width, strip_width, 2 * nv + 1)
@@ -430,37 +420,3 @@ def gen_gore_sphere(spec: GoreSphereSpec, nu: int, nv: int) -> TriMesh:
 
     polylines = {j + 1: seams[j] for j in range(n)}
     return TriMesh(vertices, triangles.reshape(-1, 3), tags, polylines)
-
-
-def sphere_surface(R: float):
-    """Parametric map (phi, theta) of a smooth sphere, theta the elevation."""
-
-    def fn(phi, theta):
-        phi = np.asarray(phi, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        return np.stack(
-            np.broadcast_arrays(
-                R * np.cos(theta) * np.cos(phi),
-                R * np.cos(theta) * np.sin(phi),
-                R * np.sin(theta),
-            ),
-            axis=-1,
-        )
-
-    return fn
-
-
-__all__ = [
-    "MudguardSpec",
-    "GoreSphereSpec",
-    "gen_cylinder",
-    "gen_twisted_prismatic_tube",
-    "gen_twisted_patch",
-    "gen_curved_crease",
-    "gen_mudguard",
-    "gen_gore_sphere",
-    "twisted_patch_surface",
-    "mudguard_surface",
-    "sphere_surface",
-    "tube_spec_for_strips",
-]

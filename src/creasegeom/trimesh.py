@@ -60,17 +60,6 @@ class TriMesh:
         span = [np.ptp(column) for column in self.vertices.T]
         return float(np.linalg.norm(span))
 
-    def triangle_areas(self) -> np.ndarray:
-        return 0.5 * _corner_geometry(self.vertices, self.triangles)[0]
-
-    def boundary_vertex_mask(self) -> np.ndarray:
-        """Vertices lying on an edge used by exactly one triangle."""
-        return _edge_topology(self.triangles, self.num_vertices)[1]
-
-    def euler_characteristic(self) -> int:
-        num_edges = _edge_topology(self.triangles, self.num_vertices)[0]
-        return self.num_vertices - num_edges + self.num_triangles
-
     def crease_arc_length(self, crease_id: int) -> float:
         chain = self.crease_polylines[crease_id]
         pts = self.vertices[chain]

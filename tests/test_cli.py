@@ -5,11 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import unittest.mock
+import warnings
 from pathlib import Path
 
 import pytest
 
-from creasegeom import MeshError, __version__, cli, load_obj, surfaces, trimesh
+from creasegeom import (
+    MeshError, ShallowRegimeWarning, __version__, cli, load_obj, surfaces, trimesh,
+)
 from creasegeom.cli import main
 
 
@@ -301,6 +305,10 @@ def test_resolution_cap_exit_codes(tmp_path, capsys, monkeypatch):
                 "--nu", 8, "--nv", 4, "--out", out]) == 2
     assert "over the limit of 100" in assert_one_line_error(capsys)
     assert not out.exists()
+    # a / h overflows to an infinite line count, which never reaches round()
+    assert run(["generate", "cylinder", "--a=1e300", "--alpha=0.7", "--h=1e-300",
+                "--out", out]) == 2
+    assert "inf lines, over the limit of 100" in assert_one_line_error(capsys)
     assert run(["analyze", "--in", sidecar]) == 3
     err = assert_one_line_error(capsys)
     assert "t.obj.json" in err and "over the limit of 100" in err
@@ -363,6 +371,32 @@ def test_closed_stdout_pipe_in_a_subprocess(tmp_path, capsys):
         os.close(write_end)
 
 
+@pytest.mark.parametrize("target", ["/dev/full", "closed-pipe"])
+def test_unwritable_stderr_keeps_exit_3(tmp_path, target):
+    # `creasegeom analyze --in bad.obj 2>/dev/full` (or `2>&1 | true`) under
+    # `python -m` and as the console script calls main(): the message cannot
+    # be written, yet the exit code stays 3 and the interpreter's exit is quiet
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full on this system")
+    (tmp_path / "bad.obj").write_text("v 0 0\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    if target == "/dev/full":
+        stderr = os.open(target, os.O_WRONLY)
+    else:
+        read_end, stderr = os.pipe()
+        os.close(read_end)
+    try:
+        for entry in (["-m", "creasegeom.cli"],
+                      ["-c", "import sys; from creasegeom.cli import main; sys.exit(main())"]):
+            proc = subprocess.run(
+                [sys.executable, *entry, "analyze", "--in", "bad.obj"], cwd=tmp_path,
+                env=env, stdout=subprocess.PIPE, stderr=stderr, text=True, timeout=120,
+            )
+            assert (proc.returncode, proc.stdout) == (3, ""), entry
+    finally:
+        os.close(stderr)
+
+
 try:
     from hypothesis import given, settings, strategies as st
     HAVE_HYPOTHESIS = True
@@ -394,3 +428,72 @@ if HAVE_HYPOTHESIS:  # mutated OBJ bytes through main()
         assert code in (0, 3)
         if code == 3:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# A small sidecar of each shape, as generate writes it.
+FUZZ_SIDECARS = {
+    shape: (json.dumps({"obj": f"{shape}.obj", "params": {**params, "nu": 8, "nv": 4},
+                        "shape": shape, "tool": "creasegeom", "version": __version__},
+                       indent=2, sort_keys=True) + "\n").encode()
+    for shape, params in {
+        "cylinder": {"a": 1.0, "alpha": 0.7, "h": 0.2},
+        "tube": {"a": 1.0, "alpha": 0.7, "strips": 6},
+        "twisted-patch": {"kxy": 0.1, "a_len": 1.0, "b_len": 1.0, "mu": 0.2},
+        "curved-crease": {"R": 2.0, "mu": 0.5, "width": 0.3},
+        "mudguard": {"R": 2.0, "r": 0.1, "mu": 0.6},
+        "gore-sphere": {"radius": 1.0, "n": 6},
+    }.items()
+}
+
+
+def run_quietly(argv):
+    """(exit code, stderr) of main(argv); failures must be one `error:` line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    return code
+
+
+if HAVE_HYPOTHESIS:  # mutated sidecar bytes and random generate flags through main()
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.sampled_from(sorted(FUZZ_SIDECARS)), edits=st.lists(
+        st.tuples(st.integers(0, 200), st.sampled_from(["insert", "replace", "delete"]),
+                  st.sampled_from(list(b'0123456789 \n",:{}[]-+.eE\xff'))),
+        max_size=6,
+    ))
+    def test_analyze_mutated_sidecar_exits_0_2_or_3(tmp_path_factory, shape, edits):
+        data = bytearray(FUZZ_SIDECARS[shape])
+        for pos, op, byte in edits:
+            pos %= len(data) + 1
+            span = slice(pos, pos) if op == "insert" else slice(pos, pos + 1)
+            data[span] = b"" if op == "delete" else bytes([byte])
+        path = tmp_path_factory.getbasetemp() / "fuzz.obj.json"
+        path.write_bytes(bytes(data))
+        # a digit inserted into a size can ask for millions of vertices; a
+        # lower cap keeps each mesh small and sends those to the cap's check
+        with unittest.mock.patch.object(surfaces, "MAX_VERTICES", 20_000):
+            run_quietly(["analyze", "--in", path])
+
+    # Flag values: valid, invalid and extreme.  Counts and resolutions are
+    # 3..48 or over the vertex cap, so every mesh built is small; float
+    # lengths keep a cylinder's line count a / h below 10 unless one is extreme.
+    FUZZ_FLOATS = st.sampled_from([-1.0, 0.0, 1e-300, 0.25, 0.7, 1.0, 2.0, 1e300,
+                                   math.inf, -math.inf, math.nan])
+    FUZZ_SIZES = st.one_of(st.integers(3, 48), st.sampled_from([10**7, 10**9]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from(sorted(cli.SHAPES)), degrees=st.booleans(),
+           flags=st.fixed_dictionaries({}, optional={
+               name: FUZZ_SIZES if kind is int else FUZZ_FLOATS
+               for name, (kind, _) in cli.PARAMS.items()
+           }))
+    def test_generate_random_flags_exits_0_2_or_3(tmp_path_factory, shape, degrees, flags):
+        out = tmp_path_factory.getbasetemp() / "fuzz-gen.obj"
+        argv = ["generate", shape, f"--out={out}", *(["--degrees"] if degrees else [])]
+        argv += [f"{cli._flag(name)}={value}" for name, value in flags.items()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ShallowRegimeWarning)
+            run_quietly(argv)

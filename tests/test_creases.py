@@ -9,7 +9,6 @@ from creasegeom import (
     TubeSpec,
     crease_specific_curvature,
     curved_crease_patch_solid_angle,
-    gore_crease_rate,
     strip_specific_curvature,
     tube_balance,
     tube_crease_fold_angle,
@@ -76,7 +75,7 @@ def test_crease_spec_validation():
         CreaseSpec(R=2.0, mu=math.pi / 2)
     with pytest.raises(ParameterError):
         CreaseSpec(R=2.0, mu=0.2, twist=math.inf)
-    assert CreaseSpec.straight(mu=0.3).is_straight
+    assert CreaseSpec(R=math.inf, mu=0.3).is_straight
     assert not CreaseSpec(R=2.0, mu=0.3).is_straight
 
 
@@ -84,7 +83,7 @@ def test_crease_specific_curvature():
     # 2 sin(mu) / R
     assert crease_specific_curvature(CreaseSpec(R=2.0, mu=math.pi / 6)) \
         == pytest.approx(0.5)
-    assert crease_specific_curvature(CreaseSpec.straight(mu=0.4)) == 0.0
+    assert crease_specific_curvature(CreaseSpec(R=math.inf, mu=0.4)) == 0.0
 
 
 def test_crease_rate_is_twist_independent_bitwise():
@@ -127,23 +126,3 @@ def test_tube_balance_residual_cubic_in_h():
     r2 = tube_balance(TubeSpec(a, alpha, 0.02)).residual
     assert r1 / r2 == pytest.approx(8.0, rel=0.05)
 
-
-def test_gore_crease_rate():
-    # 2 sin((pi/n) cos(theta)) / R; at the equator of an 8-gore unit sphere
-    assert gore_crease_rate(8, 0.0, 1.0) == pytest.approx(2 * math.sin(math.pi / 8))
-    # poles carry no seam rate
-    assert gore_crease_rate(8, math.pi / 2, 1.0) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ParameterError):
-        gore_crease_rate(2, 0.0, 1.0)
-    with pytest.raises(ParameterError):
-        gore_crease_rate(8, 2.0, 1.0)
-    with pytest.raises(ParameterError):
-        gore_crease_rate(8, 0.0, -1.0)
-
-
-def test_gore_rate_approaches_smooth_sphere():
-    # n/(2pi) seams per unit of equatorial arc, each of rate 2 sin(pi/n),
-    # recover the smooth sphere's K = 1 as n grows
-    n = 10_000
-    density = n * gore_crease_rate(n, 0.0, 1.0) / (2 * math.pi)
-    assert density == pytest.approx(1.0, rel=1e-6)

@@ -84,7 +84,8 @@ def test_rotation_preserves_invariants():
 
 def test_swapped_preserves_circle():
     state = CurvatureState(kxx=0.8, kyy=-0.3, kxy=0.6)
-    assert mohr_circle(state.swapped()) == mohr_circle(state)
+    swapped = CurvatureState(kxx=state.kyy, kyy=state.kxx, kxy=state.kxy)
+    assert mohr_circle(swapped) == mohr_circle(state)
 
 
 def test_strip_specific_curvature_closed_form():

@@ -13,7 +13,6 @@ from creasegeom import (
     ParameterError,
     TriMesh,
     angle_defect,
-    crease_rate_estimate,
     crease_specific_curvature,
     gauss_map_integrate,
     gen_curved_crease,
@@ -23,10 +22,45 @@ from creasegeom import (
     gen_twisted_patch,
     gen_twisted_prismatic_tube,
     mudguard_surface,
-    sphere_surface,
     tube_spec_for_strips,
-    twisted_patch_surface,
 )
+
+
+# -- smooth surfaces for the Gauss map ---------------------------------------
+
+def twisted_patch_surface(kxy):
+    """Parametric map of the uncreased twisted surface z = kxy * x * y."""
+
+    def fn(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        return np.stack(np.broadcast_arrays(x, y, kxy * x * y), axis=-1)
+
+    return fn
+
+
+def sphere_surface(R):
+    """Parametric map (phi, theta) of a smooth sphere, theta the elevation."""
+
+    def fn(phi, theta):
+        phi = np.asarray(phi, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        return np.stack(
+            np.broadcast_arrays(
+                R * np.cos(theta) * np.cos(phi),
+                R * np.cos(theta) * np.sin(phi),
+                R * np.sin(theta),
+            ),
+            axis=-1,
+        )
+
+    return fn
+
+
+def test_sphere_surface_parametrisation():
+    fn = sphere_surface(2.0)
+    north = fn(0.3, math.pi / 2)
+    assert north == pytest.approx([0.0, 0.0, 2.0], abs=1e-12)
 
 
 # -- angle defect ------------------------------------------------------------
@@ -50,20 +84,20 @@ def test_cylinder_mesh_is_developable():
 def test_lumped_area_covers_mesh():
     mesh = gen_twisted_patch(0.1, 1.0, 1.0, 0.0, 8, 8)
     field = angle_defect(mesh)
-    assert field.lumped_area.sum() == pytest.approx(mesh.triangle_areas().sum())
+    assert field.lumped_area.sum() == pytest.approx(0.5 * mesh.validate()[0].sum())
 
 
 def test_curved_crease_rate_matches_law():
     spec = CreaseSpec(R=2.0, mu=0.5)
     mesh = gen_curved_crease(spec, 0.3, 96, 8)
-    rate = crease_rate_estimate(mesh, 1)
+    rate = angle_defect(mesh).crease_rates[1]
     assert rate == pytest.approx(crease_specific_curvature(spec), rel=1e-4)
 
 
 def test_crease_rate_unknown_id():
+    # one rate per crease polyline, none for an id the mesh does not carry
     mesh = gen_curved_crease(CreaseSpec(R=2.0, mu=0.5), 0.3, 16, 4)
-    with pytest.raises(ParameterError, match="crease"):
-        crease_rate_estimate(mesh, 99)
+    assert set(angle_defect(mesh).crease_rates) == set(mesh.crease_polylines) == {1}
 
 
 def test_gore_sphere_gauss_bonnet():

@@ -20,10 +20,9 @@ from creasegeom import (
     gen_mudguard,
     gen_twisted_patch,
     gen_twisted_prismatic_tube,
+    angle_defect,
     mudguard_surface,
-    sphere_surface,
     tube_spec_for_strips,
-    twisted_patch_surface,
 )
 from creasegeom import surfaces
 
@@ -59,7 +58,7 @@ def test_tube_closes_and_is_ruled():
     mesh = gen_twisted_prismatic_tube(spec, 12, 32, 6)
     mesh.validate()
     # closed in the hoop direction, open at the two helical ends
-    assert mesh.boundary_vertex_mask().sum() > 0
+    assert mesh.validate()[2].sum() > 0
     assert len(mesh.crease_polylines) == 12
     # crease vertices sit on the cylinder, strip interiors strictly inside
     tags = mesh.vertex_tags
@@ -120,10 +119,9 @@ def test_twisted_patch_warns_outside_shallow_regime():
 
 
 def test_twisted_patch_surface_matches_mesh():
-    fn = twisted_patch_surface(0.2)
-    pts = fn(np.array([0.1, -0.3]), np.array([0.2, 0.4]))
-    assert pts.shape == (2, 3)
-    assert pts[0] == pytest.approx([0.1, 0.2, 0.2 * 0.1 * 0.2])
+    # unfolded, every vertex lies on z = kxy * x * y
+    x, y, z = gen_twisted_patch(0.2, 1.0, 1.0, 0.0, 8, 8).vertices.T
+    assert z == pytest.approx(0.2 * x * y, rel=1e-15, abs=0)
 
 
 def test_twisted_patch_rejects_bad_params():
@@ -157,7 +155,7 @@ def test_curved_crease_mu_zero_is_smooth_band():
 
 def test_curved_crease_rejects_bad_params():
     with pytest.raises(ParameterError, match="finite"):
-        gen_curved_crease(CreaseSpec.straight(mu=0.3), 0.3, 16, 4)
+        gen_curved_crease(CreaseSpec(R=math.inf, mu=0.3), 0.3, 16, 4)
     with pytest.raises(ParameterError, match="width"):
         gen_curved_crease(CreaseSpec(R=2.0, mu=0.3), 0.6, 16, 4)
 
@@ -167,9 +165,9 @@ def test_curved_crease_rejects_bad_params():
 def test_mudguard_closed_hoop():
     spec = MudguardSpec(R=2.0, r=0.1, mu=0.6)
     mesh = gen_mudguard(spec, 48, 8)
-    mesh.validate()
-    assert mesh.euler_characteristic() == 0  # annulus closed into a band
-    boundary = mesh.boundary_vertex_mask()
+    field = angle_defect(mesh)
+    assert field.euler_characteristic == 0  # annulus closed into a band
+    boundary = field.boundary_mask
     # only the two arc-edge rows are boundary
     assert boundary.sum() == 2 * 48
 
@@ -201,9 +199,9 @@ def test_mudguard_outward_orientation():
 def test_gore_sphere_watertight_outward():
     spec = GoreSphereSpec(R=1.0, n=8)
     mesh = gen_gore_sphere(spec, 24, 4)
-    mesh.validate()
-    assert not mesh.boundary_vertex_mask().any()
-    assert mesh.euler_characteristic() == 2
+    field = angle_defect(mesh)
+    assert not field.boundary_mask.any()
+    assert field.euler_characteristic == 2
     assert signed_volume(mesh) > 0
     assert len(mesh.crease_polylines) == 8
 
@@ -223,12 +221,6 @@ def test_gore_sphere_seams_on_sphere_interiors_inside():
 def test_gore_sphere_volume_approaches_sphere():
     v1 = signed_volume(gen_gore_sphere(GoreSphereSpec(R=1.0, n=16), 48, 4))
     assert v1 == pytest.approx(4 * math.pi / 3, rel=0.02)
-
-
-def test_sphere_surface_parametrisation():
-    fn = sphere_surface(2.0)
-    north = fn(0.3, math.pi / 2)
-    assert north == pytest.approx([0.0, 0.0, 2.0], abs=1e-12)
 
 
 def test_resolution_validation():

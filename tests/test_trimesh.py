@@ -13,6 +13,7 @@ from creasegeom import (
     MudguardSpec,
     OrientationError,
     TriMesh,
+    angle_defect,
     export_obj,
     gen_curved_crease,
     gen_cylinder,
@@ -53,19 +54,18 @@ def test_basic_queries():
     assert mesh.num_vertices == 4
     assert mesh.num_triangles == 2
     assert mesh.bbox_diagonal() == pytest.approx(math.sqrt(2))
-    assert mesh.triangle_areas() == pytest.approx([0.5, 0.5])
+    assert mesh.validate()[0] == pytest.approx([1.0, 1.0])  # twice the areas
     assert mesh.crease_arc_length(1) == pytest.approx(math.sqrt(2))
     mesh.validate()
 
 
 def test_boundary_and_euler():
-    mesh = square_mesh()
-    assert mesh.boundary_vertex_mask().all()  # every square vertex is on the rim
-    assert mesh.euler_characteristic() == 1  # disc
-    tet = tetrahedron()
-    tet.validate()
-    assert not tet.boundary_vertex_mask().any()
-    assert tet.euler_characteristic() == 2  # sphere
+    field = angle_defect(square_mesh(crease=False))
+    assert field.boundary_mask.all()  # every square vertex is on the rim
+    assert field.euler_characteristic == 1  # disc
+    field = angle_defect(tetrahedron())
+    assert not field.boundary_mask.any()
+    assert field.euler_characteristic == 2  # sphere
 
 
 def test_validate_rejects_degenerate_triangle():
@@ -185,12 +185,12 @@ GENERATED = {
 def test_topology_matches_unique_reference(shape):
     mesh = GENERATED[shape]()
     mask, euler = unique_topology(mesh)
-    assert np.array_equal(mesh.boundary_vertex_mask(), mask)
-    assert mesh.euler_characteristic() == euler
     twice_area, angles, boundary, num_edges = mesh.validate()
     assert mesh.num_vertices - num_edges + mesh.num_triangles == euler
     assert np.array_equal(boundary, mask)
-    assert np.array_equal(twice_area, 2 * mesh.triangle_areas())
+    p = mesh.vertices[mesh.triangles]
+    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    assert np.allclose(twice_area, np.linalg.norm(cross, axis=1), rtol=1e-12, atol=0)
     assert angles.shape == (3, mesh.num_triangles)
     assert np.allclose(angles.sum(axis=0), math.pi, rtol=0, atol=1e-12)
 
@@ -211,27 +211,26 @@ def test_kernel_error_types_on_hand_built_meshes():
         triangles=np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]),
         vertex_tags=None,
     )
-    with pytest.raises(MeshError, match="non-manifold"):
-        fan.validate()
-    with pytest.raises(MeshError, match="non-manifold"):
-        fan.boundary_vertex_mask()
+    for query in (fan.validate, lambda: angle_defect(fan)):
+        with pytest.raises(MeshError, match="non-manifold"):
+            query()
 
     flipped = square_mesh()
     flipped.triangles[1] = flipped.triangles[1][::-1]
     with pytest.raises(OrientationError):
-        flipped.euler_characteristic()
+        angle_defect(flipped)
 
     for index in (4, -1):
         bad = square_mesh()
         bad.triangles[1, 2] = index
-        for query in (bad.validate, bad.boundary_vertex_mask, bad.euler_characteristic):
+        for query in (bad.validate, lambda: angle_defect(bad)):
             with pytest.raises(MeshError, match="index out of range"):
                 query()
 
 
 def test_in_place_edit_after_topology_query_is_seen():
     mesh = gen_twisted_patch(0.1, 1.0, 1.0, 0.0, 8, 8)
-    assert mesh.boundary_vertex_mask().any()
+    assert angle_defect(mesh).boundary_mask.any()
     mesh.validate()
     mesh.triangles[0] = mesh.triangles[0][::-1]
     with pytest.raises(OrientationError):
