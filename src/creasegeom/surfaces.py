@@ -34,6 +34,19 @@ CREASE_ARC_SPAN = math.pi / 2
 MAX_VERTICES = 10_000_000
 
 
+# Largest length that a generator accepts.  The mesh kernel squares
+# the cross products of edge vectors, fourth powers of lengths, which
+# overflow float64 near 1e77.
+MAX_LENGTH = 1e50
+
+
+def _check_length(name: str, value: float) -> None:
+    """ParameterError unless |value| is finite and at most MAX_LENGTH; the
+    generators call it before building arrays."""
+    if not abs(value) <= MAX_LENGTH:
+        raise ParameterError(f"{name} must be finite and at most {MAX_LENGTH:g}, got {value}")
+
+
 def _check_size(num_vertices: int) -> None:
     """ResolutionError if a generator's mesh would exceed MAX_VERTICES; the
     generators call it with their exact vertex count before building arrays."""
@@ -95,13 +108,8 @@ def _grid_triangles(ids: np.ndarray, pts: np.ndarray, flip: bool = False) -> np.
     v10 = ids[1:, :-1].ravel()
     v01 = ids[:-1, 1:].ravel()
     v11 = ids[1:, 1:].ravel()
-    p00 = pts[:-1, :-1].reshape(-1, 3)
-    p10 = pts[1:, :-1].reshape(-1, 3)
-    p01 = pts[:-1, 1:].reshape(-1, 3)
-    p11 = pts[1:, 1:].reshape(-1, 3)
-    d_main = np.linalg.norm(p00 - p11, axis=1)
-    d_anti = np.linalg.norm(p10 - p01, axis=1)
-    use_main = d_main <= d_anti
+    use_main = (_diagonal(pts[:-1, :-1], pts[1:, 1:])
+                <= _diagonal(pts[1:, :-1], pts[:-1, 1:])).ravel()
     # main diagonal: (v00, v10, v11), (v00, v11, v01); anti: (v00, v10, v01), (v10, v11, v01)
     tris = np.empty((2, len(v00), 3), dtype=ids.dtype)
     first, last = (2, 0) if flip else (0, 2)
@@ -114,6 +122,17 @@ def _grid_triangles(ids: np.ndarray, pts: np.ndarray, flip: bool = False) -> np.
     return tris.reshape(-1, 3)
 
 
+def _diagonal(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """|p - q| over the last axis, summed as np.linalg.norm sums it,
+    sqrt((d0*d0 + d1*d1) + d2*d2), from the grid slices without copying them."""
+    total = None
+    for c in range(3):
+        d = np.subtract(p[..., c], q[..., c])
+        d *= d
+        total = d if total is None else np.add(total, d, out=total)
+    return np.sqrt(total, out=total)
+
+
 # ---------------------------------------------------------------------------
 # helical band: smooth cylinder and twisted-prismatic tube
 # ---------------------------------------------------------------------------
@@ -122,6 +141,7 @@ def _helical_band(a, alpha, n_strips, nu, nv, flatten):
     """Build the band of n_strips helical strips; flatten=True replaces each
     strip by straight rulings (the prismatic tube), False keeps points on the
     cylinder."""
+    _check_length("tube radius a", a)
     if nu < 3 or nv < 3:
         raise ResolutionError(f"nu and nv must be >= 3, got ({nu}, {nv})")
     if alpha >= math.pi / 2:
@@ -244,8 +264,13 @@ def gen_twisted_patch(
     For mu > 0 each half-plane (y > 0, y < 0) is rigidly rotated about the
     x-axis so the fold opens by 2*mu; the x-axis row is the crease.
     """
-    if a_len <= 0 or b_len <= 0:
-        raise ParameterError("patch side lengths must be positive")
+    if not (a_len > 0 and b_len > 0):
+        raise ParameterError(f"patch side lengths must be positive, got {a_len}, {b_len}")
+    if not math.isfinite(kxy):
+        raise ParameterError(f"twist curvature kxy must be finite, got {kxy}")
+    _check_length("patch side a_len", a_len)
+    _check_length("patch side b_len", b_len)
+    _check_length("patch corner height |kxy|*a_len*b_len/4", abs(kxy) * a_len * b_len / 4)
     if not (0 <= mu < math.pi / 2):
         raise ParameterError(f"half fold angle mu must lie in [0, pi/2), got {mu}")
     if nu < 3 or nv < 3:
@@ -290,6 +315,7 @@ def gen_curved_crease(spec: CreaseSpec, strip_width: float, nu: int, nv: int) ->
     """
     if spec.is_straight:
         raise ParameterError("gen_curved_crease needs a finite crease radius")
+    _check_length("crease radius R", spec.R)
     if not 0 < strip_width < spec.R / 4:
         raise ParameterError(
             f"strip width must lie in (0, R/4) to avoid cone self-intersection, "
@@ -339,6 +365,7 @@ def mudguard_surface(spec: MudguardSpec):
 
 def gen_mudguard(spec: MudguardSpec, nu: int, nv: int) -> TriMesh:
     """Mudguard band: closed in the sweep direction, open across the arc."""
+    _check_length("sweep radius R", spec.R)
     if nu < 3 or nv < 3:
         raise ResolutionError(f"nu and nv must be >= 3, got ({nu}, {nv})")
     _check_size(nu * (nv + 1))
@@ -366,6 +393,7 @@ def gen_gore_sphere(spec: GoreSphereSpec, nu: int, nv: int) -> TriMesh:
     chords), so gore interiors are developable; all curvature sits in the
     tagged seams and the two shared pole vertices.
     """
+    _check_length("seam radius R", spec.R)
     if nu < 4 or nv < 2:
         raise ResolutionError(f"need nu >= 4 and nv >= 2, got ({nu}, {nv})")
     R, n = spec.R, spec.n

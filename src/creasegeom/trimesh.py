@@ -68,9 +68,11 @@ class TriMesh:
     # -- validation -------------------------------------------------------
 
     def validate(self) -> tuple:
-        """Raise MeshError on any structural invariant violation, topology faults
-        first.  Returns the (twice_area (T,), corner_angles (3, T), boundary (V,),
-        edge count) it computed, so angle_defect measures without a second pass."""
+        """Raise MeshError on any structural invariant violation: topology faults
+        first, then a triangle whose area is not finite (the coordinates
+        overflow the kernel), then a degenerate one.  Returns the (twice_area
+        (T,), corner_angles (3, T), boundary (V,), edge count) it computed, so
+        angle_defect measures without a second pass."""
         if self.num_vertices == 0 or self.num_triangles == 0:
             raise MeshError("mesh has no geometry")
         if len(self.vertex_tags) != self.num_vertices:
@@ -80,10 +82,16 @@ class TriMesh:
             raise MeshError(f"non-finite coordinates at vertex {nonfinite[0] // 3}")
 
         def geometry():  # runs while the edge keys are sorted
-            twice_area, dots = _corner_geometry(self.vertices, self.triangles)
-            return self.bbox_diagonal(), twice_area, np.arctan2(twice_area, dots, out=dots)
+            # huge coordinates overflow here; the area check below reports it
+            with np.errstate(over="ignore", invalid="ignore"):
+                twice_area, dots = _corner_geometry(self.vertices, self.triangles)
+                return self.bbox_diagonal(), twice_area, np.arctan2(twice_area, dots, out=dots)
         num_edges, boundary, (diag, twice_area, angles) = _edge_topology(
             self.triangles, self.num_vertices, geometry)
+        overflowed = np.flatnonzero(~np.isfinite(twice_area))
+        if overflowed.size:
+            bad = int(overflowed[0])
+            raise MeshError(f"triangle {bad} has a non-finite area ({twice_area[bad] / 2})")
         limit = DEGENERATE_AREA_FACTOR * diag * diag
         if np.any(twice_area <= 2.0 * limit):
             bad = int(np.argmin(twice_area))
@@ -103,8 +111,9 @@ class TriMesh:
 
 def _edge_topology(triangles: np.ndarray, num_vertices: int, meanwhile=lambda: None) -> tuple:
     """(edge count, boundary vertex mask, meanwhile()) from one in-place sort of
-    packed edge keys, which a second thread runs (numpy releases the GIL) while
-    this one calls meanwhile; it is joined before this returns or raises.
+    packed edge keys.  A second thread packs and sorts the keys (numpy releases
+    the GIL) while this one calls meanwhile; it is joined before this returns
+    or raises, and an exception raised on it is raised here.
 
     Directed edge a->b packs into the int64 key 2*(min*V + max) + (a > b),
     exact while V <= 2**31.  Equal keys are a directed edge used twice, which
@@ -113,19 +122,24 @@ def _edge_topology(triangles: np.ndarray, num_vertices: int, meanwhile=lambda: N
     """
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= num_vertices:
         raise MeshError("triangle index out of range")  # keys would alias
-    keys = np.empty(triangles.shape, dtype=np.int64)
-    for s in range(0, len(triangles), _BLOCK):
-        a = triangles[s:s + _BLOCK]
-        b = a[:, [1, 2, 0]]
-        pair = np.minimum(a, b) * np.int64(num_vertices) + np.maximum(a, b)
-        keys[s:s + _BLOCK] = 2 * pair + (a > b)
-    keys = keys.reshape(-1)
-    sorter = threading.Thread(target=keys.sort)
+    keys = np.empty(triangles.size, dtype=np.int64)
+    failed = []
+
+    def pack_and_sort():
+        try:
+            _pack_edge_keys(triangles, num_vertices, keys.reshape(triangles.shape))
+            keys.sort()
+        except BaseException as exc:
+            failed.append(exc)
+
+    sorter = threading.Thread(target=pack_and_sort)
     sorter.start()
     try:
         during = meanwhile()
     finally:
         sorter.join()
+    if failed:
+        raise failed[0]
     if np.any(keys[1:] == keys[:-1]):
         if np.any(keys[2:] >> 1 == keys[:-2] >> 1):
             raise MeshError("non-manifold edge shared by more than 2 triangles")
@@ -137,6 +151,16 @@ def _edge_topology(triangles: np.ndarray, num_vertices: int, meanwhile=lambda: N
     mask = np.zeros(num_vertices, dtype=bool)
     mask[np.concatenate(np.divmod(rim, num_vertices))] = True
     return int(np.count_nonzero(starts[:-1])), mask, during
+
+
+def _pack_edge_keys(triangles: np.ndarray, num_vertices: int, out: np.ndarray) -> None:
+    """Write the packed key of each triangle's directed edges k -> k+1 into
+    out (T, 3), a block of triangles at a time."""
+    for s in range(0, len(triangles), _BLOCK):
+        a = triangles[s:s + _BLOCK]
+        b = a[:, [1, 2, 0]]
+        pair = np.minimum(a, b) * np.int64(num_vertices) + np.maximum(a, b)
+        out[s:s + _BLOCK] = 2 * pair + (a > b)
 
 
 def _corner_geometry(vertices: np.ndarray, triangles: np.ndarray):

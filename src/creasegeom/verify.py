@@ -10,6 +10,8 @@ import random
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import creases, curvature, oracle, quadrature, surfaces
 from .errors import ParameterError, ShallowRegimeWarning
 
@@ -183,7 +185,11 @@ def suite_mudguard() -> list[VerificationReport]:
 
 def suite_gore() -> list[VerificationReport]:
     """Seam quadrature total against 4*pi, its 1/n^2 deficit scaling, and
-    Gauss-Bonnet on generated gore-sphere meshes."""
+    Gauss-Bonnet on generated gore-sphere meshes.
+
+    Only the n -> infinity limit of the small-angle seam model is checked.
+    At finite n no report compares the model with the mesh, whose seams
+    carry 4*pi/n each: the model is 3.0% low at n = 6 and 0.76% at n = 12."""
     reports = []
     four_pi = 4.0 * math.pi
     total = quadrature.gore_sphere_total(surfaces.GoreSphereSpec(R=1.0, n=1000))
@@ -263,26 +269,25 @@ def suite_strip_curvature() -> list[VerificationReport]:
 
 def suite_mohr() -> list[VerificationReport]:
     """Random-state property checks: Gaussian curvature by product rule vs by
-    Mohr circle, and rotation invariance of the principal values."""
+    Mohr circle, and rotation invariance of the principal values.  The states
+    and angles are drawn in turn (kxx, kyy, kxy, phi per state), then each
+    curvature function runs once on the arrays."""
     count, seed = 10_000, 20260824
     rng = random.Random(seed)
-    worst_k, worst_p = 0.0, 0.0
-    for _ in range(count):
-        state = curvature.CurvatureState(
-            kxx=rng.uniform(-10.0, 10.0),
-            kyy=rng.uniform(-10.0, 10.0),
-            kxy=rng.uniform(-10.0, 10.0),
-        )
-        scale = max(1.0, state.kxx**2, state.kyy**2, state.kxy**2)
-        circle = curvature.mohr_circle(state)
-        by_circle = circle.center**2 - circle.radius**2
-        worst_k = max(
-            worst_k, abs(curvature.gaussian_curvature(state) - by_circle) / scale
-        )
-        p = curvature.principal_curvatures(state)
-        q = curvature.principal_curvatures(state.rotated(rng.uniform(0.0, math.pi)))
-        pscale = max(1.0, abs(p[0]), abs(p[1]))
-        worst_p = max(worst_p, abs(p[0] - q[0]) / pscale, abs(p[1] - q[1]) / pscale)
+    bounds = ((-10.0, 10.0),) * 3 + ((0.0, math.pi),)
+    draws = np.fromiter(
+        (rng.uniform(lo, hi) for _ in range(count) for lo, hi in bounds),
+        dtype=float, count=4 * count,
+    ).reshape(count, 4).T
+    state = curvature.CurvatureState(kxx=draws[0], kyy=draws[1], kxy=draws[2])
+    scale = np.maximum(1.0, (draws[:3] ** 2).max(axis=0))
+    circle = curvature.mohr_circle(state)
+    by_circle = circle.center**2 - circle.radius**2
+    worst_k = np.max(np.abs(curvature.gaussian_curvature(state) - by_circle) / scale)
+    p = curvature.principal_curvatures(state)
+    q = curvature.principal_curvatures(state.rotated(draws[3]))
+    pscale = np.maximum(1.0, np.abs(p).max(axis=0))
+    worst_p = np.max(np.abs(np.subtract(p, q)) / pscale)
     return [
         _report(
             "mohr gaussian-curvature identity", 0.0, worst_k, worst_k, 1e-12,

@@ -284,6 +284,41 @@ def test_analyze_broken_obj_geometry_exit_3(tmp_path, capsys, records, message):
     assert f"error: {path}: " in err and message in err
 
 
+def test_analyze_obj_whose_areas_overflow_exit_3(tmp_path, capsys):
+    path = tmp_path / "huge.obj"
+    path.write_text("v 0 0 0\nv 1e300 0 0\nv 0 1e300 0\nv 1e300 1e300 1e299\n"
+                    "f 1 2 3\nf 2 4 3\ng crease_1\nl 2 3\n")
+    assert run(["analyze", "--in", path]) == 3
+    assert "triangle 0 has a non-finite area" in assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("flags, message", [
+    ("cylinder --a=1e300 --alpha=0.7 --h=1e299", "tube radius a must be finite and at most"),
+    ("tube --a=1e300 --alpha=0.7 --strips=6", "tube radius a must be finite and at most"),
+    ("curved-crease --R=1e300 --mu=0.2 --width=1e299", "crease radius R must be finite"),
+    ("mudguard --R=1e300 --r=1e299 --mu=0.2", "sweep radius R must be finite"),
+    ("gore-sphere --radius=1e300 --n=6", "seam radius R must be finite"),
+    ("twisted-patch --kxy=nan --a-len=1 --b-len=1 --mu=0.1", "kxy must be finite, got nan"),
+    ("twisted-patch --kxy=-inf --a-len=1 --b-len=1 --mu=0.1", "kxy must be finite, got -inf"),
+    ("twisted-patch --kxy=1 --a-len=nan --b-len=1 --mu=0.1", "must be positive, got nan, 1.0"),
+    ("twisted-patch --kxy=1 --a-len=1 --b-len=nan --mu=0.1", "must be positive, got 1.0, nan"),
+    ("twisted-patch --kxy=1 --a-len=inf --b-len=1 --mu=0.1", "patch side a_len must be finite"),
+    ("twisted-patch --kxy=1 --a-len=1 --b-len=1e300 --mu=0.1", "patch side b_len must be finite"),
+    ("twisted-patch --kxy=1e300 --a-len=1 --b-len=1 --mu=0.1", "patch corner height"),
+], ids=["cylinder-a", "tube-a", "curved-crease-R", "mudguard-R", "gore-sphere-radius",
+        "kxy-nan", "kxy-inf", "a_len-nan", "b_len-nan", "a_len-inf", "b_len-huge",
+        "height-huge"])
+def test_generate_overflowing_parameters_exit_2_before_the_kernel(tmp_path, capsys,
+                                                                  flags, message):
+    out = tmp_path / "x.obj"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["generate", *flags.split(), "--nu=8", "--nv=4", f"--out={out}"]) == 2
+    assert message in assert_one_line_error(capsys)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
 def test_analyze_sidecar_mesh_error_stays_exit_2(tmp_path, capsys, monkeypatch):
     path = tube_sidecar(tmp_path)
 

@@ -1,9 +1,12 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from creasegeom import (
     CurvatureState,
+    MohrCircle,
     ParameterError,
     ShallowRegimeWarning,
     TubeSpec,
@@ -15,6 +18,7 @@ from creasegeom import (
     strip_specific_curvature,
     tube_spec_for_strips,
 )
+from creasegeom.verify import suite_mohr
 
 try:
     from hypothesis import given, strategies as st
@@ -153,3 +157,75 @@ def test_mohr_identity_property(kxx, kyy, kxy, phi):
     q = principal_curvatures(state.rotated(phi))
     assert abs(p[0] - q[0]) <= 1e-9 * scale
     assert abs(p[1] - q[1]) <= 1e-9 * scale
+
+
+# -- arrays through the same functions ----------------------------------------
+
+def test_array_results_match_scalar_calls_elementwise():
+    """Exact, except that numpy's hypot may round the Mohr radius one ulp
+    away from math.hypot (about 1 state in 200)."""
+    rng = np.random.default_rng(7)
+    (kxx, kyy, kxy), phi = rng.uniform(-10.0, 10.0, (3, 500)), rng.uniform(0.0, math.pi, 500)
+    state = CurvatureState(kxx=kxx, kyy=kyy, kxy=kxy)
+    circle = mohr_circle(state)
+    p = principal_curvatures(state)
+    k = gaussian_curvature(state)
+    rotated = state.rotated(phi)
+    for i in range(len(phi)):
+        one = CurvatureState(kxx=float(kxx[i]), kyy=float(kyy[i]), kxy=float(kxy[i]))
+        one_circle = mohr_circle(one)
+        assert type(one_circle.radius) is float and type(gaussian_curvature(one)) is float
+        assert one_circle.center == circle.center[i]
+        assert abs(one_circle.radius - circle.radius[i]) <= np.spacing(one_circle.radius)
+        ulps = 2 * np.spacing(abs(one_circle.center) + one_circle.radius)
+        assert all(abs(a - b[i]) <= ulps for a, b in zip(principal_curvatures(one), p))
+        assert gaussian_curvature(one) == k[i]
+        turned = one.rotated(float(phi[i]))
+        assert (turned.kxx, turned.kyy, turned.kxy) == \
+            (rotated.kxx[i], rotated.kyy[i], rotated.kxy[i])
+    # one angle for every state
+    assert np.array_equal(state.rotated(0.3).kxy,
+                          [CurvatureState(*map(float, c)).rotated(0.3).kxy
+                           for c in zip(kxx, kyy, kxy)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_arrays_with_a_non_finite_element_are_rejected(bad):
+    values = np.linspace(-1.0, 1.0, 9)
+    values[6] = bad
+    for name in ("kxx", "kyy", "kxy"):
+        components = {"kxx": np.zeros(9), "kyy": np.zeros(9), "kxy": np.zeros(9), name: values}
+        with pytest.raises(ParameterError, match=f"component {name} must be finite"):
+            CurvatureState(**components)
+    with pytest.raises(ParameterError, match="must be finite"):
+        MohrCircle(center=values, radius=np.ones(9))
+    with pytest.raises(ParameterError, match="must be finite"):
+        MohrCircle(center=np.ones(9), radius=np.abs(values))
+
+
+def test_array_mohr_circle_rejects_one_negative_radius():
+    radius = np.ones(9)
+    MohrCircle(center=np.zeros(9), radius=radius)
+    radius[4] = -1e-300
+    with pytest.raises(ParameterError, match="radius must be >= 0"):
+        MohrCircle(center=np.zeros(9), radius=radius)
+
+
+def test_suite_mohr_matches_a_scalar_reference_loop():
+    """The residuals of one scalar call per state, drawn as the suite draws them."""
+    rng = random.Random(20260824)
+    worst_k, worst_p = 0.0, 0.0
+    for _ in range(10_000):
+        state = CurvatureState(kxx=rng.uniform(-10.0, 10.0), kyy=rng.uniform(-10.0, 10.0),
+                               kxy=rng.uniform(-10.0, 10.0))
+        scale = max(1.0, state.kxx**2, state.kyy**2, state.kxy**2)
+        circle = mohr_circle(state)
+        worst_k = max(worst_k, abs(gaussian_curvature(state)
+                                   - (circle.center**2 - circle.radius**2)) / scale)
+        p = principal_curvatures(state)
+        q = principal_curvatures(state.rotated(rng.uniform(0.0, math.pi)))
+        pscale = max(1.0, abs(p[0]), abs(p[1]))
+        worst_p = max(worst_p, abs(p[0] - q[0]) / pscale, abs(p[1] - q[1]) / pscale)
+    identity, invariance = suite_mohr()
+    assert (identity.residual, invariance.residual) == (worst_k, worst_p)
+    assert identity.passed and invariance.passed

@@ -129,6 +129,24 @@ def test_twisted_patch_rejects_bad_params():
         gen_twisted_patch(0.1, -1.0, 1.0, 0.0, 8, 8)
     with pytest.raises(ParameterError):
         gen_twisted_patch(0.1, 1.0, 1.0, math.pi / 2, 8, 8)
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in ((bad, 1.0, 1.0), (0.1, bad, 1.0), (0.1, 1.0, bad)):
+            with pytest.raises(ParameterError):
+                gen_twisted_patch(*args, 0.0, 8, 8)
+
+
+@pytest.mark.parametrize("build", [
+    lambda L: gen_cylinder(TubeSpec(a=L, alpha=0.6, h=L / 10), 8, 4),
+    lambda L: gen_twisted_prismatic_tube(tube_spec_for_strips(L, 0.6, 6), 6, 8, 4),
+    lambda L: gen_twisted_patch(0.1 / L, L, L, 0.0, 8, 8),
+    lambda L: gen_curved_crease(CreaseSpec(R=L, mu=0.2), L / 10, 8, 4),
+    lambda L: gen_mudguard(MudguardSpec(R=L, r=L / 10, mu=0.2), 8, 4),
+    lambda L: gen_gore_sphere(GoreSphereSpec(R=L, n=6), 8, 4),
+], ids=["cylinder", "tube", "twisted-patch", "curved-crease", "mudguard", "gore-sphere"])
+def test_generators_accept_max_length_and_refuse_more(build):
+    angle_defect(build(surfaces.MAX_LENGTH))  # no overflow inside the kernel either
+    with pytest.raises(ParameterError, match="must be finite and at most 1e\\+50"):
+        build(surfaces.MAX_LENGTH * 10)
 
 
 # -- curved crease -----------------------------------------------------------
@@ -467,3 +485,7 @@ def test_grid_triangles_matches_reference_on_ties(flip):
     for pts in (square, bent):
         got = surfaces._grid_triangles(ids, pts, flip)
         assert np.array_equal(got, reference_grid_triangles(ids, pts, flip))
+    # a tie keeps the main diagonal: (v00, v10, v11), (v00, v11, v01)
+    main = [[0, 6, 7], [0, 7, 1]]
+    got = surfaces._grid_triangles(ids[:2, :2], square[:2, :2], flip).tolist()
+    assert got == ([t[::-1] for t in main] if flip else main)

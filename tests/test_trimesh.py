@@ -300,6 +300,38 @@ def test_validate_joins_its_sort_thread_on_every_path(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_packing_thread_exception_propagates_and_the_thread_is_joined(monkeypatch):
+    def failing(triangles, num_vertices, out):
+        raise MemoryError("no room for the edge keys")
+
+    monkeypatch.setattr(trimesh, "_pack_edge_keys", failing)
+    before = threading.enumerate()
+    with pytest.raises(MemoryError, match="no room for the edge keys"):
+        GENERATED["tube"]().validate()
+    assert threading.enumerate() == before
+
+
+def test_edge_keys_are_packed_off_the_calling_thread(monkeypatch):
+    packers = []
+    pack = trimesh._pack_edge_keys
+
+    def recorded(*args):
+        packers.append(threading.current_thread())
+        pack(*args)
+
+    monkeypatch.setattr(trimesh, "_pack_edge_keys", recorded)
+    GENERATED["tube"]().validate()
+    assert len(packers) == 1 and packers[0] is not threading.current_thread()
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e160, 1e300])
+def test_validate_rejects_triangles_whose_area_overflows(scale):
+    mesh = square_mesh()
+    mesh.vertices *= scale  # finite coordinates, non-finite cross products
+    with pytest.raises(MeshError, match=r"triangle 0 has a non-finite area \((inf|nan)\)"):
+        mesh.validate()
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_validate_rejects_non_finite_vertex(value):
     mesh = gen_twisted_patch(0.1, 1.0, 1.0, 0.0, 8, 8)
