@@ -33,6 +33,9 @@ class DefectField:
     crease_rates  defect per unit arc length for each crease id, boundary
                   chain endpoints excluded
     euler_characteristic  V - E + T of the mesh
+
+    Defect sums are exact: each is the correctly rounded sum of its terms,
+    from one int64 pass or from math.fsum, which give the same value.
     """
 
     defect: np.ndarray
@@ -45,7 +48,7 @@ class DefectField:
     @property
     def total_defect(self) -> float:
         """Sum of defect over all non-boundary vertices."""
-        return math.fsum(self.defect[~self.boundary_mask])
+        return _exact_sum(self.defect[~self.boundary_mask])
 
     def interior_defect_density(self) -> float:
         """Defect per unit area over untagged, non-boundary vertices."""
@@ -53,11 +56,33 @@ class DefectField:
         area = float(self.lumped_area[sel].sum())
         if area == 0.0:
             raise MeshError("mesh has no interior vertices to average over")
-        return math.fsum(self.defect[sel]) / area
+        return _exact_sum(self.defect[sel]) / area
 
     def crease_defect_total(self, crease_id: int) -> float:
         sel = (~self.boundary_mask) & (self.vertex_tags == crease_id)
-        return math.fsum(self.defect[sel])
+        return _exact_sum(self.defect[sel])
+
+
+# 2*pi minus an angle sum in [4, 8), the defect of an interior vertex, is
+# exact (Sterbenz) and, like both terms, an integer multiple of 2**-50.
+_DEFECT_SCALE = 2.0 ** 50
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """math.fsum(values), bit for bit.  When every value is a multiple of
+    2**-50 and len * max|value| < 2**12, the values times 2**50 are integers
+    whose int64 sum cannot overflow (|sum| < 2**62), and float(sum) / 2**50 is
+    the correctly rounded exact sum, which fsum also returns.  Other inputs
+    (off the grid, huge, nan or inf) and a zero sum, whose sign fsum sets,
+    go to math.fsum."""
+    if len(values) and len(values) * float(max(values.max(), -values.min())) < 2.0 ** 12:
+        scaled = values * _DEFECT_SCALE
+        ints = scaled.astype(np.int64)
+        if np.array_equal(ints, scaled):
+            total = int(ints.sum())
+            if total:
+                return total / _DEFECT_SCALE
+    return math.fsum(values)
 
 
 def angle_defect(mesh: TriMesh) -> DefectField:
@@ -96,7 +121,7 @@ def angle_defect(mesh: TriMesh) -> DefectField:
         length = float(assoc[keep].sum())
         if length == 0.0:
             raise MeshError(f"crease {cid} has no non-boundary vertices")
-        rates[cid] = math.fsum(defect[chain[keep]]) / length
+        rates[cid] = _exact_sum(defect[chain[keep]]) / length
 
     return DefectField(
         defect=defect,
@@ -133,10 +158,19 @@ def _eval_surface(fn: Callable, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis, each component a1*b2 - a2*b1 (and its
+    cyclic shifts) as np.cross computes it, without its axis moves."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.subtract(a[..., i] * b[..., j], a[..., j] * b[..., i], out=out[..., k])
+    return out
+
+
 def _grid_normals(fn, U, V, hu, hv) -> np.ndarray:
     su = _eval_surface(fn, U + hu, V) - _eval_surface(fn, U - hu, V)
     sv = _eval_surface(fn, U, V + hv) - _eval_surface(fn, U, V - hv)
-    n = np.cross(su, sv)
+    n = _cross(su, sv)
     norm = np.linalg.norm(n, axis=-1, keepdims=True)
     if np.any(norm < 1e-300) or not np.all(np.isfinite(norm)):
         raise ParameterError("degenerate surface normal in the requested region")
@@ -145,7 +179,7 @@ def _grid_normals(fn, U, V, hu, hv) -> np.ndarray:
 
 def _tri_solid_angles(a, b, c) -> np.ndarray:
     """Signed solid angles of spherical triangles with unit-vector corners."""
-    num = np.einsum("...i,...i->...", a, np.cross(b, c))
+    num = np.einsum("...i,...i->...", a, _cross(b, c))
     den = (
         1.0
         + np.einsum("...i,...i->...", a, b)

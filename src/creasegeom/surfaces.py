@@ -19,7 +19,7 @@ from .errors import (
     ResolutionError,
     ShallowRegimeWarning,
 )
-from .trimesh import TriMesh
+from .trimesh import TriMesh, _run_beside
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,18 +33,31 @@ CREASE_ARC_SPAN = math.pi / 2
 # 220 bytes per vertex (measured at 944k vertices), so 2.2 GB at the limit.
 MAX_VERTICES = 10_000_000
 
+# Smallest helical band whose strips are filled on two threads.  Measured on
+# 2 cores, two threads break even near 4e5 vertices and are a third faster at
+# 7.6e5; in smaller bands the interpreter's work, which holds the GIL,
+# outweighs the gain.  Strips are filled in blocks of about _STRIP_CELLS
+# cells, so the second thread's temporaries, which stay resident in its
+# glibc arena, remain small.
+_THREADED_VERTICES = 1 << 19
+_STRIP_CELLS = 1 << 14
 
-# Largest length that a generator accepts.  The mesh kernel squares
-# the cross products of edge vectors, fourth powers of lengths, which
-# overflow float64 near 1e77.
+
+# Largest and smallest lengths that a generator accepts.  The mesh kernel
+# squares the cross products of edge vectors, fourth powers of lengths,
+# which overflow float64 near 1e77 and underflow to 0 near 1e-77.
 MAX_LENGTH = 1e50
+MIN_LENGTH = 1e-50
 
 
-def _check_length(name: str, value: float) -> None:
-    """ParameterError unless |value| is finite and at most MAX_LENGTH; the
-    generators call it before building arrays."""
+def _check_length(name: str, value: float, positive: bool = True) -> None:
+    """ParameterError unless |value| is finite and at most MAX_LENGTH and, for
+    a length that must be positive, at least MIN_LENGTH; the generators call
+    it before building arrays."""
     if not abs(value) <= MAX_LENGTH:
         raise ParameterError(f"{name} must be finite and at most {MAX_LENGTH:g}, got {value}")
+    if positive and not value >= MIN_LENGTH:
+        raise ParameterError(f"{name} must be at least {MIN_LENGTH:g}, got {value}")
 
 
 def _check_size(num_vertices: int) -> None:
@@ -104,21 +117,16 @@ def _grid_triangles(ids: np.ndarray, pts: np.ndarray, flip: bool = False) -> np.
     shape plus a trailing 3), splitting each cell along its shorter diagonal
     (keeps thin twisted strips well conditioned).  The first triangle of
     every cell comes first, then the second; flip reverses each winding."""
-    v00 = ids[:-1, :-1].ravel()
-    v10 = ids[1:, :-1].ravel()
-    v01 = ids[:-1, 1:].ravel()
-    v11 = ids[1:, 1:].ravel()
+    v00, v10, v01, v11 = ids[:-1, :-1], ids[1:, :-1], ids[:-1, 1:], ids[1:, 1:]
     use_main = (_diagonal(pts[:-1, :-1], pts[1:, 1:])
-                <= _diagonal(pts[1:, :-1], pts[:-1, 1:])).ravel()
+                <= _diagonal(pts[1:, :-1], pts[:-1, 1:]))
     # main diagonal: (v00, v10, v11), (v00, v11, v01); anti: (v00, v10, v01), (v10, v11, v01)
-    tris = np.empty((2, len(v00), 3), dtype=ids.dtype)
+    tris = np.empty((2,) + v00.shape + (3,), dtype=ids.dtype)
     first, last = (2, 0) if flip else (0, 2)
-    tris[0, :, first] = v00
-    tris[0, :, 1] = v10
-    tris[0, :, last] = np.where(use_main, v11, v01)
-    tris[1, :, first] = np.where(use_main, v00, v10)
-    tris[1, :, 1] = v11
-    tris[1, :, last] = v01
+    tris[0, ..., first], tris[0, ..., 1], tris[0, ..., last] = v00, v10, v01
+    np.copyto(tris[0, ..., last], v11, where=use_main)
+    tris[1, ..., first], tris[1, ..., 1], tris[1, ..., last] = v10, v11, v01
+    np.copyto(tris[1, ..., first], v00, where=use_main)
     return tris.reshape(-1, 3)
 
 
@@ -140,8 +148,8 @@ def _diagonal(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _helical_band(a, alpha, n_strips, nu, nv, flatten):
     """Build the band of n_strips helical strips; flatten=True replaces each
     strip by straight rulings (the prismatic tube), False keeps points on the
-    cylinder."""
-    _check_length("tube radius a", a)
+    cylinder.  Each strip fills its own slices of the vertex and triangle
+    arrays, so a large band is filled on two threads, alternate strips each."""
     if nu < 3 or nv < 3:
         raise ResolutionError(f"nu and nv must be >= 3, got ({nu}, {nv})")
     if alpha >= math.pi / 2:
@@ -162,6 +170,7 @@ def _helical_band(a, alpha, n_strips, nu, nv, flatten):
     xhat = np.array([math.sin(alpha), math.cos(alpha)])
     yhat = np.array([math.cos(alpha), -math.sin(alpha)])
     x = np.linspace(0.0, length, nu + 1)
+    t = np.arange(1, nv) / nv
 
     def wrap(dev):
         s, z = dev[..., 0], dev[..., 1]
@@ -177,33 +186,36 @@ def _helical_band(a, alpha, n_strips, nu, nv, flatten):
         line_pts[j] = wrap(dev)
     tags[:n_strips * n_line] = np.repeat(np.arange(1, n_strips + 1), n_line)
 
-    offset, done = n_strips * n_line, 0
-    for j in range(n_strips):
-        jn = (j + 1) % n_strips
-        shift = m if j == n_strips - 1 else 0
-        i = np.arange(shift, nu + 1)
-        ids = np.empty((len(i), nv + 1), dtype=np.int64)
-        ids[:, 0] = j * n_line + i
-        ids[:, nv] = jn * n_line + (i - shift)
-        n_int = (len(i)) * (nv - 1)
-        ids[:, 1:nv] = offset + np.arange(n_int).reshape(len(i), nv - 1)
-        interior = vertices[offset:offset + n_int].reshape(len(i), nv - 1, 3)
-        offset += n_int
+    step = max(2, _STRIP_CELLS // nv)  # vertex rows per block
 
-        if flatten:
-            t = (np.arange(1, nv) / nv)[None, :, None]
-            p0, p1 = line_pts[j, i][:, None, :], line_pts[jn, i - shift][:, None, :]
-            np.add((1.0 - t) * p0, t * p1, out=interior)
-        else:
-            dev = (
-                (j * h + np.arange(1, nv) / nv * h)[None, :, None] * yhat[None, None, :]
-                + x[i][:, None, None] * xhat[None, None, :]
-            )
-            interior[...] = wrap(dev)
-        cells = _grid_triangles(ids, vertices[ids], flip=True)
-        triangles[done:done + len(cells)] = cells
-        done += len(cells)
+    def fill(strips):
+        for j in strips:  # the strips before j are all nu + 1 rows long
+            jn, shift = (j + 1) % n_strips, (m if j == n_strips - 1 else 0)
+            rows, offset = nu + 1 - shift, (n_strips + j * (nv - 1)) * n_line
+            interior = vertices[offset:offset + rows * (nv - 1)].reshape(rows, nv - 1, 3)
+            cells = triangles[2 * j * nu * nv:][:2 * (rows - 1) * nv].reshape(2, rows - 1, nv, 3)
+            for lo in range(0, rows, step):  # fill rows lo..hi-1, then the cells above lo-1
+                hi = min(lo + step, rows)
+                if flatten:  # (1 - t)*p0 + t*p1, a coordinate plane at a time
+                    p0, p1 = line_pts[j, shift + lo:shift + hi], line_pts[jn, lo:hi]
+                    for c in range(3):
+                        plane = interior[lo:hi, :, c]
+                        np.multiply(p0[:, c, None], 1.0 - t, out=plane)
+                        plane += p1[:, c, None] * t
+                else:
+                    interior[lo:hi] = wrap((j * h + t * h)[None, :, None] * yhat
+                                           + x[shift + lo:shift + hi, None, None] * xhat)
+                r = np.arange(max(lo - 1, 0), hi)
+                ids = np.empty((len(r), nv + 1), dtype=np.int64)
+                ids[:, 0], ids[:, nv] = j * n_line + shift + r, jn * n_line + r
+                ids[:, 1:nv] = offset + (nv - 1) * r[:, None] + np.arange(nv - 1)
+                cells[:, r[0]:hi - 1] = _grid_triangles(ids, vertices[ids], flip=True).reshape(
+                    2, -1, nv, 3)
 
+    if num_vertices < _THREADED_VERTICES:
+        fill(range(n_strips))
+    else:
+        _run_beside(lambda: fill(range(1, n_strips, 2)), lambda: fill(range(0, n_strips, 2)))
     polylines = {
         j + 1: np.arange(j * n_line, (j + 1) * n_line) for j in range(n_strips)
     }
@@ -226,6 +238,7 @@ def gen_cylinder(spec: TubeSpec, nu: int, nv: int) -> TriMesh:
             ShallowRegimeWarning,
             stacklevel=2,
         )
+    _check_length("tube radius a", spec.a)
     return _helical_band(spec.a, spec.alpha, n_lines, nu, nv, flatten=False)
 
 
@@ -241,6 +254,7 @@ def gen_twisted_prismatic_tube(
     """
     if n_strips < 3:
         raise ParameterError(f"n_strips must be >= 3, got {n_strips}")
+    _check_length("tube radius a", spec.a)
     h_req = TWO_PI * spec.a * math.cos(spec.alpha) / n_strips
     gap = n_strips * (spec.h - h_req) / math.cos(spec.alpha) if spec.alpha < math.pi / 2 else 0.0
     if abs(spec.h - h_req) > 1e-9 * spec.a:
@@ -270,7 +284,8 @@ def gen_twisted_patch(
         raise ParameterError(f"twist curvature kxy must be finite, got {kxy}")
     _check_length("patch side a_len", a_len)
     _check_length("patch side b_len", b_len)
-    _check_length("patch corner height |kxy|*a_len*b_len/4", abs(kxy) * a_len * b_len / 4)
+    _check_length("patch corner height |kxy|*a_len*b_len/4", abs(kxy) * a_len * b_len / 4,
+                  positive=False)
     if not (0 <= mu < math.pi / 2):
         raise ParameterError(f"half fold angle mu must lie in [0, pi/2), got {mu}")
     if nu < 3 or nv < 3:
@@ -321,6 +336,7 @@ def gen_curved_crease(spec: CreaseSpec, strip_width: float, nu: int, nv: int) ->
             f"strip width must lie in (0, R/4) to avoid cone self-intersection, "
             f"got {strip_width} with R = {spec.R}"
         )
+    _check_length("strip width", strip_width)
     if nu < 3 or nv < 3:
         raise ResolutionError(f"nu and nv must be >= 3, got ({nu}, {nv})")
     _check_size((nu + 1) * (2 * nv + 1))
@@ -366,6 +382,7 @@ def mudguard_surface(spec: MudguardSpec):
 def gen_mudguard(spec: MudguardSpec, nu: int, nv: int) -> TriMesh:
     """Mudguard band: closed in the sweep direction, open across the arc."""
     _check_length("sweep radius R", spec.R)
+    _check_length("arc radius r", spec.r)
     if nu < 3 or nv < 3:
         raise ResolutionError(f"nu and nv must be >= 3, got ({nu}, {nv})")
     _check_size(nu * (nv + 1))

@@ -111,46 +111,69 @@ class TriMesh:
 
 def _edge_topology(triangles: np.ndarray, num_vertices: int, meanwhile=lambda: None) -> tuple:
     """(edge count, boundary vertex mask, meanwhile()) from one in-place sort of
-    packed edge keys.  A second thread packs and sorts the keys (numpy releases
-    the GIL) while this one calls meanwhile; it is joined before this returns
-    or raises, and an exception raised on it is raised here.
+    packed edge keys.  A second thread packs and sorts the keys and does the
+    edge bookkeeping below, writing only into arrays allocated here, while
+    this one calls meanwhile.
 
     Directed edge a->b packs into the int64 key 2*(min*V + max) + (a > b),
     exact while V <= 2**31.  Equal keys are a directed edge used twice, which
-    consistent winding forbids (an edge of 3+ triangles always has one); then
+    consistent winding forbids (an edge of 3+ triangles always has one); the
+    worker then stops, and this thread tells the two faults apart.  Otherwise
     key >> 1, shifted in place, is an undirected edge id, a run of 1 a rim edge.
     """
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= num_vertices:
         raise MeshError("triangle index out of range")  # keys would alias
     keys = np.empty(triangles.size, dtype=np.int64)
-    failed = []
+    starts = np.ones(len(keys) + 1, dtype=bool)  # starts[i]: edge[i] opens a run
+    mask = np.zeros(num_vertices, dtype=bool)
+    counted = []  # the edge count, unless a directed key repeats
 
-    def pack_and_sort():
-        try:
-            _pack_edge_keys(triangles, num_vertices, keys.reshape(triangles.shape))
-            keys.sort()
-        except BaseException as exc:
-            failed.append(exc)
+    def sort_and_count():
+        _pack_edge_keys(triangles, num_vertices, keys.reshape(triangles.shape))
+        keys.sort()
+        if np.equal(keys[1:], keys[:-1], out=starts[1:-1]).any():
+            return
+        edge = np.right_shift(keys, 1, out=keys)
+        np.not_equal(edge[1:], edge[:-1], out=starts[1:-1])
+        counted.append(int(np.count_nonzero(starts[:-1])))
+        # starts[i] &= starts[i + 1] marks the rim edges, in place a block at
+        # a time: a block reads one entry of the next, not yet overwritten
+        for s in range(0, len(edge), _BLOCK):
+            e = min(s + _BLOCK, len(edge))
+            np.logical_and(starts[s:e], starts[s + 1:e + 1], out=starts[s:e])
+        mask[np.concatenate(np.divmod(edge[starts[:-1]], num_vertices))] = True
 
-    sorter = threading.Thread(target=pack_and_sort)
-    sorter.start()
-    try:
-        during = meanwhile()
-    finally:
-        sorter.join()
-    if failed:
-        raise failed[0]
-    if np.any(keys[1:] == keys[:-1]):
+    during = _run_beside(sort_and_count, meanwhile)
+    if not counted:
         if np.any(keys[2:] >> 1 == keys[:-2] >> 1):
             raise MeshError("non-manifold edge shared by more than 2 triangles")
         raise OrientationError("inconsistent winding: repeated directed edge")
-    edge = np.right_shift(keys, 1, out=keys)
-    starts = np.ones(len(edge) + 1, dtype=bool)  # starts[i]: edge[i] opens a run
-    np.not_equal(edge[1:], edge[:-1], out=starts[1:-1])
-    rim = edge[starts[:-1] & starts[1:]]
-    mask = np.zeros(num_vertices, dtype=bool)
-    mask[np.concatenate(np.divmod(rim, num_vertices))] = True
-    return int(np.count_nonzero(starts[:-1])), mask, during
+    return counted[0], mask, during
+
+
+def _run_beside(worker, meanwhile):
+    """meanwhile() on this thread while worker() runs on a second one (numpy
+    releases the GIL in its loops).  The second thread is joined before this
+    returns or raises, and an exception raised on it is raised here unless
+    meanwhile raised one first.  A worker allocates only block-sized
+    temporaries: what a thread allocates stays resident in its glibc arena."""
+    failed = []
+
+    def run():
+        try:
+            worker()
+        except BaseException as exc:
+            failed.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        result = meanwhile()
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
+    return result
 
 
 def _pack_edge_keys(triangles: np.ndarray, num_vertices: int, out: np.ndarray) -> None:
@@ -158,9 +181,14 @@ def _pack_edge_keys(triangles: np.ndarray, num_vertices: int, out: np.ndarray) -
     out (T, 3), a block of triangles at a time."""
     for s in range(0, len(triangles), _BLOCK):
         a = triangles[s:s + _BLOCK]
-        b = a[:, [1, 2, 0]]
-        pair = np.minimum(a, b) * np.int64(num_vertices) + np.maximum(a, b)
-        out[s:s + _BLOCK] = 2 * pair + (a > b)
+        b = np.roll(a, -1, axis=1)
+        key = out[s:s + _BLOCK]
+        higher = a > b
+        np.minimum(a, b, out=key)
+        key *= num_vertices
+        key += np.maximum(a, b, out=b)
+        key *= 2
+        key += higher
 
 
 def _corner_geometry(vertices: np.ndarray, triangles: np.ndarray):

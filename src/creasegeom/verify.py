@@ -82,30 +82,19 @@ def suite_tube_balance() -> list[VerificationReport]:
                 spec = curvature.TubeSpec(a=a, alpha=alpha, h=ratio * a)
                 rep = creases.tube_balance(spec)
                 bound = ((ratio * math.cos(alpha) ** 2) ** 2) / 24.0
-                reports.append(
-                    _report(
-                        f"tube-balance a={a} alpha={alpha:.4f} h/a={ratio}",
-                        -rep.strip_term,
-                        rep.crease_term,
-                        rep.relative_residual,
-                        bound,
-                        "relative",
-                        a=a, alpha=alpha, h=spec.h,
-                    )
-                )
+                reports.append(_report(
+                    f"tube-balance a={a} alpha={alpha:.4f} h/a={ratio}", -rep.strip_term,
+                    rep.crease_term, rep.relative_residual, bound, "relative",
+                    a=a, alpha=alpha, h=spec.h,
+                ))
     # residual(h) / residual(h/2) should be ~8 (cubic in h)
     a, alpha = 1.0, math.pi / 4
     for ratio in (0.02, 0.05):
         r1 = creases.tube_balance(curvature.TubeSpec(a, alpha, ratio * a)).residual
         r2 = creases.tube_balance(curvature.TubeSpec(a, alpha, ratio * a / 2)).residual
         scaling = r1 / r2
-        reports.append(
-            _report(
-                f"tube-balance cubic scaling h/a={ratio}",
-                8.0, scaling, scaling - 8.0, 0.4, "ratio",
-                a=a, alpha=alpha,
-            )
-        )
+        reports.append(_report(f"tube-balance cubic scaling h/a={ratio}",
+                               8.0, scaling, scaling - 8.0, 0.4, "ratio", a=a, alpha=alpha))
     return reports
 
 
@@ -120,20 +109,12 @@ def suite_crease_law() -> list[VerificationReport]:
         mesh = surfaces.gen_curved_crease(spec, strip_width=0.3, nu=nu, nv=max(4, nu // 8))
         rate = oracle.angle_defect(mesh).crease_rates[1]
         errors.append(abs(rate - exact) / exact)
-        reports.append(
-            _rel(
-                f"crease-law rate nu={nu}", exact, rate, 0.01,
-                R=spec.R, mu=spec.mu, nu=nu,
-            )
-        )
+        reports.append(_rel(f"crease-law rate nu={nu}", exact, rate, 0.01,
+                            R=spec.R, mu=spec.mu, nu=nu))
     for coarse, fine, e0, e1 in zip(resolutions, resolutions[1:], errors, errors[1:]):
         ratio = e1 / e0 if e0 else 0.0
-        reports.append(
-            _report(
-                f"crease-law error contraction nu={coarse}->{fine}",
-                0.0, ratio, ratio, 0.55, "ratio",
-            )
-        )
+        reports.append(_report(f"crease-law error contraction nu={coarse}->{fine}",
+                               0.0, ratio, ratio, 0.55, "ratio"))
     return reports
 
 
@@ -147,14 +128,11 @@ def suite_mudguard() -> list[VerificationReport]:
             for mu in (0.1, 0.2, 0.4):
                 spec = surfaces.MudguardSpec(R=R, r=ratio * R, mu=mu)
                 total = quadrature.mudguard_total(spec)
-                reports.append(
-                    _rel(
-                        f"mudguard quadrature R={R} r/R={ratio} mu={mu}",
-                        total.closed_form, total.by_quadrature.value, 1e-8,
-                        R=R, r=spec.r, mu=mu,
-                        evaluations=total.by_quadrature.evaluations,
-                    )
-                )
+                reports.append(_rel(
+                    f"mudguard quadrature R={R} r/R={ratio} mu={mu}",
+                    total.closed_form, total.by_quadrature.value, 1e-8,
+                    R=R, r=spec.r, mu=mu, evaluations=total.by_quadrature.evaluations,
+                ))
     spec = surfaces.MudguardSpec(**CANONICAL_MUDGUARD)
     closed = quadrature.mudguard_closed_form(spec.R, spec.r, spec.mu)
     swept = oracle.gauss_map_integrate(
@@ -162,24 +140,16 @@ def suite_mudguard() -> list[VerificationReport]:
         (0.0, 2.0 * math.pi, -spec.mu, spec.mu),
         nu=gauss_res, nv=gauss_res,
     )
-    reports.append(
-        _rel(
-            "mudguard gauss map canonical", closed, swept.value, 1e-3,
-            converged=swept.converged, **CANONICAL_MUDGUARD,
-        )
-    )
+    reports.append(_rel("mudguard gauss map canonical", closed, swept.value, 1e-3,
+                        converged=swept.converged, **CANONICAL_MUDGUARD))
     # r -> 0: the closed form approaches 4*pi*sin(mu) with O(r/R) deficit
     mu = 0.3
     limit = 4.0 * math.pi * math.sin(mu)
     for ratio in (1e-3, 1e-4):
         closed = quadrature.mudguard_closed_form(1.0, ratio, mu)
         deficit = abs(closed - limit) / limit
-        reports.append(
-            _report(
-                f"mudguard r->0 limit r/R={ratio}",
-                limit, closed, deficit, ratio, "relative", mu=mu,
-            )
-        )
+        reports.append(_report(f"mudguard r->0 limit r/R={ratio}",
+                               limit, closed, deficit, ratio, "relative", mu=mu))
     return reports
 
 
@@ -201,23 +171,14 @@ def suite_gore() -> list[VerificationReport]:
     }
     for n in (8, 16, 32):
         ratio = deficits[n] / deficits[2 * n]
-        reports.append(
-            _report(
-                f"gore deficit scaling n={n}->{2 * n}",
-                4.0, ratio, ratio - 4.0, 0.4, "ratio",
-            )
-        )
+        reports.append(_report(f"gore deficit scaling n={n}->{2 * n}",
+                               4.0, ratio, ratio - 4.0, 0.4, "ratio"))
     nu, nv = 48, 6
     for n in (6, 8):
         mesh = surfaces.gen_gore_sphere(surfaces.GoreSphereSpec(R=1.0, n=n), nu, nv)
         total_defect = oracle.angle_defect(mesh).total_defect
-        reports.append(
-            _report(
-                f"gore mesh gauss-bonnet n={n}",
-                four_pi, total_defect, total_defect - four_pi, 1e-9, "absolute",
-                nu=nu, nv=nv,
-            )
-        )
+        reports.append(_report(f"gore mesh gauss-bonnet n={n}", four_pi, total_defect,
+                               total_defect - four_pi, 1e-9, "absolute", nu=nu, nv=nv))
     return reports
 
 
@@ -232,22 +193,14 @@ def suite_twist_independence() -> list[VerificationReport]:
         abs(creases.crease_specific_curvature(creases.CreaseSpec(R=2.0, mu=0.4, twist=t)) - base)
         for t in (-10.0, 0.0, 10.0)
     )
-    reports.append(
-        _report(
-            "twist-independence closed form", base, base + worst, worst, 0.0,
-            "absolute", twists=[-10.0, 0.0, 10.0],
-        )
-    )
+    reports.append(_report("twist-independence closed form", base, base + worst, worst, 0.0,
+                           "absolute", twists=[-10.0, 0.0, 10.0]))
     totals = {}
     for mu in (0.0, 0.2):
         mesh = surfaces.gen_twisted_patch(0.1, 1.0, 1.0, mu, patch_res, patch_res)
         totals[mu] = oracle.angle_defect(mesh).total_defect
-    reports.append(
-        _rel(
-            "twist-independence patch defect mu=0 vs 0.2",
-            totals[0.0], totals[0.2], 0.01, kxy=0.1, nu=patch_res,
-        )
-    )
+    reports.append(_rel("twist-independence patch defect mu=0 vs 0.2",
+                        totals[0.0], totals[0.2], 0.01, kxy=0.1, nu=patch_res))
     return reports
 
 
@@ -270,15 +223,15 @@ def suite_strip_curvature() -> list[VerificationReport]:
 def suite_mohr() -> list[VerificationReport]:
     """Random-state property checks: Gaussian curvature by product rule vs by
     Mohr circle, and rotation invariance of the principal values.  The states
-    and angles are drawn in turn (kxx, kyy, kxy, phi per state), then each
+    and angles are drawn in turn (kxx, kyy, kxy, phi per state), as
+    random.uniform draws them, lo + (hi - lo) * random(); then each
     curvature function runs once on the arrays."""
     count, seed = 10_000, 20260824
     rng = random.Random(seed)
-    bounds = ((-10.0, 10.0),) * 3 + ((0.0, math.pi),)
-    draws = np.fromiter(
-        (rng.uniform(lo, hi) for _ in range(count) for lo, hi in bounds),
-        dtype=float, count=4 * count,
-    ).reshape(count, 4).T
+    lo = np.array([[-10.0], [-10.0], [-10.0], [0.0]])
+    hi = np.array([[10.0], [10.0], [10.0], [math.pi]])
+    unit = np.fromiter(iter(rng.random, None), dtype=float, count=4 * count)
+    draws = lo + (hi - lo) * unit.reshape(count, 4).T
     state = curvature.CurvatureState(kxx=draws[0], kyy=draws[1], kxy=draws[2])
     scale = np.maximum(1.0, (draws[:3] ** 2).max(axis=0))
     circle = curvature.mohr_circle(state)

@@ -319,6 +319,40 @@ def test_generate_overflowing_parameters_exit_2_before_the_kernel(tmp_path, caps
     assert not out.exists()
 
 
+TINY_LENGTH_FLAGS = {  # L is the shape's smallest length; each flag set accepts 1e-50
+    "cylinder": ("--a={L} --alpha=0.6 --h={L}", "tube radius a"),
+    "tube": ("--a={L} --alpha=0.7 --strips=6", "tube radius a"),
+    "twisted-patch": ("--kxy=0 --a-len={L} --b-len=1e-49 --mu=0.1", "patch side a_len"),
+    "curved-crease": ("--R=1e-49 --mu=0.2 --width={L}", "strip width"),
+    "mudguard": ("--R=1e-49 --r={L} --mu=0.2", "arc radius r"),
+    "gore-sphere": ("--radius={L} --n=6", "seam radius R"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(TINY_LENGTH_FLAGS))
+def test_generate_accepts_min_length_and_refuses_less_with_exit_2(tmp_path, capsys, shape):
+    flags, name = TINY_LENGTH_FLAGS[shape]
+    out = tmp_path / "x.obj"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ShallowRegimeWarning)
+        assert run(["generate", shape, *flags.format(L="1e-50").split(), "--nu=8", "--nv=4",
+                    f"--out={out}"]) == 0
+        assert run(["analyze", "--in", f"{out}.json", f"--report={tmp_path / 'r.json'}"]) == 0
+        out.unlink()
+        capsys.readouterr()
+        assert run(["generate", shape, *flags.format(L="1e-51").split(), "--nu=8", "--nv=4",
+                    f"--out={out}"]) == 2
+    assert assert_one_line_error(capsys) == f"error: {name} must be at least 1e-50, got 1e-51\n"
+    assert not out.exists()
+
+
+def test_generate_tube_with_a_below_min_length_names_a(tmp_path, capsys):
+    out = tmp_path / "x.obj"
+    assert run(["generate", "tube", "--a=1e-300", "--alpha=0.7", "--strips=6", "--nu=8",
+                "--nv=4", f"--out={out}"]) == 2
+    assert assert_one_line_error(capsys) == "error: tube radius a must be at least 1e-50, got 1e-300\n"
+
+
 def test_analyze_sidecar_mesh_error_stays_exit_2(tmp_path, capsys, monkeypatch):
     path = tube_sidecar(tmp_path)
 

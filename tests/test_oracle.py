@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +27,15 @@ from creasegeom import (
     gen_twisted_patch,
     gen_twisted_prismatic_tube,
     mudguard_surface,
+    oracle,
     tube_spec_for_strips,
 )
+
+try:
+    from hypothesis import assume, given, settings, strategies as st
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
 
 
 # -- smooth surfaces for the Gauss map ---------------------------------------
@@ -185,6 +197,132 @@ def test_tube_generate_and_angle_defect_peak_memory():
         tracemalloc.stop()
     assert mesh.num_vertices == 190_016
     assert peak / mesh.num_vertices < PEAK_BYTES_PER_VERTEX
+
+# Growth of ru_maxrss over its post-import value when a fresh interpreter
+# generates the 12-strip 256x256 tube (756,864 vertices) and takes its
+# density, per vertex: 211-213 B measured with numpy 2.4 and glibc malloc
+# (219 B with the band built on one thread).  tracemalloc does not see
+# memory that a thread's glibc arena keeps after numpy frees it; ru_maxrss
+# does.
+PEAK_RSS_BYTES_PER_VERTEX = 235
+
+RSS_PROBE = """
+import math, resource
+from creasegeom import angle_defect, gen_twisted_prismatic_tube, tube_spec_for_strips
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+mesh = gen_twisted_prismatic_tube(tube_spec_for_strips(1.0, math.pi / 4, 12), 12, 256, 256)
+angle_defect(mesh).interior_defect_density()
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(mesh.num_vertices, (after - before) * 1024)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_tube_generate_and_density_peak_rss_in_a_fresh_interpreter():
+    env = dict(os.environ, PYTHONPATH=str(Path(oracle.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", RSS_PROBE], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    vertices, grown = map(int, proc.stdout.split())
+    assert vertices == 756_864
+    assert grown / vertices < PEAK_RSS_BYTES_PER_VERTEX
+
+
+# -- exact defect sums -------------------------------------------------------
+
+def fsum_outcome(total, values):
+    """total(values).hex(), or the type of the error it raises."""
+    try:
+        return total(values).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+GRID = 2.0 ** -50
+GUARD_CASES = [
+    [],
+    [0.0, -0.0],
+    [-0.0],
+    [GRID, -GRID],
+    [2.0 ** 11 - GRID] * 2,  # len * max just below 2**12: the int64 path
+    [2.0 ** 11] * 2,  # at 2**12: math.fsum
+    [2.0 ** 12 - GRID] * 3,  # its int64 sum would overflow
+    [2.0 ** 11, -(2.0 ** 11) + GRID],
+    [4095 * GRID, 2.0 ** 12 - GRID],
+    [0.1, 0.2, 0.3],
+    [1e300, 1e300, -1e300],
+    [1.7e308, 1.7e308],  # fsum overflows
+    [math.inf, 1.0],
+    [math.inf, -math.inf],  # fsum's invalid sum
+    [math.nan, GRID],
+    [5e-324, GRID],
+]
+
+
+@pytest.mark.parametrize("values", GUARD_CASES)
+def test_exact_sum_matches_fsum_on_guard_cases(values):
+    values = np.array(values, dtype=float)
+    assert fsum_outcome(oracle._exact_sum, values) == fsum_outcome(math.fsum, values)
+
+
+if HAVE_HYPOTHESIS:
+    ON_GRID = st.integers(-(2 ** 62), 2 ** 62).map(lambda n: n * GRID)
+    SMALL_ON_GRID = st.integers(-(2 ** 53), 2 ** 53).map(lambda n: n * GRID)  # |x| <= 8
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(SMALL_ON_GRID, ON_GRID, st.just(0.0), st.just(-0.0),
+                              st.floats(), st.floats(min_value=1e300)), max_size=60))
+    def test_exact_sum_matches_fsum_bit_for_bit(values):
+        values = np.array(values, dtype=float)
+        assert fsum_outcome(oracle._exact_sum, values) == fsum_outcome(math.fsum, values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-(2 ** 50), 2 ** 50).map(lambda n: n * GRID),
+                    min_size=1, max_size=200))
+    def test_exact_sum_of_small_grid_values_takes_the_int64_path(values):
+        values = np.array(values, dtype=float)
+        expected = math.fsum(values)
+        assume(expected != 0.0)  # a zero sum goes to fsum for its sign
+        sums = oracle.math
+        oracle.math = types.SimpleNamespace(fsum=None)
+        try:
+            got = oracle._exact_sum(values)
+        finally:
+            oracle.math = sums
+        assert got.hex() == expected.hex()
+
+
+SIX_SHAPES = {
+    "cylinder": lambda: gen_cylinder(tube_spec_for_strips(1.0, math.pi / 4, 8), 32, 6),
+    "tube": lambda: gen_twisted_prismatic_tube(
+        tube_spec_for_strips(1.0, math.pi / 4, 12), 12, 48, 48),
+    "twisted-patch": lambda: gen_twisted_patch(0.1, 1.0, 1.0, 0.2, 32, 32),
+    "curved-crease": lambda: gen_curved_crease(CreaseSpec(R=2.0, mu=0.5), 0.3, 48, 8),
+    "mudguard": lambda: gen_mudguard(MudguardSpec(R=2.0, r=0.1, mu=0.6), 48, 12),
+    "gore-sphere": lambda: gen_gore_sphere(GoreSphereSpec(R=1.0, n=8), 32, 4),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SIX_SHAPES))
+def test_defect_sums_equal_fsum(shape, monkeypatch):
+    mesh = SIX_SHAPES[shape]()
+    field = angle_defect(mesh)
+    monkeypatch.setattr(oracle, "_exact_sum", math.fsum)
+    ref = angle_defect(mesh)
+    got = [field.total_defect, field.interior_defect_density(), *field.crease_rates.values(),
+           *(field.crease_defect_total(cid) for cid in mesh.crease_polylines)]
+    want = [ref.total_defect, ref.interior_defect_density(), *ref.crease_rates.values(),
+            *(ref.crease_defect_total(cid) for cid in mesh.crease_polylines)]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_tube_interior_defects_take_the_int64_path(monkeypatch):
+    field = angle_defect(SIX_SHAPES["tube"]())
+    interior = field.defect[~field.boundary_mask]
+    assert np.array_equal(np.round(interior / GRID) * GRID, interior)  # on the 2**-50 grid
+    expected = math.fsum(interior)
+    monkeypatch.setattr(oracle, "math", types.SimpleNamespace(fsum=None))
+    assert field.total_defect.hex() == expected.hex()
+
 
 def test_twisted_patch_defect_vs_gauss_map():
     # same surface, two independent oracles

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -147,6 +149,30 @@ def test_generators_accept_max_length_and_refuse_more(build):
     angle_defect(build(surfaces.MAX_LENGTH))  # no overflow inside the kernel either
     with pytest.raises(ParameterError, match="must be finite and at most 1e\\+50"):
         build(surfaces.MAX_LENGTH * 10)
+
+
+@pytest.mark.parametrize("build", [
+    lambda L: gen_cylinder(TubeSpec(a=L, alpha=0.6, h=L / 10), 8, 4),
+    lambda L: gen_twisted_prismatic_tube(tube_spec_for_strips(L, 0.6, 6), 6, 8, 4),
+    lambda L: gen_twisted_patch(0.1 / L, L, L, 0.0, 8, 8),
+    lambda L: gen_curved_crease(CreaseSpec(R=10 * L, mu=0.2), L, 8, 4),
+    lambda L: gen_mudguard(MudguardSpec(R=10 * L, r=L, mu=0.2), 8, 4),
+    lambda L: gen_gore_sphere(GoreSphereSpec(R=L, n=6), 8, 4),
+], ids=["cylinder", "tube", "twisted-patch", "curved-crease", "mudguard", "gore-sphere"])
+def test_generators_accept_min_length_and_refuse_less(build):
+    angle_defect(build(surfaces.MIN_LENGTH))  # nothing underflows inside the kernel
+    with pytest.raises(ParameterError, match="must be at least 1e-50, got 1e-51"):
+        build(surfaces.MIN_LENGTH / 10)
+
+
+def test_tiny_lengths_that_must_be_positive_are_refused_and_zero_height_is_not():
+    with pytest.raises(ParameterError, match="strip width must be at least 1e-50"):
+        gen_curved_crease(CreaseSpec(R=1.0, mu=0.2), 1e-60, 8, 4)
+    with pytest.raises(ParameterError, match="arc radius r must be at least 1e-50"):
+        gen_mudguard(MudguardSpec(R=1.0, r=1e-60, mu=0.2), 8, 4)
+    with pytest.raises(ParameterError, match="patch side b_len must be at least 1e-50"):
+        gen_twisted_patch(0.1, 1.0, 1e-300, 0.0, 8, 8)
+    angle_defect(gen_twisted_patch(0.0, 1.0, 1.0, 0.0, 8, 8))  # corner height 0
 
 
 # -- curved crease -----------------------------------------------------------
@@ -489,3 +515,61 @@ def test_grid_triangles_matches_reference_on_ties(flip):
     main = [[0, 6, 7], [0, 7, 1]]
     got = surfaces._grid_triangles(ids[:2, :2], square[:2, :2], flip).tolist()
     assert got == ([t[::-1] for t in main] if flip else main)
+
+
+# -- the band's strips on two threads ----------------------------------------
+
+@pytest.mark.parametrize("strip_cells", [1, 5 * 64, 1 << 14])
+@pytest.mark.parametrize("shape", ["cylinder-8-lines", "tube-12-strips-64"])
+def test_threaded_band_in_blocks_matches_stacking_reference(shape, strip_cells, monkeypatch):
+    monkeypatch.setattr(surfaces, "_THREADED_VERTICES", 0)
+    monkeypatch.setattr(surfaces, "_STRIP_CELLS", strip_cells)  # 2, 5 or all rows a block
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the two threads trade the GIL as often as they can
+    try:
+        mesh = BUILT[shape]()
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(surfaces, "_grid_triangles", reference_grid_triangles)
+    monkeypatch.setattr(surfaces, "_helical_band", reference_helical_band)
+    ref = BUILT[shape]()
+    for name in ("vertices", "triangles", "vertex_tags"):
+        assert np.array_equal(getattr(mesh, name), getattr(ref, name)), name
+
+
+def band_threads(monkeypatch, build):
+    """The threads that triangulate the strips of build()."""
+    seen = set()
+    triangulate = surfaces._grid_triangles
+
+    def recorded(*args, **kwargs):
+        seen.add(threading.current_thread())
+        return triangulate(*args, **kwargs)
+
+    monkeypatch.setattr(surfaces, "_grid_triangles", recorded)
+    build()
+    return seen
+
+
+def test_large_bands_fill_strips_on_two_threads_and_small_ones_on_one(monkeypatch):
+    build = BUILT["tube-12-strips-64"]
+    assert band_threads(monkeypatch, build) == {threading.current_thread()}
+    monkeypatch.setattr(surfaces, "_THREADED_VERTICES", 0)
+    threads = band_threads(monkeypatch, build)
+    assert len(threads) == 2 and threading.current_thread() in threads
+
+
+def test_strip_worker_exception_propagates_and_the_thread_is_joined(monkeypatch):
+    triangulate = surfaces._grid_triangles
+
+    def failing(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("no room for a strip")
+        return triangulate(*args, **kwargs)
+
+    monkeypatch.setattr(surfaces, "_THREADED_VERTICES", 0)
+    monkeypatch.setattr(surfaces, "_grid_triangles", failing)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="no room for a strip"):
+        gen_twisted_prismatic_tube(tube_spec_for_strips(1.0, math.pi / 4, 12), 12, 24, 24)
+    assert threading.active_count() == before

@@ -258,6 +258,21 @@ def test_topology_faults_are_raised_before_degenerate_triangles():
         fan.validate()
 
 
+def test_repeated_directed_edge_that_sorts_last_is_a_winding_fault():
+    # edge 2->3 in both triangles: the largest packed key, twice, at the end
+    mesh = TriMesh(
+        vertices=np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], float),
+        triangles=np.array([[0, 2, 3], [1, 2, 3]]),
+        vertex_tags=None,
+    )
+    keys = np.empty(6, dtype=np.int64)
+    trimesh._pack_edge_keys(mesh.triangles, 4, keys.reshape(2, 3))
+    keys.sort()
+    assert keys[-1] == keys[-2] and len(np.unique(keys)) == 5
+    with pytest.raises(OrientationError, match="repeated directed edge"):
+        mesh.validate()
+
+
 def test_index_range_is_checked_before_any_gather(monkeypatch):
     def gather(*args):
         raise AssertionError("vertices gathered before the index range check")
