@@ -43,7 +43,7 @@ print(
 print("\ngore sphere: seam totals approach 4 pi = 12.56637061 from below")
 print(f"{'n':>6} {'seam total':>13} {'deficit':>11} {'mesh total':>13}")
 for n in (6, 12, 24, 48):
-    total = gore_sphere_total(GoreSphereSpec(R=1.0, n=n))
+    total = gore_sphere_total(GoreSphereSpec(R=1.0, n=n)).value
     mesh = gen_gore_sphere(GoreSphereSpec(R=1.0, n=n), 32, 4)
     mesh_total = angle_defect(mesh).total_defect
     print(

@@ -30,6 +30,8 @@ EXIT_INPUT_FORMAT = 3
 EXIT_BROKEN_PIPE = 141
 
 ANGLE_PARAMS = {"alpha", "mu"}
+# Rows are held until the CSV is written, about 0.4 kB each: 40 MB at the cap.
+_MAX_SWEEP_STEPS = 100_000
 
 
 def _write_json(path, payload) -> None:
@@ -127,7 +129,7 @@ SHAPES = {
         lambda p: surfaces.GoreSphereSpec(R=p["radius"], n=p["n"]),
         lambda s, p: surfaces.gen_gore_sphere(s, p["nu"], p["nv"]),
         lambda s, p: {
-            "seam_total_solid_angle": quadrature.gore_sphere_total(s),
+            "seam_total_solid_angle": quadrature.gore_sphere_total(s).value,
             "gauss_bonnet_total": 4.0 * math.pi,
         },
     ),
@@ -314,17 +316,19 @@ def _parse_range(text: str, integral: bool):
         lo, hi, steps = float(lo_s), float(hi_s), int(steps_s)
     except ValueError:
         raise ParameterError(f"range must be lo:hi:steps, got {text!r}") from None
-    if steps < 2 or hi <= lo:
-        raise ParameterError(f"range needs hi > lo and steps >= 2, got {text!r}")
+    if not 2 <= steps <= _MAX_SWEEP_STEPS or hi <= lo:
+        raise ParameterError(f"range needs hi > lo and 2 <= steps <= {_MAX_SWEEP_STEPS}: {text!r}")
     values = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    if not all(map(math.isfinite, values)):  # nan or inf ends, or (hi - lo) * i overflowed
+        raise ParameterError(f"range needs finite values, got {text!r}")
     if integral:
         values = sorted({int(round(v)) for v in values})
     return values
 
 
-def _mudguard_row(c: dict):
-    total = quadrature.mudguard_total(surfaces.MudguardSpec(R=c["R"], r=c["r"], mu=c["mu"]))
-    return total.closed_form, total.by_quadrature.value, total.residual
+def _mudguard_columns(specs: list):
+    total = quadrature.mudguard_total(specs)
+    return [x.tolist() for x in (total.closed_form, total.by_quadrature.value, total.residual)]
 
 
 def _alpha_row(c: dict):
@@ -340,34 +344,39 @@ def _h_row(c: dict):
     return rep.strip_term, rep.crease_term, rep.residual, rep.relative_residual
 
 
-def _crease_mudguard_row(c: dict):
-    rate = creases.crease_specific_curvature(creases.CreaseSpec(R=c["R"], mu=c["mu"]))
-    return (rate, *_mudguard_row(c))
+def _crease_mudguard_rows(cs):
+    rates, specs = [], []
+    for c in cs:
+        rates.append(creases.crease_specific_curvature(creases.CreaseSpec(R=c["R"], mu=c["mu"])))
+        specs.append(surfaces.MudguardSpec(R=c["R"], r=c["r"], mu=c["mu"]))
+    return zip(rates, *_mudguard_columns(specs))
 
 
-def _r_row(c: dict):
-    return (*_mudguard_row(c), 4.0 * math.pi * math.sin(c["mu"]))
+def _r_rows(cs):
+    specs = [surfaces.MudguardSpec(R=c["R"], r=c["r"], mu=c["mu"]) for c in cs]
+    return zip(*_mudguard_columns(specs), (4.0 * math.pi * math.sin(s.mu) for s in specs))
 
 
-def _n_row(c: dict):
-    total = quadrature.gore_sphere_total(surfaces.GoreSphereSpec(R=c["R"], n=c["n"]))
-    return total, 4.0 * math.pi - total
+def _n_rows(cs):
+    total = quadrature.gore_sphere_total([surfaces.GoreSphereSpec(c["R"], c["n"]) for c in cs])
+    return zip(total.value.tolist(), (4.0 * math.pi - total.value).tolist())
 
 
 _CREASE_MUDGUARD = ("crease_specific_curvature", "mudguard_closed_form",
                     "mudguard_quadrature", "residual")
 
-# Swept parameter -> (CSV columns after the swept value, row function).  A row
-# function takes the sweep context with the swept value substituted in.
+# Swept parameter -> (CSV columns after the swept value, rows function).  A rows
+# function maps the sweep contexts, one per value, to rows, in one batch.
 SWEEPS = {
     "alpha": (("strip_specific_curvature", "gaussian_curvature", "mohr_center",
-               "mohr_radius"), _alpha_row),
-    "h": (("strip_term", "crease_term", "residual", "relative_residual"), _h_row),
-    "mu": (_CREASE_MUDGUARD, _crease_mudguard_row),
-    "R": (_CREASE_MUDGUARD, _crease_mudguard_row),
+               "mohr_radius"), lambda cs: map(_alpha_row, cs)),
+    "h": (("strip_term", "crease_term", "residual", "relative_residual"),
+          lambda cs: map(_h_row, cs)),
+    "mu": (_CREASE_MUDGUARD, _crease_mudguard_rows),
+    "R": (_CREASE_MUDGUARD, _crease_mudguard_rows),
     "r": (("mudguard_closed_form", "mudguard_quadrature", "residual",
-           "limit_4pi_sin_mu"), _r_row),
-    "n": (("gore_total", "deficit_from_4pi"), _n_row),
+           "limit_4pi_sin_mu"), _r_rows),
+    "n": (("gore_total", "deficit_from_4pi"), _n_rows),
 }
 
 # Sweep context flags and their defaults.
@@ -384,15 +393,15 @@ def cmd_sweep(args) -> int:
         else getattr(args, name)
         for name in SWEEP_CONTEXT
     }
-    columns, row_of = SWEEPS[args.param]
+    columns, rows_of = SWEEPS[args.param]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ShallowRegimeWarning)
-        rows = [[value, *row_of({**ctx, args.param: value})] for value in values]
+        rows = list(zip(values, rows_of({**ctx, args.param: value} for value in values)))
     with open(args.csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([args.param, *columns])
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        for value, row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in (value, *row)])
     print(f"wrote {len(rows)} rows to {args.csv}")
     return EXIT_OK
 

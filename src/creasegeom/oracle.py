@@ -149,12 +149,11 @@ class GaussMapResult:
     nv: int
 
 
-def _eval_surface(fn: Callable, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    out = np.asarray(fn(U, V), dtype=float)
-    if out.shape != U.shape + (3,):
-        raise ParameterError(
-            f"surface function returned shape {out.shape}, expected {U.shape + (3,)}"
-        )
+def _eval_surface(fn: Callable, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    out = np.asarray(fn(u, v), dtype=float)
+    shape = np.broadcast_shapes(u.shape, v.shape) + (3,)
+    if out.shape != shape:
+        raise ParameterError(f"surface function returned shape {out.shape}, expected {shape}")
     return out
 
 
@@ -167,9 +166,9 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_normals(fn, U, V, hu, hv) -> np.ndarray:
-    su = _eval_surface(fn, U + hu, V) - _eval_surface(fn, U - hu, V)
-    sv = _eval_surface(fn, U, V + hv) - _eval_surface(fn, U, V - hv)
+def _grid_normals(fn, u, v, hu, hv) -> np.ndarray:
+    su = _eval_surface(fn, u + hu, v) - _eval_surface(fn, u - hu, v)
+    sv = _eval_surface(fn, u, v + hv) - _eval_surface(fn, u, v - hv)
     n = _cross(su, sv)
     norm = np.linalg.norm(n, axis=-1, keepdims=True)
     if np.any(norm < 1e-300) or not np.all(np.isfinite(norm)):
@@ -206,10 +205,12 @@ def gauss_map_integrate(
 ) -> GaussMapResult:
     """Signed area swept on the unit sphere by the normals of fn over region.
 
-    Normals come from central differences with step 1e-5 of the parameter
-    span; the swept area is tiled with spherical quads.  The same sum on the
-    half- and quarter-resolution subgrids gives a Richardson error estimate
-    and an O(h^2) convergence check.
+    fn(u, v) takes a (nu+1, 1) column of u and a (1, nv+1) row of v and
+    returns the (nu+1, nv+1, 3) points of their broadcast grid, as elementwise
+    numpy code does.  Normals come from central differences with step 1e-5 of
+    the parameter span; the swept area is tiled with spherical quads.  The
+    same sum on the half- and quarter-resolution subgrids gives a Richardson
+    error estimate and an O(h^2) convergence check.
     """
     u0, u1, v0, v1 = region
     if not (u1 > u0 and v1 > v0):
@@ -220,10 +221,9 @@ def gauss_map_integrate(
     nv += (-nv) % 4
     hu = GAUSS_MAP_STEP_FACTOR * (u1 - u0)
     hv = GAUSS_MAP_STEP_FACTOR * (v1 - v0)
-    U, V = np.meshgrid(
-        np.linspace(u0, u1, nu + 1), np.linspace(v0, v1, nv + 1), indexing="ij"
-    )
-    normals = _grid_normals(fn, U, V, hu, hv)
+    u = np.linspace(u0, u1, nu + 1)[:, None]
+    v = np.linspace(v0, v1, nv + 1)[None, :]
+    normals = _grid_normals(fn, u, v, hu, hv)
 
     fine = _swept_area(normals)
     half = _swept_area(normals[::2, ::2])

@@ -186,6 +186,63 @@ def test_sweep_bad_range_exit_2(tmp_path, capsys):
                 "--csv", tmp_path / "x.csv"]) == 2
 
 
+@pytest.mark.parametrize("text", ["nan:1:5", "0:inf:5", "0.1:1e308:3", "-1e308:1e308:4"])
+@pytest.mark.parametrize("param", sorted(cli.SWEEPS))
+def test_sweep_non_finite_range_exit_2(tmp_path, capsys, param, text):
+    csv_path = tmp_path / "x.csv"
+    assert run(["sweep", "--param", param, f"--range={text}", "--csv", csv_path]) == 2
+    assert "range" in assert_one_line_error(capsys)
+    assert not csv_path.exists()
+
+
+def test_sweep_step_cap_exit_2_before_any_value(tmp_path, capsys):
+    import tracemalloc
+
+    for steps in (cli._MAX_SWEEP_STEPS + 1, 10**8):
+        tracemalloc.start()
+        try:
+            code = run(["sweep", "--param", "alpha", "--range", f"0:1:{steps}",
+                        "--csv", tmp_path / "x.csv"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"steps <= {cli._MAX_SWEEP_STEPS}" in assert_one_line_error(capsys)
+        assert peak < 400_000  # the cap's value list alone would take about 3 MB
+
+
+def test_sweep_n_above_int64_keeps_exact_gore_counts(tmp_path, capsys):
+    csv_path = tmp_path / "n.csv"
+    assert run(["sweep", "--param", "n", "--range", "3:1e19:3", "--csv", csv_path]) == 0
+    assert csv_path.read_text().splitlines()[1:] == [
+        "3,11.100878286527239,1.4654923278319334",
+        "5000000000000000000,12.557390257554681,0.008980356804491052",
+        "10000000000000000000,12.557390257554681,0.008980356804491052",
+    ]
+
+
+@pytest.mark.parametrize("param, text", [("n", "3:2002:2000"), ("mu", "0.05:1.05:2000")])
+def test_quadrature_sweep_batches_its_rows(tmp_path, capsys, monkeypatch, param, text):
+    # About 260k (n) and 130k (mu) integrand calls when each row runs its
+    # own quadrature; one batched call makes one per refinement level.
+    from creasegeom import quadrature
+
+    calls = 0
+    simpson = quadrature._simpson
+
+    def counting(f, *args):
+        def counted(*a):
+            nonlocal calls
+            calls += 1
+            return f(*a)
+        return simpson(counted, *args)
+
+    monkeypatch.setattr(quadrature, "_simpson", counting)
+    assert run(["sweep", "--param", param, "--range", text,
+                "--csv", tmp_path / "x.csv"]) == 0
+    assert 0 < calls <= 60
+
+
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

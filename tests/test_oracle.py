@@ -399,3 +399,27 @@ def test_gauss_map_rejects_degenerate_and_bad_region():
     )
     with pytest.raises(ParameterError, match="degenerate"):
         gauss_map_integrate(flat, (0.0, 1.0, 0.0, 1.0), 16, 16)
+
+
+@pytest.mark.parametrize("surface, region", [
+    (mudguard_surface(MudguardSpec(R=10.0, r=0.1, mu=0.2)), (0.0, 2 * math.pi, -0.2, 0.2)),
+    (sphere_surface(1.0), (0.0, 2 * math.pi, -1.5, 1.5)),
+    (twisted_patch_surface(0.2), (-0.5, 0.5, -0.5, 0.5)),
+], ids=["mudguard", "sphere", "twisted-patch"])
+def test_axis_normals_equal_meshgrid_normals(surface, region):
+    u0, u1, v0, v1 = region
+    u, v = np.linspace(u0, u1, 65), np.linspace(v0, v1, 33)
+    hu, hv = 1e-5 * (u1 - u0), 1e-5 * (v1 - v0)
+    U, V = np.meshgrid(u, v, indexing="ij")
+    grid = oracle._grid_normals(surface, U, V, hu, hv)
+    axes = oracle._grid_normals(surface, u[:, None], v[None, :], hu, hv)
+    assert axes.shape == (65, 33, 3)
+    assert np.array_equal(axes, grid)
+
+
+def test_gauss_map_rejects_surface_of_wrong_shape():
+    sphere = sphere_surface(1.0)
+    for fn in (lambda u, v: sphere(u, 0.0 * u),  # ignores v: a column only
+               lambda u, v: sphere(u, v)[..., :2]):
+        with pytest.raises(ParameterError, match="shape"):
+            gauss_map_integrate(fn, (0.0, 1.0, 0.0, 1.0), 16, 16)
