@@ -12,6 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MeshError, ParameterError, ResolutionError
+from .surfaces import _check_size
 from .trimesh import TAG_INTERIOR, TriMesh
 
 GAUSS_MAP_STEP_FACTOR = 1e-5
@@ -34,8 +35,8 @@ class DefectField:
                   chain endpoints excluded
     euler_characteristic  V - E + T of the mesh
 
-    Defect sums are exact: each is the correctly rounded sum of its terms,
-    from one int64 pass or from math.fsum, which give the same value.
+    Defect sums are exact: _exact_sum's int64 limb sums and math.fsum give
+    the same correctly rounded sum of the terms.
     """
 
     defect: np.ndarray
@@ -63,25 +64,35 @@ class DefectField:
         return _exact_sum(self.defect[sel])
 
 
-# 2*pi minus an angle sum in [4, 8), the defect of an interior vertex, is
-# exact (Sterbenz) and, like both terms, an integer multiple of 2**-50.
-_DEFECT_SCALE = 2.0 ** 50
-
-
 def _exact_sum(values: np.ndarray) -> float:
-    """math.fsum(values), bit for bit.  When every value is a multiple of
-    2**-50 and len * max|value| < 2**12, the values times 2**50 are integers
-    whose int64 sum cannot overflow (|sum| < 2**62), and float(sum) / 2**50 is
-    the correctly rounded exact sum, which fsum also returns.  Other inputs
-    (off the grid, huge, nan or inf) and a zero sum, whose sign fsum sets,
-    go to math.fsum."""
-    if len(values) and len(values) * float(max(values.max(), -values.min())) < 2.0 ** 12:
-        scaled = values * _DEFECT_SCALE
-        ints = scaled.astype(np.int64)
-        if np.array_equal(ints, scaled):
-            total = int(ints.sum())
-            if total:
-                return total / _DEFECT_SCALE
+    """math.fsum(values), bit for bit, from int64 limb sums.  A limb holds
+    width = 63 - len(values).bit_length() bits, so no column sum overflows.
+    For 1, 2 or 3 limbs, a power of two scales the largest magnitude to just
+    below 2**(limbs * width); if every scaled value is then an integer, trunc
+    splits it exactly into limbs, their sums make the exact total as a Python
+    int, and one correctly rounded int / int division gives fsum's value.
+    Defects (on the 2**-50 grid) take one limb while len * max|value| < 2**12.
+    Empty, zero-sum (fsum sets its sign), nan or inf input, and bits spread
+    over more than three limbs, go to math.fsum."""
+    n = len(values)
+    top = float(max(values.max(), -values.min())) if n else 0.0
+    if 0.0 < top < np.inf:
+        width = 63 - n.bit_length()  # n * 2**width <= 2**63
+        top_exp = int(np.frexp(top)[1])  # top < 2**top_exp
+        for limbs in (1, 2, 3):
+            shift = limbs * width - top_exp
+            if shift < 0 or not np.ldexp(top, shift).is_integer():
+                continue  # top alone rules this window out
+            rest = np.ldexp(values, shift)  # |rest| < 2**(limbs * width)
+            total = 0
+            for k in range(limbs - 1, 0, -1):
+                limb = (rest * 2.0 ** (-k * width)).astype(np.int64)
+                rest -= limb * 2.0 ** (k * width)  # exact: the bits of rest below limb
+                total += int(limb.sum()) << (k * width)
+            ints = rest.astype(np.int64)
+            if np.array_equal(ints, rest):
+                total += int(ints.sum())
+                return total / (1 << shift) if total else math.fsum(values)  # fsum signs a 0
     return math.fsum(values)
 
 
@@ -149,100 +160,97 @@ class GaussMapResult:
     nv: int
 
 
-def _eval_surface(fn: Callable, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = np.asarray(fn(u, v), dtype=float)
-    shape = np.broadcast_shapes(u.shape, v.shape) + (3,)
-    if out.shape != shape:
-        raise ParameterError(f"surface function returned shape {out.shape}, expected {shape}")
-    return out
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over (3, ...) component planes, summed (p0 + p2) + p1 as numpy's
+    einsum("...i,...i->...") sums three terms, so dot(a, b) == dot(b, a)."""
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b over the last axis, each component a1*b2 - a2*b1 (and its
-    cyclic shifts) as np.cross computes it, without its axis moves."""
+    """a x b over (3, ...) component planes, a1*b2 - a2*b1 etc. as np.cross."""
     out = np.empty(np.broadcast_shapes(a.shape, b.shape))
     for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.subtract(a[..., i] * b[..., j], a[..., j] * b[..., i], out=out[..., k])
+        np.subtract(a[i] * b[j], a[j] * b[i], out=out[k])
     return out
 
 
+def _row_blocks(rows: int, cols: int):  # ~2**15 elements: a block's temporaries stay in cache
+    step = max(1, (1 << 15) // cols)
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
 def _grid_normals(fn, u, v, hu, hv) -> np.ndarray:
-    su = _eval_surface(fn, u + hu, v) - _eval_surface(fn, u - hu, v)
-    sv = _eval_surface(fn, u, v + hv) - _eval_surface(fn, u, v - hv)
-    n = _cross(su, sv)
-    norm = np.linalg.norm(n, axis=-1, keepdims=True)
-    if np.any(norm < 1e-300) or not np.all(np.isfinite(norm)):
-        raise ParameterError("degenerate surface normal in the requested region")
-    return n / norm
+    """Unit normals of fn at the grid of u and v as (3, ...) component planes,
+    from central differences; they overwrite the planes of su."""
+    def planes(u, v):  # fn's points as strided (3, ...) views
+        out = np.asarray(fn(u, v), dtype=float)
+        shape = np.broadcast_shapes(u.shape, v.shape) + (3,)
+        if out.shape != shape:
+            raise ParameterError(f"surface function returned shape {out.shape}, expected {shape}")
+        return np.moveaxis(out, -1, 0)
+
+    su = np.subtract(planes(u + hu, v), planes(u - hu, v), order="C")
+    sv = np.subtract(planes(u, v + hv), planes(u, v - hv), order="C")
+    for rows in _row_blocks(su.shape[1], su.shape[2]):
+        n = _cross(su[:, rows], sv[:, rows])
+        norm = np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])  # np.linalg.norm's order
+        if np.any(norm < 1e-300) or not np.all(np.isfinite(norm)):
+            raise ParameterError("degenerate surface normal in the requested region")
+        np.divide(n, norm, out=su[:, rows])
+    return su
 
 
-def _tri_solid_angles(a, b, c) -> np.ndarray:
-    """Signed solid angles of spherical triangles with unit-vector corners."""
-    num = np.einsum("...i,...i->...", a, _cross(b, c))
-    den = (
-        1.0
-        + np.einsum("...i,...i->...", a, b)
-        + np.einsum("...i,...i->...", b, c)
-        + np.einsum("...i,...i->...", c, a)
-    )
-    return 2.0 * np.arctan2(num, den)
+def _swept_area(n: np.ndarray) -> float:
+    """Signed area of the quads of unit normal planes n, split into triangles
+    (n00, n10, n11) and (n00, n11, n01): 2 atan2(a . b x c, 1 + a.b + b.c + c.a)
+    each, with every a.b from one of three edge grids (vertical, horizontal,
+    diagonal) in einsum's order."""
+    cells = np.empty((n.shape[1] - 1, n.shape[2] - 1))
+    for rows in _row_blocks(*cells.shape):
+        m = n[:, rows.start:rows.stop + 1]
+        n00, n10, n11, n01 = m[:, :-1, :-1], m[:, 1:, :-1], m[:, 1:, 1:], m[:, :-1, 1:]
+        vert = _dot(m[:, :-1], m[:, 1:])
+        horiz = _dot(m[:, :, :-1], m[:, :, 1:])
+        diag = _dot(n00, n11)
+        lower = np.arctan2(_dot(n00, _cross(n10, n11)), 1.0 + vert[:, :-1] + horiz[1:] + diag)
+        upper = np.arctan2(_dot(n00, _cross(n11, n01)), 1.0 + diag + vert[:, 1:] + horiz[:-1])
+        np.add(2.0 * lower, 2.0 * upper, out=cells[rows])
+    return _exact_sum(cells.ravel())
 
 
-def _swept_area(normals: np.ndarray) -> float:
-    n00 = normals[:-1, :-1]
-    n10 = normals[1:, :-1]
-    n11 = normals[1:, 1:]
-    n01 = normals[:-1, 1:]
-    cells = _tri_solid_angles(n00, n10, n11) + _tri_solid_angles(n00, n11, n01)
-    return float(math.fsum(cells.ravel()))
-
-
-def gauss_map_integrate(
-    fn: Callable,
-    region: tuple[float, float, float, float],
-    nu: int = 128,
-    nv: int = 128,
-) -> GaussMapResult:
+def gauss_map_integrate(fn: Callable, region: tuple[float, float, float, float],
+                        nu: int = 128, nv: int = 128) -> GaussMapResult:
     """Signed area swept on the unit sphere by the normals of fn over region.
 
     fn(u, v) takes a (nu+1, 1) column of u and a (1, nv+1) row of v and
     returns the (nu+1, nv+1, 3) points of their broadcast grid, as elementwise
     numpy code does.  Normals come from central differences with step 1e-5 of
-    the parameter span; the swept area is tiled with spherical quads.  The
-    same sum on the half- and quarter-resolution subgrids gives a Richardson
-    error estimate and an O(h^2) convergence check.
-    """
+    the parameter span, as component planes.  The swept area is tiled with
+    spherical quads, and their cells are summed exactly.  The same sum on the
+    half- and quarter-resolution subgrids gives a Richardson error estimate
+    and an O(h^2) convergence check.  Before any array is built, an empty or
+    non-finite region raises ParameterError, and nu or nv that is not an int
+    or is below 4 (bools are), or a grid of more than surfaces.MAX_VERTICES
+    points once both are rounded up to multiples of 4, raises ResolutionError."""
     u0, u1, v0, v1 = region
     if not (u1 > u0 and v1 > v0):
         raise ParameterError(f"empty parameter region {region}")
-    if nu < 4 or nv < 4:
-        raise ResolutionError(f"need nu, nv >= 4, got ({nu}, {nv})")
-    nu += (-nu) % 4  # subsampling below needs multiples of 4
-    nv += (-nv) % 4
-    hu = GAUSS_MAP_STEP_FACTOR * (u1 - u0)
-    hv = GAUSS_MAP_STEP_FACTOR * (v1 - v0)
+    if not (math.isfinite(u1 - u0) and math.isfinite(v1 - v0)):
+        raise ParameterError(f"parameter region {region} is not finite")
+    if not all(isinstance(k, (int, np.integer)) and k >= 4 for k in (nu, nv)):  # a bool is below 4
+        raise ResolutionError(f"nu and nv must be integers >= 4, got ({nu!r}, {nv!r})")
+    nu, nv = (int(k) + -int(k) % 4 for k in (nu, nv))  # subsampling needs multiples of 4
+    _check_size((nu + 1) * (nv + 1))
+    hu, hv = GAUSS_MAP_STEP_FACTOR * (u1 - u0), GAUSS_MAP_STEP_FACTOR * (v1 - v0)
     u = np.linspace(u0, u1, nu + 1)[:, None]
     v = np.linspace(v0, v1, nv + 1)[None, :]
     normals = _grid_normals(fn, u, v, hu, hv)
-
     fine = _swept_area(normals)
-    half = _swept_area(normals[::2, ::2])
-    quarter = _swept_area(normals[::4, ::4])
+    normals = np.ascontiguousarray(normals[:, ::2, ::2])  # subgrids read faster as copies
+    half = _swept_area(normals)
+    quarter = _swept_area(np.ascontiguousarray(normals[:, ::2, ::2]))
 
-    scale = max(1.0, abs(fine))
-    d1 = fine - half
-    d2 = half - quarter
-    err = abs(d1) / 3.0  # O(h^2) tiling => halving the grid quarters the error
-    if abs(d1) < 1e-13 * scale:
-        converged = True
-    else:
-        ratio = abs(d2) / abs(d1)
-        converged = 2.0 <= ratio <= 8.0
-    return GaussMapResult(
-        value=fine,
-        extrapolated=fine + d1 / 3.0,
-        error_estimate=err,
-        converged=converged,
-        nu=nu,
-        nv=nv,
-    )
+    d1, d2 = fine - half, half - quarter  # O(h^2) tiling: halving the grid quarters the error
+    converged = abs(d1) < 1e-13 * max(1.0, abs(fine)) or 2.0 <= abs(d2) / abs(d1) <= 8.0
+    return GaussMapResult(value=fine, extrapolated=fine + d1 / 3.0, error_estimate=abs(d1) / 3.0,
+                          converged=converged, nu=nu, nv=nv)

@@ -61,10 +61,10 @@ def _check_length(name: str, value: float, positive: bool = True) -> None:
 
 
 def _check_size(num_vertices: int) -> None:
-    """ResolutionError if a generator's mesh would exceed MAX_VERTICES; the
-    generators call it with their exact vertex count before building arrays."""
+    """ResolutionError if a mesh or a Gauss-map grid would exceed MAX_VERTICES;
+    callers pass their exact vertex count before building arrays."""
     if num_vertices > MAX_VERTICES:
-        raise ResolutionError(f"nu and nv give a mesh of {num_vertices} vertices, "
+        raise ResolutionError(f"nu and nv give {num_vertices} vertices, "
                               f"over the limit of {MAX_VERTICES}")
 
 

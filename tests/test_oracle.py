@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,6 +17,7 @@ from creasegeom import (
     MudguardSpec,
     OrientationError,
     ParameterError,
+    ResolutionError,
     TriMesh,
     angle_defect,
     crease_specific_curvature,
@@ -28,8 +30,10 @@ from creasegeom import (
     gen_twisted_prismatic_tube,
     mudguard_surface,
     oracle,
+    surfaces,
     tube_spec_for_strips,
 )
+from creasegeom.verify import CANONICAL_MUDGUARD
 
 try:
     from hypothesis import assume, given, settings, strategies as st
@@ -255,6 +259,18 @@ GUARD_CASES = [
     [math.inf, -math.inf],  # fsum's invalid sum
     [math.nan, GRID],
     [5e-324, GRID],
+    [0.1, 0.7, -0.3, 1.0 / 3.0],  # off the grid: three limbs
+    [1.0 / 3.0, -1.0 / 3.0 + 2.0 ** -60],  # cancels to a tiny total
+    [math.pi, -math.pi, 1e-300],
+    [1.0 + 2.0 ** -52, (1.0 + 2.0 ** -52) * 2.0 ** -67],  # 2**67 apart
+    [1.0 + 2.0 ** -52, (1.0 + 2.0 ** -52) * 2.0 ** -131],  # past three limbs: fsum
+    [1.0, 2.0 ** -200, -1.0],
+    [2.0 ** 1000, -(2.0 ** 1000), 3.0],
+    [5e-324, -1e-323, 2.5e-323],  # subnormals only
+    [2.2250738585072014e-308, -4.9e-324],  # smallest normal and a subnormal
+    [1e-310, 1e-310 * 3],
+    [2.0 ** 62, 2.0 ** 62],
+    [2.0 ** 200, 3.0 * 2.0 ** 150],
 ]
 
 
@@ -268,11 +284,23 @@ if HAVE_HYPOTHESIS:
     ON_GRID = st.integers(-(2 ** 62), 2 ** 62).map(lambda n: n * GRID)
     SMALL_ON_GRID = st.integers(-(2 ** 53), 2 ** 53).map(lambda n: n * GRID)  # |x| <= 8
 
+    OFF_GRID = st.floats(-1e6, 1e6)
+    SUBNORMAL = st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.one_of(SMALL_ON_GRID, ON_GRID, st.just(0.0), st.just(-0.0),
-                              st.floats(), st.floats(min_value=1e300)), max_size=60))
+    @given(st.lists(st.one_of(SMALL_ON_GRID, ON_GRID, OFF_GRID, SUBNORMAL, st.just(0.0),
+                              st.just(-0.0), st.floats(), st.floats(min_value=1e300)),
+                    max_size=60))
     def test_exact_sum_matches_fsum_bit_for_bit(values):
         values = np.array(values, dtype=float)
+        assert fsum_outcome(oracle._exact_sum, values) == fsum_outcome(math.fsum, values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(OFF_GRID, SMALL_ON_GRID), min_size=1, max_size=40),
+           st.one_of(st.floats(-1e-9, 1e-9), SUBNORMAL))
+    def test_exact_sum_matches_fsum_when_terms_cancel(terms, residue):
+        # the terms and their negations cancel exactly: the total is the residue
+        values = np.array(terms + [residue] + [-x for x in reversed(terms)])
         assert fsum_outcome(oracle._exact_sum, values) == fsum_outcome(math.fsum, values)
 
     @settings(max_examples=200, deadline=None)
@@ -289,6 +317,43 @@ if HAVE_HYPOTHESIS:
         finally:
             oracle.math = sums
         assert got.hex() == expected.hex()
+
+
+def exact_sum_without_fsum(values):
+    """oracle._exact_sum(values) with math.fsum stubbed: None where it falls
+    back to fsum."""
+    sums = oracle.math
+    oracle.math = types.SimpleNamespace(fsum=lambda values: None)
+    try:
+        return oracle._exact_sum(values)
+    finally:
+        oracle.math = sums
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 2 ** 16 - 1, 2 ** 16])
+def test_exact_sum_window_is_three_limbs_of_the_length_s_width(n):
+    # limbs hold 63 - n.bit_length() bits; 1 + 2**-52 has bits down to 2**-52
+    # and is below 2**1, so a value 2**-k times it fits three limbs up to
+    # k = 3 * width - 53
+    width = 63 - n.bit_length()
+    full = 1.0 + 2.0 ** -52
+    for k, fits in ((3 * width - 53, True), (3 * width - 52, False)):
+        values = np.zeros(n)
+        values[0], values[-1] = full, -full * 2.0 ** -k
+        got = exact_sum_without_fsum(values)
+        assert (got is not None) == fits
+        if fits:
+            assert got.hex() == math.fsum(values).hex()
+
+
+@pytest.mark.parametrize("n", [2 ** 17 - 1, 2 ** 17])
+def test_exact_sum_limb_columns_at_the_width_limit(n):
+    # 1 - 2**-53 needs two limbs whose top one is all ones: 2**17 - 1 of them
+    # sum to just below 2**63 at width 46, and 2**17 get width 45
+    for value in (1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53)):
+        values = np.full(n, value)
+        got = exact_sum_without_fsum(values)
+        assert got is not None and got.hex() == math.fsum(values).hex()
 
 
 SIX_SHAPES = {
@@ -413,8 +478,111 @@ def test_axis_normals_equal_meshgrid_normals(surface, region):
     U, V = np.meshgrid(u, v, indexing="ij")
     grid = oracle._grid_normals(surface, U, V, hu, hv)
     axes = oracle._grid_normals(surface, u[:, None], v[None, :], hu, hv)
-    assert axes.shape == (65, 33, 3)
+    assert axes.shape == (3, 65, 33)
     assert np.array_equal(axes, grid)
+
+
+def reference_gauss_map(fn, region, nu, nv):
+    """gauss_map_integrate on (..., 3) vectors, and its fine, half and quarter
+    cell grids: cross products component by component as np.cross computes
+    them, np.linalg.norm, each triangle's four dots through einsum, and
+    math.fsum over the cells.
+
+    The planar kernel reproduces it bit for bit because on numpy 2.4
+    einsum("...i,...i->...") sums a three-term dot as (p0 + p2) + p1 and
+    np.linalg.norm sums the squares as (s0 + s1) + s2.  The kernel adds in
+    those orders, so each edge's dot is the same in both of its triangles."""
+    def cross(a, b):
+        return np.stack([a[..., i] * b[..., j] - a[..., j] * b[..., i]
+                         for i, j in ((1, 2), (2, 0), (0, 1))], axis=-1)
+
+    def solid_angles(a, b, c):
+        dot = lambda x, y: np.einsum("...i,...i->...", x, y)
+        return 2.0 * np.arctan2(dot(a, cross(b, c)), 1.0 + dot(a, b) + dot(b, c) + dot(c, a))
+
+    def swept(n):
+        n00, n10, n11, n01 = n[:-1, :-1], n[1:, :-1], n[1:, 1:], n[:-1, 1:]
+        cells.append((solid_angles(n00, n10, n11) + solid_angles(n00, n11, n01)).ravel())
+        return math.fsum(cells[-1])
+
+    cells = []
+
+    u0, u1, v0, v1 = region
+    nu, nv = nu + -nu % 4, nv + -nv % 4
+    hu, hv = 1e-5 * (u1 - u0), 1e-5 * (v1 - v0)
+    u = np.linspace(u0, u1, nu + 1)[:, None]
+    v = np.linspace(v0, v1, nv + 1)[None, :]
+    n = cross(fn(u + hu, v) - fn(u - hu, v), fn(u, v + hv) - fn(u, v - hv))
+    n = n / np.linalg.norm(n, axis=-1, keepdims=True)
+    fine, half, quarter = swept(n), swept(n[::2, ::2]), swept(n[::4, ::4])
+    d1, d2 = fine - half, half - quarter
+    converged = abs(d1) < 1e-13 * max(1.0, abs(fine)) or 2.0 <= abs(d2) / abs(d1) <= 8.0
+    return oracle.GaussMapResult(fine, fine + d1 / 3.0, abs(d1) / 3.0, converged, nu, nv), cells
+
+
+def result_bits(result):
+    return [x.hex() if isinstance(x, float) else x for x in vars(result).values()]
+
+
+GAUSS_MAP_SURFACES = {
+    "sphere": (sphere_surface(1.0), (0.0, 2 * math.pi, -1.5, 1.5)),
+    "mudguard": (mudguard_surface(MudguardSpec(**CANONICAL_MUDGUARD)),
+                 (0.0, 2 * math.pi, -CANONICAL_MUDGUARD["mu"], CANONICAL_MUDGUARD["mu"])),
+    "twisted-patch": (twisted_patch_surface(0.2), (-0.5, 0.5, -0.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("nu, nv", [(30, 21), (64, 36), (33, 128), (256, 256), (512, 512)])
+@pytest.mark.parametrize("surface", sorted(GAUSS_MAP_SURFACES))
+def test_gauss_map_equals_the_vector_reference_bit_for_bit(surface, nu, nv, monkeypatch):
+    # the exact sums round away a last-bit change in a few cells: compare
+    # the cells that reach them as well
+    fn, region = GAUSS_MAP_SURFACES[surface]
+    cells, exact_sum = [], oracle._exact_sum
+    monkeypatch.setattr(oracle, "_exact_sum", lambda values: exact_sum(cells.append(values) or values))
+    got = gauss_map_integrate(fn, region, nu, nv)
+    want, want_cells = reference_gauss_map(fn, region, nu, nv)
+    assert result_bits(got) == result_bits(want)
+    assert [c.tobytes() for c in cells] == [c.tobytes() for c in want_cells]
+
+
+def test_canonical_mudguard_cell_sums_take_the_int64_path(monkeypatch):
+    fn, region = GAUSS_MAP_SURFACES["mudguard"]
+    expected = result_bits(gauss_map_integrate(fn, region, 256, 256))
+    monkeypatch.setattr(oracle, "math", types.SimpleNamespace(fsum=None, isfinite=math.isfinite))
+    assert result_bits(gauss_map_integrate(fn, region, 256, 256)) == expected
+
+
+def never_evaluated(u, v):
+    pytest.fail("the surface was evaluated")
+
+
+@pytest.mark.parametrize("region", [(0.0, math.inf, -0.2, 0.2), (-math.inf, 0.0, 0.0, 1.0),
+                                    (0.0, 1.0, -1e308, 1e308)])
+def test_gauss_map_rejects_a_non_finite_region(region):
+    with pytest.raises(ParameterError, match=re.escape(str(region))):
+        gauss_map_integrate(never_evaluated, region, 16, 16)
+
+
+@pytest.mark.parametrize("bad", [16.0, True, np.float64(16.0), "16", None])
+def test_gauss_map_rejects_a_non_integer_resolution(bad):
+    for nu, nv in ((bad, 16), (16, bad)):
+        with pytest.raises(ResolutionError, match="integers >= 4"):
+            gauss_map_integrate(never_evaluated, (0.0, 1.0, 0.0, 1.0), nu, nv)
+
+
+def test_gauss_map_takes_numpy_integer_resolutions():
+    swept = gauss_map_integrate(sphere_surface(1.0), (0.0, 1.0, 0.0, 1.0), np.int64(17), np.int32(16))
+    assert (type(swept.nu), swept.nu, type(swept.nv), swept.nv) == (int, 20, int, 16)
+
+
+def test_gauss_map_refuses_a_grid_over_the_vertex_limit(monkeypatch):
+    with pytest.raises(ResolutionError, match="over the limit"):
+        gauss_map_integrate(never_evaluated, (0.0, 1.0, 0.0, 1.0), 10 ** 6, 10 ** 6)
+    monkeypatch.setattr(surfaces, "MAX_VERTICES", 21 * 17)
+    gauss_map_integrate(sphere_surface(1.0), (0.0, 1.0, 0.0, 1.0), 17, 16)  # 20 x 16: at it
+    with pytest.raises(ResolutionError, match="441 vertices"):
+        gauss_map_integrate(never_evaluated, (0.0, 1.0, 0.0, 1.0), 17, 17)
 
 
 def test_gauss_map_rejects_surface_of_wrong_shape():
