@@ -1,15 +1,15 @@
-"""Solid-angle laws for creases, and the balance inside a creased tube.
+"""The crease law, and the balance inside a creased tube.
 
-Three closed forms, each the signed area swept on the unit sphere by the
-surface normals of a small patch:
+A curved crease of radius R and half fold angle mu carries Gaussian curvature
+2 sin(mu)/R per unit length: walking along it, the surface normals sweep that
+much solid angle on the unit sphere.  Below, the law stands next to the crease
+rate that the angle-defect oracle measures on a curved-crease mesh; `creasegeom
+verify --suite crease-law` checks the same comparison.
 
-  twisted patch          -dxi * 2 sin(dgamma/2)        (negative)
-  twisted + creased      the same, times cos(mu)       (still negative)
-  across a curved crease +dxi * 2 sin(mu)              (positive)
-
-The twisted-prismatic tube balances the two signs: flat twisted strips carry
+The twisted-prismatic tube balances two signs: flat twisted strips carry
 negative curvature, the folds between them carry positive curvature, and the
-totals cancel to third order in the strip width.
+totals cancel to third order in the strip width; `creasegeom verify --suite
+tube-balance` checks that residual and its cubic scaling.
 """
 
 import math
@@ -17,34 +17,20 @@ import math
 from creasegeom import (
     CreaseSpec,
     TubeSpec,
+    angle_defect,
     crease_specific_curvature,
-    curved_crease_patch_solid_angle,
+    gen_curved_crease,
     tube_balance,
-    twisted_crease_solid_angle,
-    twisted_patch_solid_angle,
 )
 
-dxi, dgamma = 0.1, 0.2
-print(f"patch extents dxi = {dxi}, dgamma = {dgamma}")
-print(f"  twisted patch:           {twisted_patch_solid_angle(dxi, dgamma):+.6f} sr")
-for mu in (0.1, 0.2, 0.3):
-    print(
-        f"  creased at mu = {mu}:      "
-        f"{twisted_crease_solid_angle(dxi, dgamma, mu):+.6f} sr"
-        f"   (x cos mu = {math.cos(mu):.4f})"
-    )
-print(
-    f"  curved crease, mu = 0.3: "
-    f"{curved_crease_patch_solid_angle(dxi, 0.3):+.6f} sr (sign flips)"
-)
-
-print("\ntwist never enters the crease law:")
-for twist in (-10.0, 0.0, 10.0):
-    spec = CreaseSpec(R=2.0, mu=math.pi / 6, twist=twist)
-    print(
-        f"  twist {twist:+5.1f}: specific curvature "
-        f"{crease_specific_curvature(spec):.12f} per unit length"
-    )
+print("crease law against the mesh (strip width 0.3, 256 x 32 mesh):")
+print(f"{'R':>5} {'mu':>7} {'2 sin(mu)/R':>12} {'mesh rate':>12} {'rel error':>10}")
+for R, mu in ((2.0, math.pi / 6), (2.0, 0.1), (4.0, math.pi / 6), (4.0, math.pi / 3)):
+    spec = CreaseSpec(R=R, mu=mu)
+    law = crease_specific_curvature(spec)
+    mesh = gen_curved_crease(spec, strip_width=0.3, nu=256, nv=32)
+    rate = angle_defect(mesh).crease_rates[1]
+    print(f"{R:5.1f} {mu:7.4f} {law:12.8f} {rate:12.8f} {abs(rate - law) / law:10.2e}")
 
 print("\ncreased-tube balance (a = 1, alpha = 45 degrees):")
 print(f"{'h':>6} {'strip term':>12} {'crease term':>12} {'residual':>12} {'rel':>10}")

@@ -1,6 +1,6 @@
 """Gaussian curvature of creased and twisted thin shells.
 
-Closed-form results (Mohr-circle strip curvature, crease solid-angle laws,
+Closed-form results (Mohr-circle strip curvature, the crease law,
 creased-tube balance, mudguard and gore-sphere totals) next to independent
 discrete oracles (mesh angle defects, numerical Gauss maps, adaptive
 quadrature) that verify them.
@@ -10,11 +10,8 @@ from .creases import (
     BalanceReport,
     CreaseSpec,
     crease_specific_curvature,
-    curved_crease_patch_solid_angle,
     tube_balance,
     tube_crease_fold_angle,
-    twisted_crease_solid_angle,
-    twisted_patch_solid_angle,
 )
 from .curvature import (
     CurvatureState,
@@ -75,9 +72,8 @@ __all__ = [
     "prismatic_curvatures", "mohr_circle", "principal_curvatures",
     "gaussian_curvature", "strip_specific_curvature", "tube_spec_for_strips",
     # creases
-    "CreaseSpec", "BalanceReport", "twisted_patch_solid_angle",
-    "twisted_crease_solid_angle", "curved_crease_patch_solid_angle",
-    "crease_specific_curvature", "tube_crease_fold_angle", "tube_balance",
+    "CreaseSpec", "BalanceReport", "crease_specific_curvature",
+    "tube_crease_fold_angle", "tube_balance",
     # quadrature
     "QuadratureResult", "MudguardTotal", "integrate",
     "mudguard_closed_form", "mudguard_total", "gore_sphere_total",

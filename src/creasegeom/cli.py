@@ -258,9 +258,7 @@ def cmd_analyze(args) -> int:
     except MeshError:
         pass
     if shape is not None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ShallowRegimeWarning)
-            report["closed_forms"] = SHAPES[shape].summary(spec, params)
+        report["closed_forms"] = SHAPES[shape].summary(spec, params)
     if args.report:
         _write_json(args.report, report)
     else:

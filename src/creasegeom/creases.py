@@ -1,23 +1,19 @@
-"""Closed-form solid-angle laws for twisted and curved creases.
+"""Closed-form crease laws: the specific curvature 2*sin(mu)/R of a curved
+crease, and the strip-vs-crease balance of the creased tube.
 
 A crease is characterised by its half fold angle mu (the surface normal turns
 by 2*mu across it), the radius of curvature R along it, and the twist along
-it.  Canonical outputs keep the exact trigonometric forms, e.g. 2*sin(dg/2)
-rather than dg; small-angle forms are documented approximations only.
+it.  Canonical outputs keep the exact trigonometric forms; small-angle forms
+are documented approximations only.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .curvature import TubeSpec, strip_specific_curvature
-from .errors import ParameterError, ShallowRegimeWarning
-
-# Patch extents above this are outside the shallow-regime guarantee of the
-# spherical-image construction; results are still computed.
-SMALL_EXTENT_LIMIT = 0.5
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -55,55 +51,6 @@ class BalanceReport:
     crease_term: float
     residual: float
     relative_residual: float
-
-
-def _check_extents(dxi: float, dgamma: float) -> None:
-    if dxi < 0 or dgamma < 0:
-        raise ParameterError(f"patch extents must be >= 0, got ({dxi}, {dgamma})")
-    if max(dxi, dgamma) > SMALL_EXTENT_LIMIT:
-        warnings.warn(
-            f"patch extents ({dxi:.3g}, {dgamma:.3g}) exceed {SMALL_EXTENT_LIMIT} rad; "
-            "the spherical-image construction assumes small rotations",
-            ShallowRegimeWarning,
-            stacklevel=3,
-        )
-
-
-def twisted_patch_solid_angle(dxi: float, dgamma: float) -> float:
-    """Solid angle of a uniformly twisted patch: -dxi * 2*sin(dgamma/2).
-
-    Negative orientation; tends to -dxi*dgamma for small extents.
-    """
-    _check_extents(dxi, dgamma)
-    return -dxi * 2.0 * math.sin(dgamma / 2.0)
-
-
-def twisted_crease_solid_angle(dxi: float, dgamma: float, mu: float) -> float:
-    """Solid angle of a twisted patch creased along its twist axis.
-
-    Equals the uncreased value times cos(mu); at mu = 0 it reduces exactly to
-    twisted_patch_solid_angle.  Corollary: twisting along a crease does not
-    change its solid angle.
-    """
-    _check_extents(dxi, dgamma)
-    if not (0 <= mu < math.pi / 2):
-        raise ParameterError(f"half fold angle mu must lie in [0, pi/2), got {mu}")
-    if mu == 0.0:
-        return twisted_patch_solid_angle(dxi, dgamma)
-    return -dxi * 2.0 * math.sin(dgamma / 2.0) * math.cos(mu)
-
-
-def curved_crease_patch_solid_angle(dxi: float, mu: float) -> float:
-    """Solid angle of a patch spanning a curved crease: dxi * 2*sin(mu).
-
-    Positive orientation.  Independent of the patch width, which is why no
-    width parameter is accepted: the curvature lies entirely in the crease.
-    """
-    if dxi < 0:
-        raise ParameterError(f"azimuthal extent must be >= 0, got {dxi}")
-    if not (0 <= mu < math.pi / 2):
-        raise ParameterError(f"half fold angle mu must lie in [0, pi/2), got {mu}")
-    return dxi * 2.0 * math.sin(mu)
 
 
 def crease_specific_curvature(spec: CreaseSpec) -> float:

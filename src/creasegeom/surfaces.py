@@ -371,10 +371,11 @@ def mudguard_surface(spec: MudguardSpec):
         phi = np.asarray(phi, dtype=float)
         eps = np.asarray(eps, dtype=float)
         d = c + spec.r * np.cos(eps)
-        return np.stack(
-            np.broadcast_arrays(d * np.cos(phi), d * np.sin(phi), spec.r * np.sin(eps)),
-            axis=-1,
-        )
+        out = np.empty(np.broadcast_shapes(phi.shape, eps.shape) + (3,))
+        np.multiply(d, np.cos(phi), out=out[..., 0])
+        np.multiply(d, np.sin(phi), out=out[..., 1])
+        np.multiply(spec.r, np.sin(eps), out=out[..., 2])
+        return out
 
     return fn
 

@@ -7,13 +7,12 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import creases, curvature, oracle, quadrature, surfaces
-from .errors import ParameterError, ShallowRegimeWarning
+from .errors import ParameterError
 
 # Canonical doubly-curved crease parameters used for the Gauss-map check.
 CANONICAL_MUDGUARD = dict(R=10.0, r=0.1, mu=0.2)
@@ -267,8 +266,6 @@ def run_suite(name: str) -> list[VerificationReport]:
             f"unknown suite {name!r}; choose from all, {', '.join(_SUITES)}"
         )
     reports = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ShallowRegimeWarning)
-        for suite in _SUITES if name == "all" else (name,):
-            reports.extend(_SUITES[suite]())
+    for suite in _SUITES if name == "all" else (name,):
+        reports.extend(_SUITES[suite]())
     return reports

@@ -5,20 +5,16 @@ tolerance can never drift looser.  Inputs that the suites do not cover are
 asserted directly."""
 
 import math
-import warnings
 
 import pytest
 
 from creasegeom import (
     GoreSphereSpec,
-    ShallowRegimeWarning,
     angle_defect,
     gen_gore_sphere,
     mudguard_closed_form,
     run_suite,
 )
-
-warnings.simplefilter("ignore", ShallowRegimeWarning)
 
 
 def report(capsys, number, title, ok, detail):

@@ -1,6 +1,7 @@
-"""Guards against orphaned API: every public function of the closed-form and
-oracle modules is reached by the verification suites or the command line,
-and the package exports exactly what its __init__ binds."""
+"""Guards against orphaned API: every public function of the closed-form,
+generator, mesh, oracle and verification modules is reached by the
+verification suites or the command line, and the package exports exactly what
+its __init__ binds."""
 
 import ast
 import inspect
@@ -8,17 +9,9 @@ import sys
 from pathlib import Path
 
 import creasegeom
-from creasegeom import cli, creases, curvature, oracle, quadrature
+from creasegeom import cli, creases, curvature, oracle, quadrature, surfaces, trimesh, verify
 
-MODULES = (curvature, creases, quadrature, oracle)
-
-# Closed forms that no oracle checks yet.  ROADMAP item 2 ("make twist
-# independence falsifiable") owns them: it gives them an oracle or deletes them.
-UNCHECKED = {
-    "creases.twisted_patch_solid_angle",
-    "creases.twisted_crease_solid_angle",
-    "creases.curved_crease_patch_solid_angle",
-}
+MODULES = (curvature, creases, quadrature, surfaces, trimesh, oracle, verify)
 
 
 def public_functions():
@@ -34,7 +27,8 @@ def public_functions():
 
 def cli_runs(tmp_path):
     """One small run of every subcommand: verify --suite all, generate and
-    analyze (sidecar) of each shape, and a two-step sweep of each parameter."""
+    analyze (sidecar) of each shape, analyze of one OBJ, and a two-step sweep
+    of each parameter."""
     runs = [["verify", "--suite", "all"]]
     params = {"a": 1, "alpha": 0.7, "h": 0.2, "strips": 6, "kxy": 0.1, "a_len": 1,
               "b_len": 1, "mu": 0.2, "R": 2, "r": 0.1, "width": 0.3, "radius": 1, "n": 6}
@@ -43,6 +37,8 @@ def cli_runs(tmp_path):
         flags = [f"{cli._flag(name)}={params[name]}" for name in spec.params]
         runs.append(["generate", shape, *flags, "--nu=8", "--nv=4", f"--out={out}"])
         runs.append(["analyze", f"--in={out}.json", f"--report={out}.report.json"])
+    runs.append(["analyze", f"--in={tmp_path / 'tube.obj'}",
+                 f"--report={tmp_path / 'tube.obj.obj-report.json'}"])
     for param in cli.SWEEPS:
         lo, hi = {"n": (4, 8), "R": (1, 2)}.get(param, (0.1, 0.2))
         runs.append(["sweep", f"--param={param}", f"--range={lo}:{hi}:2",
@@ -52,7 +48,6 @@ def cli_runs(tmp_path):
 
 def test_public_functions_are_reached(tmp_path, capsys):
     public = public_functions()
-    assert UNCHECKED <= set(public)
     seen = set()
 
     def profile(frame, event, arg):
@@ -66,7 +61,7 @@ def test_public_functions_are_reached(tmp_path, capsys):
         sys.setprofile(None)
     assert codes == [0] * len(codes), capsys.readouterr().err
     reached = {name for name, code in public.items() if code in seen}
-    assert set(public) - reached == UNCHECKED  # an entry that gets an oracle leaves UNCHECKED
+    assert reached == set(public)
 
 
 def test_all_equals_the_names_init_binds():

@@ -96,6 +96,20 @@ def test_analyze_deterministic_reports(tmp_path, capsys):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+def test_analyze_sidecar_of_a_wide_strip_cylinder_lets_no_warning_escape(tmp_path, capsys):
+    # h/a = 0.3 is past the shallow regime: building the spec warns, but the
+    # sidecar path silences that warning and the closed-form summary raises none
+    out = tmp_path / "c.obj"
+    with pytest.warns(ShallowRegimeWarning, match="h/a"):
+        assert run(["generate", "cylinder", "--a", 1, "--alpha", 0.6, "--h", 0.3,
+                    "--nu", 16, "--nv", 8, "--out", out]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["analyze", "--in", f"{out}.json", "--report", tmp_path / "r.json"]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert "closed_forms" in json.loads((tmp_path / "r.json").read_text())
+
+
 def test_analyze_gore_sphere_gauss_bonnet(tmp_path, capsys):
     out = tmp_path / "g.obj"
     run(["generate", "gore-sphere", "--n", 8, "--radius", 1,

@@ -5,65 +5,11 @@ import pytest
 from creasegeom import (
     CreaseSpec,
     ParameterError,
-    ShallowRegimeWarning,
     TubeSpec,
     crease_specific_curvature,
-    curved_crease_patch_solid_angle,
-    strip_specific_curvature,
     tube_balance,
     tube_crease_fold_angle,
-    twisted_crease_solid_angle,
-    twisted_patch_solid_angle,
 )
-
-
-def test_twisted_patch_solid_angle_exact_form():
-    # -dxi * 2 sin(dgamma/2), not the small-angle product
-    assert twisted_patch_solid_angle(0.1, 0.2) == pytest.approx(
-        -0.1 * 2 * math.sin(0.1)
-    )
-    assert twisted_patch_solid_angle(0.0, 0.2) == 0.0
-
-
-def test_twisted_patch_small_angle_limit():
-    dxi, dgamma = 1e-4, 1e-4
-    assert twisted_patch_solid_angle(dxi, dgamma) == pytest.approx(
-        -dxi * dgamma, rel=1e-8
-    )
-
-
-def test_twisted_crease_scales_by_cos_mu():
-    base = twisted_patch_solid_angle(0.1, 0.2)
-    assert twisted_crease_solid_angle(0.1, 0.2, 0.3) == pytest.approx(
-        base * math.cos(0.3)
-    )
-    # mu = 0 reduces exactly, bit for bit
-    assert twisted_crease_solid_angle(0.1, 0.2, 0.0) == base
-
-
-def test_curved_crease_patch_solid_angle():
-    # dxi * 2 sin(mu), positive orientation, independent of patch width
-    assert curved_crease_patch_solid_angle(0.5, math.pi / 6) == pytest.approx(0.5)
-    assert curved_crease_patch_solid_angle(0.2, 0.0) == 0.0
-
-
-def test_solid_angle_signs_oppose():
-    assert twisted_patch_solid_angle(0.1, 0.2) < 0
-    assert curved_crease_patch_solid_angle(0.1, 0.2) > 0
-
-
-def test_large_extent_warns():
-    with pytest.warns(ShallowRegimeWarning):
-        twisted_patch_solid_angle(1.0, 0.2)
-
-
-def test_extent_validation():
-    with pytest.raises(ParameterError):
-        twisted_patch_solid_angle(-0.1, 0.2)
-    with pytest.raises(ParameterError):
-        twisted_crease_solid_angle(0.1, 0.2, -0.01)
-    with pytest.raises(ParameterError):
-        curved_crease_patch_solid_angle(0.1, math.pi / 2)
 
 
 def test_crease_spec_validation():

@@ -229,6 +229,32 @@ def test_mudguard_surface_tangency():
     assert edge[2] == pytest.approx(spec.r * math.sin(spec.mu), rel=1e-12)
 
 
+def test_mudguard_surface_equals_its_stacked_form():
+    # the components are written into one preallocated array; each bit must
+    # equal np.stack of the three products, on the Gauss map's broadcast axes,
+    # on gen_mudguard's meshgrid, in its vertices and at a single point
+    spec = MudguardSpec(R=10.0, r=0.1, mu=0.2)
+    c = spec.R - spec.r / math.cos(spec.mu)
+
+    def stacked(phi, eps):
+        d = c + spec.r * np.cos(eps)
+        return np.stack(
+            np.broadcast_arrays(d * np.cos(phi), d * np.sin(phi), spec.r * np.sin(eps)),
+            axis=-1,
+        )
+
+    fn = mudguard_surface(spec)
+    nu, nv = 48, 8
+    phi = np.linspace(0.0, 2 * math.pi, nu + 1)[:-1]
+    eps = np.linspace(-spec.mu, spec.mu, nv + 1)
+    P, E = np.meshgrid(phi, eps, indexing="ij")
+    for args in ((phi[:, None], eps[None, :]), (P, E), (0.3, 0.1)):
+        got, want = fn(*args), stacked(*args)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert np.array_equal(gen_mudguard(spec, nu, nv).vertices, stacked(P, E).reshape(-1, 3))
+
+
 def test_mudguard_outward_orientation():
     mesh = gen_mudguard(MudguardSpec(R=2.0, r=0.1, mu=0.6), 32, 6)
     p = mesh.vertices[mesh.triangles]
