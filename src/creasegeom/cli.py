@@ -234,8 +234,8 @@ def cmd_analyze(args) -> int:
     creases_out = {
         str(cid): {
             "rate": field.crease_rates[cid],
-            "arc_length": mesh.crease_arc_length(cid),
-            "defect_total": field.crease_defect_total(cid),
+            "arc_length": field.crease_lengths[cid],
+            "defect_total": field.crease_totals[cid],
         }
         for cid in sorted(mesh.crease_polylines)
     }

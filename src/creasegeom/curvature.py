@@ -119,7 +119,7 @@ class TubeSpec:
                 f"h/a = {self.h / self.a:.3g} exceeds {SHALLOW_WIDTH_RATIO}; "
                 "small-fold-angle results degrade for wide strips",
                 ShallowRegimeWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass-generated __init__ to its caller
             )
 
 

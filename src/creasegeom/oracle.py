@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import MeshError, ParameterError, ResolutionError
 from .surfaces import _check_size
-from .trimesh import TAG_INTERIOR, TriMesh
+from .trimesh import TriMesh
 
 GAUSS_MAP_STEP_FACTOR = 1e-5
 
@@ -24,15 +24,17 @@ GAUSS_MAP_STEP_FACTOR = 1e-5
 
 @dataclass
 class DefectField:
-    """Per-vertex angle defect of a mesh, with lumped areas and crease rates.
+    """Per-vertex angle defect of a mesh, with lumped areas and crease figures.
 
     defect        (V,) angle defect: 2*pi minus the angle sum at interior
                   vertices, pi minus it at topological-boundary vertices
     lumped_area   (V,) one third of each incident triangle's area
     boundary_mask (V,) topological boundary vertices
-    vertex_tags   (V,) copied from the mesh
-    crease_rates  defect per unit arc length for each crease id, boundary
-                  chain endpoints excluded
+    crease_mask   (V,) vertices on any crease polyline
+    crease_totals  defect summed over each crease's non-boundary vertices
+    crease_rates   crease_totals per unit arc length, each vertex owning half
+                   of its adjacent intervals, boundary chain endpoints excluded
+    crease_lengths arc length of each whole crease polyline
     euler_characteristic  V - E + T of the mesh
 
     Defect sums are exact: _exact_sum's int64 limb sums and math.fsum give
@@ -42,8 +44,10 @@ class DefectField:
     defect: np.ndarray
     lumped_area: np.ndarray
     boundary_mask: np.ndarray
-    vertex_tags: np.ndarray
+    crease_mask: np.ndarray
+    crease_totals: dict[int, float] = field(default_factory=dict)
     crease_rates: dict[int, float] = field(default_factory=dict)
+    crease_lengths: dict[int, float] = field(default_factory=dict)
     euler_characteristic: int = 0
 
     @property
@@ -52,16 +56,12 @@ class DefectField:
         return _exact_sum(self.defect[~self.boundary_mask])
 
     def interior_defect_density(self) -> float:
-        """Defect per unit area over untagged, non-boundary vertices."""
-        sel = (~self.boundary_mask) & (self.vertex_tags == TAG_INTERIOR)
+        """Defect per unit area over non-crease, non-boundary vertices."""
+        sel = ~(self.boundary_mask | self.crease_mask)
         area = float(self.lumped_area[sel].sum())
         if area == 0.0:
             raise MeshError("mesh has no interior vertices to average over")
         return _exact_sum(self.defect[sel]) / area
-
-    def crease_defect_total(self, crease_id: int) -> float:
-        sel = (~self.boundary_mask) & (self.vertex_tags == crease_id)
-        return _exact_sum(self.defect[sel])
 
 
 def _exact_sum(values: np.ndarray) -> float:
@@ -122,8 +122,11 @@ def angle_defect(mesh: TriMesh) -> DefectField:
     flat = np.where(boundary, math.pi, 2.0 * math.pi)
     defect = flat - angle_sum
 
-    rates: dict[int, float] = {}
+    out = DefectField(defect=defect, lumped_area=lumped, boundary_mask=boundary,
+                      crease_mask=np.zeros(nv, dtype=bool),
+                      euler_characteristic=nv - num_edges + mesh.num_triangles)
     for cid, chain in mesh.crease_polylines.items():
+        out.crease_mask[chain] = True
         seg = np.linalg.norm(np.diff(mesh.vertices[chain], axis=0), axis=1)
         assoc = np.zeros(len(chain))
         assoc[:-1] += 0.5 * seg  # half of each interval to either endpoint
@@ -132,16 +135,10 @@ def angle_defect(mesh: TriMesh) -> DefectField:
         length = float(assoc[keep].sum())
         if length == 0.0:
             raise MeshError(f"crease {cid} has no non-boundary vertices")
-        rates[cid] = _exact_sum(defect[chain[keep]]) / length
-
-    return DefectField(
-        defect=defect,
-        lumped_area=lumped,
-        boundary_mask=boundary,
-        vertex_tags=mesh.vertex_tags.copy(),
-        crease_rates=rates,
-        euler_characteristic=nv - num_edges + mesh.num_triangles,
-    )
+        out.crease_lengths[cid] = float(seg.sum())
+        out.crease_totals[cid] = _exact_sum(defect[chain[keep]])
+        out.crease_rates[cid] = out.crease_totals[cid] / length
+    return out
 
 
 # ---------------------------------------------------------------------------

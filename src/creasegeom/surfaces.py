@@ -178,13 +178,11 @@ def _helical_band(a, alpha, n_strips, nu, nv, flatten):
 
     vertices = np.empty((num_vertices, 3))
     triangles = np.empty((2 * nv * (n_strips * nu - m), 3), dtype=np.int64)
-    tags = np.zeros(num_vertices, dtype=np.int64)
     # crease-line vertices first, line j at developed offset j*h*yhat
     line_pts = vertices[:n_strips * n_line].reshape(n_strips, n_line, 3)
     for j in range(n_strips):
         dev = j * h * yhat[None, :] + x[:, None] * xhat[None, :]
         line_pts[j] = wrap(dev)
-    tags[:n_strips * n_line] = np.repeat(np.arange(1, n_strips + 1), n_line)
 
     step = max(2, _STRIP_CELLS // nv)  # vertex rows per block
 
@@ -219,11 +217,11 @@ def _helical_band(a, alpha, n_strips, nu, nv, flatten):
     polylines = {
         j + 1: np.arange(j * n_line, (j + 1) * n_line) for j in range(n_strips)
     }
-    return TriMesh(vertices, triangles, tags, polylines)
+    return TriMesh(vertices, triangles, polylines)
 
 
 def gen_cylinder(spec: TubeSpec, nu: int, nv: int) -> TriMesh:
-    """Open circular cylinder with helical lines at angle alpha tagged as
+    """Open circular cylinder with helical lines at angle alpha recorded as
     zero-fold crease polylines.  The line spacing is adjusted to the nearest
     value that closes the hoop; large adjustments are warned about."""
     hoop = TWO_PI * spec.a * math.cos(spec.alpha)
@@ -310,10 +308,7 @@ def gen_twisted_patch(
     verts = grid.reshape(-1, 3)
     ids = np.arange((nu + 1) * (nv + 1)).reshape(nu + 1, nv + 1)
     tris = _grid_triangles(ids, grid)
-    crease_row = ids[:, nv // 2].copy()
-    tags = np.zeros(len(verts), dtype=np.int64)
-    tags[crease_row] = 1
-    return TriMesh(verts, tris, tags, {1: crease_row})
+    return TriMesh(verts, tris, {1: ids[:, nv // 2].copy()})
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +346,7 @@ def gen_curved_crease(spec: CreaseSpec, strip_width: float, nu: int, nv: int) ->
     verts = pts.reshape(-1, 3)
     ids = np.arange((nu + 1) * (2 * nv + 1)).reshape(nu + 1, 2 * nv + 1)
     tris = _grid_triangles(ids, pts)
-    crease_row = ids[:, nv].copy()
-    tags = np.zeros(len(verts), dtype=np.int64)
-    tags[crease_row] = 1
-    return TriMesh(verts, tris, tags, {1: crease_row})
+    return TriMesh(verts, tris, {1: ids[:, nv].copy()})
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +388,7 @@ def gen_mudguard(spec: MudguardSpec, nu: int, nv: int) -> TriMesh:
     ids = np.arange(nu * (nv + 1)).reshape(nu, nv + 1)
     wrapped = np.vstack([ids, ids[:1]])  # close the hoop
     tris = _grid_triangles(wrapped, np.concatenate([grid, grid[:1]], axis=0))
-    tags = np.zeros(len(verts), dtype=np.int64)
-    return TriMesh(verts, tris, tags)
+    return TriMesh(verts, tris)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +400,7 @@ def gen_gore_sphere(spec: GoreSphereSpec, nu: int, nv: int) -> TriMesh:
 
     Each gore is bent only about its central meridian (rulings are horizontal
     chords), so gore interiors are developable; all curvature sits in the
-    tagged seams and the two shared pole vertices.
+    seam polylines and the two shared pole vertices.
     """
     _check_length("seam radius R", spec.R)
     if nu < 4 or nv < 2:
@@ -424,7 +415,6 @@ def gen_gore_sphere(spec: GoreSphereSpec, nu: int, nv: int) -> TriMesh:
 
     vertices = np.empty((num_vertices, 3))
     vertices[:2] = [[0.0, 0.0, -R], [0.0, 0.0, R]]
-    tags = np.zeros(num_vertices, dtype=np.int64)
     # seam j vertices: ids 2 + j*ni + i, lying in the plane at azimuth 2*pi*j/n
     seams = 2 + np.arange(n * ni).reshape(n, ni)
     for j in range(n):
@@ -433,7 +423,6 @@ def gen_gore_sphere(spec: GoreSphereSpec, nu: int, nv: int) -> TriMesh:
         vertices[seams[j]] = np.stack(
             [rho * math.cos(phi_j), rho * math.sin(phi_j), R * sin_t], axis=-1
         )
-        tags[seams[j]] = j + 1
     offset = 2 + n * ni
 
     # gore j's triangles: its 2*(ni - 1)*nv cells, then nv south and nv north pole fans
@@ -465,4 +454,4 @@ def gen_gore_sphere(spec: GoreSphereSpec, nu: int, nv: int) -> TriMesh:
         north[0], north[1], north[2] = 1, ids[-1, :-1], ids[-1, 1:]
 
     polylines = {j + 1: seams[j] for j in range(n)}
-    return TriMesh(vertices, triangles.reshape(-1, 3), tags, polylines)
+    return TriMesh(vertices, triangles.reshape(-1, 3), polylines)

@@ -1,8 +1,8 @@
-"""Indexed triangle meshes with vertex tags and crease polylines.
+"""Indexed triangle meshes with crease polylines.
 
-Vertex tags: k >= 1 on the vertices of crease k, 0 elsewhere; the boundary
-comes from topology.  Crease polylines are ordered vertex-index chains, one
-per crease id.
+A crease polyline is an ordered vertex-index chain, one per crease id, and
+the only record of which vertices lie on a crease; the boundary comes from
+topology.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import InputFormatError, MeshError, OrientationError
 
-TAG_INTERIOR = 0
-
 DEGENERATE_AREA_FACTOR = 1e-12
 _BLOCK = 1 << 13  # triangles per block in the mesh kernel; keeps temporaries in cache
 _WRITE_BLOCK = 1 << 16  # OBJ records per write
@@ -30,15 +28,11 @@ _SLASH_TAIL = re.compile(r"(?<=\S)/\S*")  # the "/b/c" of a face token "a/b/c"
 class TriMesh:
     vertices: np.ndarray                 # (V, 3) float64
     triangles: np.ndarray                # (T, 3) int, CCW outward
-    vertex_tags: np.ndarray              # (V,) int
     crease_polylines: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
         self.triangles = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
-        if self.vertex_tags is None:
-            self.vertex_tags = np.zeros(len(self.vertices), dtype=np.int64)
-        self.vertex_tags = np.asarray(self.vertex_tags, dtype=np.int64).reshape(-1)
         self.crease_polylines = {
             int(k): np.asarray(v, dtype=np.int64).reshape(-1)
             for k, v in self.crease_polylines.items()
@@ -54,17 +48,6 @@ class TriMesh:
     def num_triangles(self) -> int:
         return len(self.triangles)
 
-    def bbox_diagonal(self) -> float:
-        if self.num_vertices == 0:
-            return 0.0
-        span = [np.ptp(column) for column in self.vertices.T]
-        return float(np.linalg.norm(span))
-
-    def crease_arc_length(self, crease_id: int) -> float:
-        chain = self.crease_polylines[crease_id]
-        pts = self.vertices[chain]
-        return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
-
     # -- validation -------------------------------------------------------
 
     def validate(self) -> tuple:
@@ -75,8 +58,6 @@ class TriMesh:
         angle_defect measures without a second pass."""
         if self.num_vertices == 0 or self.num_triangles == 0:
             raise MeshError("mesh has no geometry")
-        if len(self.vertex_tags) != self.num_vertices:
-            raise MeshError("vertex_tags length does not match vertex count")
         nonfinite = np.flatnonzero(~np.isfinite(self.vertices))
         if nonfinite.size:
             raise MeshError(f"non-finite coordinates at vertex {nonfinite[0] // 3}")
@@ -85,7 +66,8 @@ class TriMesh:
             # huge coordinates overflow here; the area check below reports it
             with np.errstate(over="ignore", invalid="ignore"):
                 twice_area, dots = _corner_geometry(self.vertices, self.triangles)
-                return self.bbox_diagonal(), twice_area, np.arctan2(twice_area, dots, out=dots)
+                diag = float(np.linalg.norm([np.ptp(column) for column in self.vertices.T]))
+                return diag, twice_area, np.arctan2(twice_area, dots, out=dots)
         num_edges, boundary, (diag, twice_area, angles) = _edge_topology(
             self.triangles, self.num_vertices, geometry)
         overflowed = np.flatnonzero(~np.isfinite(twice_area))
@@ -231,8 +213,8 @@ def export_obj(mesh: TriMesh, path) -> None:
 
 
 def load_obj(path) -> TriMesh:
-    """Read an OBJ written by export_obj, reconstructing tags from the crease
-    groups; other records are ignored, and face token a/b/c names vertex a.
+    """Read an OBJ written by export_obj, one crease polyline per crease
+    group; other records are ignored, and face token a/b/c names vertex a.
     Raises InputFormatError with the file and line for a `v` record without
     three finite coordinates, a face without three integer indices, or a
     face or polyline index not in 1..(vertex count).  The `v` and `f` records
@@ -262,12 +244,10 @@ def load_obj(path) -> TriMesh:
     bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
     if bad.size:
         raise InputFormatError(f"{path}:{vertex_lines[bad[0]]}: non-finite coordinate")
-    tags = np.zeros(n, dtype=np.int64)
-    for cid, chain in polylines.items():
+    for cid in polylines:
         if not -2**63 <= cid < 2**63:
             raise InputFormatError(f"{path}: crease id {cid} does not fit in 64 bits")
-        tags[chain] = cid
-    return TriMesh(vertices, triangles, tags, polylines)
+    return TriMesh(vertices, triangles, polylines)
 
 
 def _parse_records(path, lines) -> tuple:

@@ -67,24 +67,82 @@ def test_degrees_flag(tmp_path, capsys):
     assert out_rad.read_bytes() == out_deg.read_bytes()
 
 
+ROUNDTRIP_ARGS = {
+    "cylinder": ["--a", 1, "--alpha", 0.7, "--h", 0.1, "--nu", 40, "--nv", 6],
+    "tube": ["--a", 1, "--alpha", 0.7, "--strips", 8, "--nu", 40, "--nv", 6],
+    "twisted-patch": ["--kxy", 0.1, "--a-len", 1, "--b-len", 1, "--mu", 0.2,
+                      "--nu", 30, "--nv", 30],
+    "curved-crease": ["--R", 2, "--mu", math.pi / 6, "--width", 0.3, "--nu", 64, "--nv", 8],
+    "mudguard": ["--R", 10, "--r", 0.1, "--mu", 0.2, "--nu", 64, "--nv", 16],
+    "gore-sphere": ["--radius", 1, "--n", 8, "--nu", 24, "--nv", 4],
+}
+
+
 def test_analyze_sidecar_and_obj_agree(tmp_path, capsys):
-    out = tmp_path / "c.obj"
-    run(["generate", "curved-crease", "--R", 2, "--mu", math.pi / 6,
-         "--width", 0.3, "--nu", 64, "--nv", 8, "--out", out])
-    rep_obj = tmp_path / "from_obj.json"
-    rep_side = tmp_path / "from_sidecar.json"
-    assert run(["analyze", "--in", out, "--report", rep_obj]) == 0
-    assert run(["analyze", "--in", tmp_path / "c.obj.json",
-                "--report", rep_side]) == 0
-    a = json.loads(rep_obj.read_text())
-    b = json.loads(rep_side.read_text())
-    # OBJ stores 9 significant digits, so rates agree only approximately
-    assert a["creases"]["1"]["rate"] == pytest.approx(
-        b["creases"]["1"]["rate"], rel=1e-6
-    )
-    # the sidecar route knows the spec and adds the closed form
-    assert b["closed_forms"]["crease_specific_curvature"] == pytest.approx(0.5)
-    assert b["creases"]["1"]["rate"] == pytest.approx(0.5, rel=1e-2)
+    # OBJ stores 9 significant digits, so the two routes agree within the
+    # bench's OBJ rounding bound, 2e-5 relative with a floor of 1
+    def close(x):
+        return pytest.approx(x, rel=2e-5, abs=2e-5)
+
+    for shape, args in ROUNDTRIP_ARGS.items():
+        out = tmp_path / f"{shape}.obj"
+        assert run(["generate", shape, *args, "--out", out]) == 0
+        rep_obj, rep_side = tmp_path / f"{shape}.obj.report", tmp_path / f"{shape}.side.report"
+        assert run(["analyze", "--in", f"{out}.json", "--report", rep_side]) == 0
+        b = json.loads(rep_side.read_text())
+        if shape == "mudguard":  # no crease polylines: only the sidecar route measures it
+            assert b["creases"] == {} and math.isfinite(b["total_defect"])
+            assert run(["analyze", "--in", out, "--report", rep_obj]) == 3
+            continue
+        assert run(["analyze", "--in", out, "--report", rep_obj]) == 0
+        a = json.loads(rep_obj.read_text())
+        assert a["total_defect"] == close(b["total_defect"]), shape
+        assert sorted(a["creases"]) == sorted(b["creases"]) != [], shape
+        for cid, crease in b["creases"].items():
+            for key in ("rate", "arc_length", "defect_total"):
+                assert a["creases"][cid][key] == close(crease[key]), (shape, cid, key)
+        if shape == "curved-crease":  # the sidecar route adds the closed form
+            assert b["closed_forms"]["crease_specific_curvature"] == pytest.approx(0.5)
+            assert b["creases"]["1"]["rate"] == pytest.approx(0.5, rel=1e-2)
+
+
+CROSSING_CREASES_OBJ = """\
+v 0 0 0
+v 1 0 0
+v 2 0 0
+v 0 1 0
+v 1 1 0.3
+v 2 1 0
+v 0 2 0
+v 1 2 0
+v 2 2 0
+f 1 2 5
+f 1 5 4
+f 2 3 6
+f 2 6 5
+f 4 5 8
+f 4 8 7
+f 5 6 9
+f 5 9 8
+g crease_1
+l 4 5 6
+g crease_2
+l 2 5 8
+"""
+
+
+def test_analyze_creases_sharing_a_vertex(tmp_path, capsys):
+    # two creases cross at the lifted centre, the only non-boundary vertex:
+    # its defect counts towards both creases and towards no interior density
+    obj, report = tmp_path / "cross.obj", tmp_path / "cross.json"
+    obj.write_text(CROSSING_CREASES_OBJ)
+    assert run(["analyze", "--in", obj, "--report", report]) == 0
+    data = json.loads(report.read_text())
+    centre = data["total_defect"]
+    assert centre == pytest.approx(0.25147687493752713, rel=1e-12)
+    assert [c["defect_total"] for c in data["creases"].values()] == [centre, centre]
+    assert data["creases"]["1"]["rate"] == data["creases"]["2"]["rate"]
+    assert "interior_defect_density" not in data
 
 
 def test_analyze_deterministic_reports(tmp_path, capsys):

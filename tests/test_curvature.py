@@ -136,8 +136,9 @@ def test_tube_spec_validation():
 
 
 def test_wide_strip_warns():
-    with pytest.warns(ShallowRegimeWarning):
+    with pytest.warns(ShallowRegimeWarning) as caught:
         TubeSpec(a=1.0, alpha=0.5, h=0.5)
+    assert caught[0].filename == __file__  # the caller's line, not the generated __init__
 
 
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")

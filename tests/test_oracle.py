@@ -121,7 +121,7 @@ def test_gore_sphere_gauss_bonnet():
     field = angle_defect(mesh)
     assert field.total_defect == pytest.approx(4 * math.pi, abs=1e-9)
     # seams carry essentially all of it; the two poles almost none
-    seam_total = sum(field.crease_defect_total(j) for j in range(1, 9))
+    seam_total = sum(field.crease_totals[j] for j in range(1, 9))
     assert seam_total == pytest.approx(4 * math.pi, rel=0.01)
     assert abs(field.defect[0]) + abs(field.defect[1]) < 0.05
 
@@ -374,9 +374,9 @@ def test_defect_sums_equal_fsum(shape, monkeypatch):
     monkeypatch.setattr(oracle, "_exact_sum", math.fsum)
     ref = angle_defect(mesh)
     got = [field.total_defect, field.interior_defect_density(), *field.crease_rates.values(),
-           *(field.crease_defect_total(cid) for cid in mesh.crease_polylines)]
+           *field.crease_totals.values()]
     want = [ref.total_defect, ref.interior_defect_density(), *ref.crease_rates.values(),
-            *(ref.crease_defect_total(cid) for cid in mesh.crease_polylines)]
+            *ref.crease_totals.values()]
     assert [x.hex() for x in got] == [x.hex() for x in want]
 
 

@@ -63,10 +63,11 @@ def test_tube_closes_and_is_ruled():
     assert mesh.validate()[2].sum() > 0
     assert len(mesh.crease_polylines) == 12
     # crease vertices sit on the cylinder, strip interiors strictly inside
-    tags = mesh.vertex_tags
+    crease = np.zeros(mesh.num_vertices, dtype=bool)
+    crease[np.concatenate(list(mesh.crease_polylines.values()))] = True
     radii = np.linalg.norm(mesh.vertices[:, :2], axis=1)
-    assert radii[tags >= 1] == pytest.approx(np.full((tags >= 1).sum(), 1.0), abs=1e-12)
-    assert (radii[tags == 0] < 1.0 - 1e-9).all()
+    assert radii[crease] == pytest.approx(np.full(crease.sum(), 1.0), abs=1e-12)
+    assert (radii[~crease] < 1.0 - 1e-9).all()
 
 
 def test_tube_rejects_mismatched_width():
@@ -279,13 +280,13 @@ def test_gore_sphere_watertight_outward():
 def test_gore_sphere_seams_on_sphere_interiors_inside():
     spec = GoreSphereSpec(R=1.0, n=8)
     mesh = gen_gore_sphere(spec, 24, 4)
-    tags = mesh.vertex_tags
     radii = np.linalg.norm(mesh.vertices, axis=1)
-    seam = tags >= 1
+    seam = np.zeros(mesh.num_vertices, dtype=bool)
+    seam[np.concatenate(list(mesh.crease_polylines.values()))] = True
     # seam vertices bulge to R/cos(pi/n) at the equator but stay >= R
     assert (radii[seam] >= 1.0 - 1e-12).all()
     assert radii[seam].max() == pytest.approx(1.0 / math.cos(math.pi / 8), rel=1e-6)
-    assert (radii[tags == 0][2:] <= radii[seam].max()).all()
+    assert (radii[~seam][2:] <= radii[seam].max()).all()
 
 
 def test_gore_sphere_volume_approaches_sphere():
@@ -418,7 +419,6 @@ def reference_helical_band(a, alpha, n_strips, nu, nv, flatten):
         dev = j * h * yhat[None, :] + x[:, None] * xhat[None, :]
         line_pts[j] = wrap(dev)
     verts = [line_pts.reshape(-1, 3)]
-    tags = [np.repeat(np.arange(1, n_strips + 1), n_line)]
     offset = n_strips * n_line
     tris = []
     for j in range(n_strips):
@@ -443,14 +443,13 @@ def reference_helical_band(a, alpha, n_strips, nu, nv, flatten):
             )
             interior = wrap(dev)
         verts.append(interior.reshape(-1, 3))
-        tags.append(np.zeros(n_int, dtype=np.int64))
         grid = np.empty((len(i), nv + 1, 3))
         grid[:, 0] = p0[:, 0]
         grid[:, nv] = p1[:, 0]
         grid[:, 1:nv] = interior
         tris.append(reference_grid_triangles(ids, grid, flip=True))
     polylines = {j + 1: np.arange(j * n_line, (j + 1) * n_line) for j in range(n_strips)}
-    return TriMesh(np.concatenate(verts), np.concatenate(tris), np.concatenate(tags), polylines)
+    return TriMesh(np.concatenate(verts), np.concatenate(tris), polylines)
 
 
 def reference_gore_sphere(spec, nu, nv):
@@ -461,14 +460,12 @@ def reference_gore_sphere(spec, nu, nv):
     ni = len(theta)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     verts = [np.array([[0.0, 0.0, -R], [0.0, 0.0, R]])]
-    tags = [np.zeros(2, dtype=np.int64)]
     for j in range(n):
         phi_j = 2 * math.pi * j / n
         rho = R * cos_t / math.cos(beta)
         verts.append(
             np.stack([rho * math.cos(phi_j), rho * math.sin(phi_j), R * sin_t], axis=-1)
         )
-        tags.append(np.full(ni, j + 1, dtype=np.int64))
     offset = 2 + n * ni
     tris = []
     interior_cols = nv - 1
@@ -484,7 +481,6 @@ def reference_gore_sphere(spec, nu, nv):
             + (R * sin_t)[:, None, None] * np.array([0.0, 0.0, 1.0])
         )
         verts.append(interior.reshape(-1, 3))
-        tags.append(np.zeros(ni * interior_cols, dtype=np.int64))
         ids = np.empty((ni, nv + 1), dtype=np.int64)
         ids[:, 0] = 2 + j * ni + np.arange(ni)
         ids[:, nv] = 2 + ((j + 1) % n) * ni + np.arange(ni)
@@ -498,7 +494,7 @@ def reference_gore_sphere(spec, nu, nv):
         tris.append(np.stack([np.zeros(nv, np.int64), ids[0, 1:], ids[0, :-1]], axis=1))
         tris.append(np.stack([np.ones(nv, np.int64), ids[-1, :-1], ids[-1, 1:]], axis=1))
     polylines = {j + 1: 2 + j * ni + np.arange(ni) for j in range(n)}
-    return TriMesh(np.concatenate(verts), np.concatenate(tris), np.concatenate(tags), polylines)
+    return TriMesh(np.concatenate(verts), np.concatenate(tris), polylines)
 
 BUILT = {  # called through surfaces, so that the references can stand in
     **SIZED,
@@ -520,7 +516,7 @@ def test_generators_match_stacking_reference(shape, monkeypatch):
         monkeypatch.setattr(surfaces, "_helical_band", reference_helical_band)
         monkeypatch.setattr(surfaces, "gen_gore_sphere", reference_gore_sphere)
         ref = BUILT[shape]()
-    for name in ("vertices", "triangles", "vertex_tags"):
+    for name in ("vertices", "triangles"):
         got, want = getattr(mesh, name), getattr(ref, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert mesh.crease_polylines.keys() == ref.crease_polylines.keys()
@@ -559,8 +555,11 @@ def test_threaded_band_in_blocks_matches_stacking_reference(shape, strip_cells, 
     monkeypatch.setattr(surfaces, "_grid_triangles", reference_grid_triangles)
     monkeypatch.setattr(surfaces, "_helical_band", reference_helical_band)
     ref = BUILT[shape]()
-    for name in ("vertices", "triangles", "vertex_tags"):
+    for name in ("vertices", "triangles"):
         assert np.array_equal(getattr(mesh, name), getattr(ref, name)), name
+    assert mesh.crease_polylines.keys() == ref.crease_polylines.keys()
+    for cid, chain in ref.crease_polylines.items():
+        assert np.array_equal(mesh.crease_polylines[cid], chain)
 
 
 def band_threads(monkeypatch, build):

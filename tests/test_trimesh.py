@@ -28,15 +28,13 @@ from creasegeom import (
 
 
 def square_mesh(crease=True):
-    """Two triangles over a unit square; diagonal 0-2 tagged as crease 1."""
+    """Two triangles over a unit square; diagonal 0-2 is crease 1."""
     vertices = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
     triangles = [[0, 1, 2], [0, 2, 3]]
-    tags = [1, 0, 1, 0] if crease else [0, 0, 0, 0]
     polylines = {1: [0, 2]} if crease else {}
     return TriMesh(
         vertices=np.array(vertices, float),
         triangles=np.array(triangles),
-        vertex_tags=np.array(tags),
         crease_polylines=polylines,
     )
 
@@ -46,17 +44,26 @@ def tetrahedron():
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float
     )
     triangles = np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]])
-    return TriMesh(vertices=vertices, triangles=triangles, vertex_tags=None)
+    return TriMesh(vertices=vertices, triangles=triangles)
 
 
 def test_basic_queries():
     mesh = square_mesh()
     assert mesh.num_vertices == 4
     assert mesh.num_triangles == 2
-    assert mesh.bbox_diagonal() == pytest.approx(math.sqrt(2))
     assert mesh.validate()[0] == pytest.approx([1.0, 1.0])  # twice the areas
-    assert mesh.crease_arc_length(1) == pytest.approx(math.sqrt(2))
-    mesh.validate()
+    closed = tetrahedron()  # the square's crease has only rim vertices, which carry no rate
+    closed.crease_polylines = {1: np.array([1, 2, 3])}
+    assert angle_defect(closed).crease_lengths[1] == pytest.approx(2 * math.sqrt(2))
+
+
+def test_crease_id_zero_is_a_crease():
+    # a crease is its polyline, whatever its id: id 0 is not "no crease"
+    mesh = tetrahedron()
+    mesh.crease_polylines = {0: np.array([1, 2])}
+    field = angle_defect(mesh)
+    assert field.crease_mask.tolist() == [False, True, True, False]
+    assert field.crease_totals[0] == field.defect[1] + field.defect[2]
 
 
 def test_boundary_and_euler():
@@ -120,10 +127,8 @@ def test_obj_round_trip(tmp_path):
     loaded = load_obj(path)
     assert loaded.num_vertices == 4
     assert np.array_equal(loaded.triangles, mesh.triangles)
+    assert list(loaded.crease_polylines) == [1]
     assert np.array_equal(loaded.crease_polylines[1], mesh.crease_polylines[1])
-    # tags reconstructed from the crease group; the boundary is not a tag
-    assert loaded.vertex_tags[0] == 1 and loaded.vertex_tags[2] == 1
-    assert loaded.vertex_tags[1] == 0 and loaded.vertex_tags[3] == 0
 
 
 def test_obj_deterministic(tmp_path):
@@ -195,21 +200,11 @@ def test_topology_matches_unique_reference(shape):
     assert np.allclose(angles.sum(axis=0), math.pi, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("shape", sorted(GENERATED))
-def test_generator_tags_are_crease_ids(shape):
-    mesh = GENERATED[shape]()
-    expected = np.zeros(mesh.num_vertices, dtype=np.int64)
-    for cid, chain in mesh.crease_polylines.items():
-        expected[chain] = cid
-    assert np.array_equal(mesh.vertex_tags, expected)
-
-
 def test_kernel_error_types_on_hand_built_meshes():
     # three triangles on edge 0-1, each winding it differently
     fan = TriMesh(
         vertices=np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]], float),
         triangles=np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]),
-        vertex_tags=None,
     )
     for query in (fan.validate, lambda: angle_defect(fan)):
         with pytest.raises(MeshError, match="non-manifold"):
@@ -252,7 +247,6 @@ def test_topology_faults_are_raised_before_degenerate_triangles():
     fan = TriMesh(  # edge 0-1 in three triangles, the last one flat
         vertices=np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0], [2, 0, 0]], float),
         triangles=np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]),
-        vertex_tags=None,
     )
     with pytest.raises(MeshError, match="non-manifold"):
         fan.validate()
@@ -263,7 +257,6 @@ def test_repeated_directed_edge_that_sorts_last_is_a_winding_fault():
     mesh = TriMesh(
         vertices=np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], float),
         triangles=np.array([[0, 2, 3], [1, 2, 3]]),
-        vertex_tags=None,
     )
     keys = np.empty(6, dtype=np.int64)
     trimesh._pack_edge_keys(mesh.triangles, 4, keys.reshape(2, 3))
@@ -422,10 +415,7 @@ def reference_load_obj(path):
     for ln, chain in chains:
         if min(chain, default=0) < 0 or max(chain, default=0) >= n:
             raise InputFormatError(f"{path}:{ln}: polyline index out of range 1..{n}")
-    tags = np.zeros(n, dtype=np.int64)
-    for cid, chain in polylines.items():
-        tags[chain] = cid
-    return TriMesh(np.array(vertices), triangles, tags, polylines)
+    return TriMesh(np.array(vertices), triangles, polylines)
 
 
 def awkward_values_mesh():
@@ -438,7 +428,7 @@ def awkward_values_mesh():
         [5e-324, 987654321.5, -999999999.0],
     ])
     triangles = np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]])
-    return TriMesh(vertices, triangles, np.array([7, 0, 7, 0]), {7: [0, 2]})
+    return TriMesh(vertices, triangles, {7: [0, 2]})
 
 
 OBJ_MESHES = {
@@ -462,7 +452,6 @@ def test_export_obj_matches_reference_writer(tmp_path, name):
 def assert_same_mesh(a, b):
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.triangles, b.triangles)
-    assert np.array_equal(a.vertex_tags, b.vertex_tags)
     assert list(a.crease_polylines) == list(b.crease_polylines)
     for cid, chain in a.crease_polylines.items():
         assert np.array_equal(chain, b.crease_polylines[cid])
