@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curvature import TubeSpec, strip_specific_curvature
+from .curvature import TubeSpec, _check_length, strip_specific_curvature
 from .errors import ParameterError
 
 
@@ -20,7 +20,8 @@ from .errors import ParameterError
 class CreaseSpec:
     """Curved-crease parameters.
 
-    R      radius of curvature along the crease; math.inf for a straight crease
+    R      radius of curvature along the crease, in [MIN_LENGTH, MAX_LENGTH];
+           math.inf for a straight crease
     mu     half fold angle, in [0, pi/2)
     twist  twist rate along the crease (any finite value; it never enters the
            specific curvature, see crease_specific_curvature)
@@ -31,8 +32,8 @@ class CreaseSpec:
     twist: float = 0.0
 
     def __post_init__(self):
-        if math.isnan(self.R) or self.R <= 0:
-            raise ParameterError(f"crease radius R must be > 0 or inf, got {self.R}")
+        if self.R != math.inf:
+            _check_length("crease radius R", self.R)
         if not (0 <= self.mu < math.pi / 2):
             raise ParameterError(f"half fold angle mu must lie in [0, pi/2), got {self.mu}")
         if not math.isfinite(self.twist):

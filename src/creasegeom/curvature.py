@@ -27,6 +27,22 @@ from .errors import ParameterError, ShallowRegimeWarning
 # forms degrade; gates a warning only, never an error.
 SHALLOW_WIDTH_RATIO = 0.2
 
+# Largest and smallest lengths that a spec accepts.  The mesh kernel squares
+# the cross products of edge vectors, fourth powers of lengths, which
+# overflow float64 near 1e77 and underflow to 0 near 1e-77.
+MAX_LENGTH = 1e50
+MIN_LENGTH = 1e-50
+
+
+def _check_length(name: str, value: float, positive: bool = True) -> None:
+    """ParameterError unless |value| is finite and at most MAX_LENGTH and, for
+    a length that must be positive, at least MIN_LENGTH.  The specs check
+    their lengths with it, so every caller refuses the same values."""
+    if not abs(value) <= MAX_LENGTH:
+        raise ParameterError(f"{name} must be finite and at most {MAX_LENGTH:g}, got {value}")
+    if positive and not value >= MIN_LENGTH:
+        raise ParameterError(f"{name} must be at least {MIN_LENGTH:g}, got {value}")
+
 
 # The math module takes scalars only: a TypeError sends an array of several
 # elements to numpy.  Trying math first keeps the scalar path at its old cost.
@@ -95,10 +111,12 @@ class MohrCircle:
 class TubeSpec:
     """Creased-tube parameters.
 
-    a      cylinder radius (> 0)
+    a      cylinder radius, in [MIN_LENGTH, MAX_LENGTH]
     alpha  inclination of the crease lines to the tube axis, in [0, pi/2];
            alpha = 0 means axial lines, alpha = pi/2 means hoop lines
-    h      strip width measured normal to the creases (> 0)
+    h      strip width measured normal to the creases, in (0, MAX_LENGTH];
+           no lower limit, since a tube of radius MIN_LENGTH closes with
+           narrower strips and h enters no mesh coordinate
     """
 
     a: float
@@ -106,9 +124,9 @@ class TubeSpec:
     h: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a > 0):
-            raise ParameterError(f"tube radius a must be positive, got {self.a}")
-        if not (math.isfinite(self.h) and self.h > 0):
+        _check_length("tube radius a", self.a)
+        _check_length("strip width h", self.h, positive=False)  # keeps h/a^2 finite
+        if not self.h > 0:
             raise ParameterError(f"strip width h must be positive, got {self.h}")
         if not (0 <= self.alpha <= math.pi / 2):
             raise ParameterError(

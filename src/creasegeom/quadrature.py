@@ -22,10 +22,6 @@ class QuadratureResult:
     error_estimate: float
     evaluations: int
 
-    def __post_init__(self):
-        if np.any(np.asarray(self.error_estimate) < 0):
-            raise ParameterError("error estimate must be >= 0")
-
 
 def _out(x: np.ndarray):  # a Python scalar for shape ()
     return x.item() if x.ndim == 0 else x

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .creases import CreaseSpec
-from .curvature import TubeSpec
+from .curvature import MAX_LENGTH, MIN_LENGTH, TubeSpec, _check_length  # noqa: F401
 from .errors import (
     ClosureError,
     ParameterError,
@@ -43,21 +43,10 @@ _THREADED_VERTICES = 1 << 19
 _STRIP_CELLS = 1 << 14
 
 
-# Largest and smallest lengths that a generator accepts.  The mesh kernel
-# squares the cross products of edge vectors, fourth powers of lengths,
-# which overflow float64 near 1e77 and underflow to 0 near 1e-77.
-MAX_LENGTH = 1e50
-MIN_LENGTH = 1e-50
-
-
-def _check_length(name: str, value: float, positive: bool = True) -> None:
-    """ParameterError unless |value| is finite and at most MAX_LENGTH and, for
-    a length that must be positive, at least MIN_LENGTH; the generators call
-    it before building arrays."""
-    if not abs(value) <= MAX_LENGTH:
-        raise ParameterError(f"{name} must be finite and at most {MAX_LENGTH:g}, got {value}")
-    if positive and not value >= MIN_LENGTH:
-        raise ParameterError(f"{name} must be at least {MIN_LENGTH:g}, got {value}")
+def _check_resolution(nu: int, nv: int, least_nu: int = 3, least_nv: int = 3) -> None:
+    """ResolutionError unless nu >= least_nu and nv >= least_nv."""
+    if nu < least_nu or nv < least_nv:
+        raise ResolutionError(f"need nu >= {least_nu} and nv >= {least_nv}, got ({nu}, {nv})")
 
 
 def _check_size(num_vertices: int) -> None:
@@ -72,8 +61,8 @@ def _check_size(num_vertices: int) -> None:
 class MudguardSpec:
     """Doubly-curved inscription of a curved crease.
 
-    R   sweep radius of the underlying crease circle (> 0)
-    r   transverse arc radius (0 < r < R/2)
+    R   sweep radius of the underlying crease circle, in [MIN_LENGTH, MAX_LENGTH]
+    r   transverse arc radius, at least MIN_LENGTH and below R/2
     mu  half-arc angle; the transverse arc subtends the total fold angle 2*mu
     """
 
@@ -82,10 +71,8 @@ class MudguardSpec:
     mu: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.R) and self.R > 0):
-            raise ParameterError(f"sweep radius R must be positive, got {self.R}")
-        if not (math.isfinite(self.r) and self.r > 0):
-            raise ParameterError(f"arc radius r must be positive, got {self.r}")
+        _check_length("sweep radius R", self.R)
+        _check_length("arc radius r", self.r)
         if self.r >= 0.5 * self.R:
             raise ParameterError(
                 f"arc radius r = {self.r} must be below R/2 = {0.5 * self.R}"
@@ -96,14 +83,13 @@ class MudguardSpec:
 
 @dataclass(frozen=True)
 class GoreSphereSpec:
-    """Sphere approximated by n developable gores joined along meridian seams."""
+    """Sphere of radius R approximated by n >= 3 developable gores joined along seams."""
 
     R: float
     n: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.R) and self.R > 0):
-            raise ParameterError(f"seam radius R must be positive, got {self.R}")
+        _check_length("seam radius R", self.R)
         if self.n < 3:
             raise ParameterError(f"number of gores must be >= 3, got {self.n}")
 
@@ -150,8 +136,7 @@ def _helical_band(a, alpha, n_strips, nu, nv, flatten):
     strip by straight rulings (the prismatic tube), False keeps points on the
     cylinder.  Each strip fills its own slices of the vertex and triangle
     arrays, so a large band is filled on two threads, alternate strips each."""
-    if nu < 3 or nv < 3:
-        raise ResolutionError(f"nu and nv must be >= 3, got ({nu}, {nv})")
+    _check_resolution(nu, nv)
     if alpha >= math.pi / 2:
         raise ParameterError(
             "alpha = pi/2 (hoop-aligned lines) degenerates the strip construction"
@@ -236,7 +221,6 @@ def gen_cylinder(spec: TubeSpec, nu: int, nv: int) -> TriMesh:
             ShallowRegimeWarning,
             stacklevel=2,
         )
-    _check_length("tube radius a", spec.a)
     return _helical_band(spec.a, spec.alpha, n_lines, nu, nv, flatten=False)
 
 
@@ -252,7 +236,6 @@ def gen_twisted_prismatic_tube(
     """
     if n_strips < 3:
         raise ParameterError(f"n_strips must be >= 3, got {n_strips}")
-    _check_length("tube radius a", spec.a)
     h_req = TWO_PI * spec.a * math.cos(spec.alpha) / n_strips
     gap = n_strips * (spec.h - h_req) / math.cos(spec.alpha) if spec.alpha < math.pi / 2 else 0.0
     if abs(spec.h - h_req) > 1e-9 * spec.a:
@@ -286,8 +269,7 @@ def gen_twisted_patch(
                   positive=False)
     if not (0 <= mu < math.pi / 2):
         raise ParameterError(f"half fold angle mu must lie in [0, pi/2), got {mu}")
-    if nu < 3 or nv < 3:
-        raise ResolutionError(f"nu and nv must be >= 3, got ({nu}, {nv})")
+    _check_resolution(nu, nv)
     if abs(kxy) * max(a_len, b_len) > 0.3:
         warnings.warn(
             "patch is outside the shallow-twist regime (|kxy|*size > 0.3)",
@@ -325,15 +307,13 @@ def gen_curved_crease(spec: CreaseSpec, strip_width: float, nu: int, nv: int) ->
     """
     if spec.is_straight:
         raise ParameterError("gen_curved_crease needs a finite crease radius")
-    _check_length("crease radius R", spec.R)
     if not 0 < strip_width < spec.R / 4:
         raise ParameterError(
             f"strip width must lie in (0, R/4) to avoid cone self-intersection, "
             f"got {strip_width} with R = {spec.R}"
         )
     _check_length("strip width", strip_width)
-    if nu < 3 or nv < 3:
-        raise ResolutionError(f"nu and nv must be >= 3, got ({nu}, {nv})")
+    _check_resolution(nu, nv)
     _check_size((nu + 1) * (2 * nv + 1))
     phi = np.linspace(0.0, CREASE_ARC_SPAN, nu + 1)
     rho_hat = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1)
@@ -374,10 +354,7 @@ def mudguard_surface(spec: MudguardSpec):
 
 def gen_mudguard(spec: MudguardSpec, nu: int, nv: int) -> TriMesh:
     """Mudguard band: closed in the sweep direction, open across the arc."""
-    _check_length("sweep radius R", spec.R)
-    _check_length("arc radius r", spec.r)
-    if nu < 3 or nv < 3:
-        raise ResolutionError(f"nu and nv must be >= 3, got ({nu}, {nv})")
+    _check_resolution(nu, nv)
     _check_size(nu * (nv + 1))
     fn = mudguard_surface(spec)
     phi = np.linspace(0.0, TWO_PI, nu + 1)[:-1]
@@ -402,9 +379,7 @@ def gen_gore_sphere(spec: GoreSphereSpec, nu: int, nv: int) -> TriMesh:
     chords), so gore interiors are developable; all curvature sits in the
     seam polylines and the two shared pole vertices.
     """
-    _check_length("seam radius R", spec.R)
-    if nu < 4 or nv < 2:
-        raise ResolutionError(f"need nu >= 4 and nv >= 2, got ({nu}, {nv})")
+    _check_resolution(nu, nv, least_nu=4, least_nv=2)
     R, n = spec.R, spec.n
     num_vertices = 2 + n * (nu - 1) * nv  # poles, seams, gore interiors
     _check_size(num_vertices)

@@ -482,6 +482,70 @@ def test_generate_tube_with_a_below_min_length_names_a(tmp_path, capsys):
     assert assert_one_line_error(capsys) == "error: tube radius a must be at least 1e-50, got 1e-300\n"
 
 
+# Each length-bearing spec field: generate flags and sweep arguments that set
+# it to {L}, every other length in range, and its name in the message.
+SPEC_LENGTHS = {
+    "TubeSpec.a": ("cylinder --a={L} --alpha=0.6 --h=0.01", "h --range=0.01:0.02:2 --a={L}",
+                   "tube radius a"),
+    "TubeSpec.h": ("cylinder --a=1 --alpha=0.6 --h={L}", "alpha --range=0.1:0.2:2 --h={L}",
+                   "strip width h"),
+    "CreaseSpec.R": ("curved-crease --R={L} --mu=0.2 --width=0.1",
+                     "mu --range=0.1:0.2:2 --R={L}", "crease radius R"),
+    "MudguardSpec.R": ("mudguard --R={L} --r=0.1 --mu=0.2", "r --range=0.01:0.02:2 --R={L}",
+                       "sweep radius R"),
+    "MudguardSpec.r": ("mudguard --R=10 --r={L} --mu=0.2", "mu --range=0.1:0.2:2 --r={L}",
+                       "arc radius r"),
+    "GoreSphereSpec.R": ("gore-sphere --radius={L} --n=6", "n --range=3:5:3 --R={L}",
+                         "seam radius R"),
+}
+
+
+# h has no lower limit: a tube of radius 1e-50 closes with narrower strips
+@pytest.mark.parametrize("field, value", [
+    (field, value) for field in SPEC_LENGTHS for value in (1e-60, 1e60)
+    if (field, value) != ("TubeSpec.h", 1e-60)
+])
+def test_spec_lengths_are_refused_alike_by_generate_sidecar_and_sweep(tmp_path, capsys,
+                                                                      field, value):
+    gen_flags, sweep_args, name = SPEC_LENGTHS[field]
+    message = (f"{name} must be at least 1e-50, got {value}" if value < 1
+               else f"{name} must be finite and at most 1e+50, got {value}")
+    shape, *flags = gen_flags.format(L=value).split()
+    out = tmp_path / "x.obj"
+    assert run(["generate", shape, *flags, "--nu=8", "--nv=4", f"--out={out}"]) == 2
+    assert assert_one_line_error(capsys) == f"error: {message}\n"
+    assert not out.exists()
+
+    params = {"nu": 8, "nv": 4}
+    for flag in flags:
+        key, text = flag[2:].split("=")
+        params[key] = cli.PARAMS[key][0](text)
+    sidecar = tmp_path / "x.obj.json"
+    sidecar.write_text(json.dumps({"tool": "creasegeom", "shape": shape, "params": params}))
+    assert run(["analyze", "--in", sidecar]) == 3
+    assert assert_one_line_error(capsys) == f"error: {sidecar}: {message}\n"
+
+    csv_path = tmp_path / "x.csv"
+    assert run(["sweep", "--param", *sweep_args.format(L=value).split(),
+                f"--csv={csv_path}"]) == 2
+    assert assert_one_line_error(capsys) == f"error: {message}\n"
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    ("--R=1e-60 --r=1e-61", "crease radius R must be at least 1e-50, got 1e-60"),
+    # in range, but the absolute tolerance of 1e-10 is out of reach on an
+    # integrand of about 1e8
+    ("--R=1e-8 --r=1e-9", "evaluation cap 1000000 reached before tol 1e-10 in integrals [1]"),
+], ids=["spec", "quadrature-cap"])
+def test_sweep_mu_at_tiny_radii_exits_2(tmp_path, capsys, flags, message):
+    csv_path = tmp_path / "mu.csv"
+    assert run(["sweep", "--param=mu", "--range=0.1:1.2:2", *flags.split(),
+                f"--csv={csv_path}"]) == 2
+    assert assert_one_line_error(capsys) == f"error: {message}\n"
+    assert not csv_path.exists()
+
+
 def test_analyze_sidecar_mesh_error_stays_exit_2(tmp_path, capsys, monkeypatch):
     path = tube_sidecar(tmp_path)
 
@@ -504,7 +568,7 @@ def test_resolution_cap_exit_codes(tmp_path, capsys, monkeypatch):
     assert "over the limit of 100" in assert_one_line_error(capsys)
     assert not out.exists()
     # a / h overflows to an infinite line count, which never reaches round()
-    assert run(["generate", "cylinder", "--a=1e300", "--alpha=0.7", "--h=1e-300",
+    assert run(["generate", "cylinder", "--a=1e50", "--alpha=0.7", "--h=1e-300",
                 "--out", out]) == 2
     assert "inf lines, over the limit of 100" in assert_one_line_error(capsys)
     assert run(["analyze", "--in", sidecar]) == 3
