@@ -33,7 +33,7 @@ for nu in (32, 64, 128, 256):
 print("\ntwisted-prismatic tube: a = 1, alpha = 45 degrees, 12 strips")
 tube_spec = tube_spec_for_strips(1.0, math.pi / 4, 12)
 expected = gaussian_curvature(prismatic_curvatures(tube_spec))
-mesh = gen_twisted_prismatic_tube(tube_spec, 12, 128, 128)
+mesh = gen_twisted_prismatic_tube(1.0, math.pi / 4, 12, 128, 128)
 field = angle_defect(mesh)
 print(f"  strip K from closed form:      {expected:.6f}")
 print(f"  defect density on the mesh:    {field.interior_defect_density():.6f}")

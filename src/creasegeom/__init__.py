@@ -26,7 +26,6 @@ from .curvature import (
     tube_spec_for_strips,
 )
 from .errors import (
-    ClosureError,
     InputFormatError,
     MeshError,
     OrientationError,
@@ -87,7 +86,7 @@ __all__ = [
     # verification
     "VerificationReport", "run_suite",
     # errors
-    "ParameterError", "ResolutionError", "ClosureError", "MeshError",
+    "ParameterError", "ResolutionError", "MeshError",
     "OrientationError", "InputFormatError", "QuadratureError",
     "ShallowRegimeWarning",
 ]

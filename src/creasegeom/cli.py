@@ -102,7 +102,9 @@ SHAPES = {
     "tube": Shape(
         ("a", "alpha", "strips"),
         lambda p: curvature.tube_spec_for_strips(p["a"], p["alpha"], p["strips"]),
-        lambda s, p: surfaces.gen_twisted_prismatic_tube(s, p["strips"], p["nu"], p["nv"]),
+        lambda s, p: surfaces.gen_twisted_prismatic_tube(
+            p["a"], p["alpha"], p["strips"], p["nu"], p["nv"]
+        ),
         lambda s, p: _tube_summary(s, curvature.prismatic_curvatures(s)),
     ),
     "twisted-patch": Shape(

@@ -9,14 +9,6 @@ class ResolutionError(ParameterError):
     """Mesh resolution too low to produce a valid triangulation."""
 
 
-class ClosureError(ParameterError):
-    """A closed cross-section cannot be assembled; carries the gap size."""
-
-    def __init__(self, message, gap=None):
-        super().__init__(message)
-        self.gap = gap
-
-
 class MeshError(ValueError):
     """A mesh violates a structural invariant."""
 

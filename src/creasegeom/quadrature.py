@@ -143,19 +143,14 @@ def mudguard_total(specs) -> MudguardTotal:
     (1/r) * cos(eps) / [R - r*(1 - cos(mu))] over the transverse arc (length
     element r * d(eps)) and a hoop of length 2*pi*R.  Takes a MudguardSpec,
     or a list of them for one batched quadrature and array fields, with each
-    spec's evaluations.  Raises ArithmeticError if the two routes disagree
-    beyond the quadrature error.
+    spec's evaluations.
     """
     R, r, mu = (np.vectorize(attrgetter(k), otypes=[float])(specs) for k in ("R", "r", "mu"))
     value, err, evals = _simpson(lambda eps, d: np.cos(eps) / d, -mu, mu, DEFAULT_TOL,
                                  MAX_EVALUATIONS, (R - r * (1.0 - np.cos(mu)),))
     value, err = 2.0 * np.pi * R * value, 2.0 * np.pi * R * err  # a hoop of length 2*pi*R
-    closed = mudguard_closed_form(R, r, mu)
-    slack = 100.0 * np.maximum(err, DEFAULT_TOL * np.maximum(1.0, np.abs(closed)))
-    if np.any(np.abs(value - closed) > slack):
-        raise ArithmeticError(f"quadrature {value!r} and closed form {closed!r} disagree "
-                              f"beyond tolerance {slack!r}")
-    return MudguardTotal(QuadratureResult(_out(value), _out(err), _out(evals)), _out(closed))
+    return MudguardTotal(QuadratureResult(_out(value), _out(err), _out(evals)),
+                         _out(mudguard_closed_form(R, r, mu)))
 
 
 def gore_sphere_total(specs) -> QuadratureResult:

@@ -12,13 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .creases import CreaseSpec
-from .curvature import MAX_LENGTH, MIN_LENGTH, TubeSpec, _check_length  # noqa: F401
-from .errors import (
-    ClosureError,
-    ParameterError,
-    ResolutionError,
-    ShallowRegimeWarning,
-)
+from .curvature import TubeSpec, _check_length, tube_spec_for_strips
+from .errors import ParameterError, ResolutionError, ShallowRegimeWarning
 from .trimesh import TriMesh, _run_beside
 
 TWO_PI = 2.0 * math.pi
@@ -33,10 +28,11 @@ CREASE_ARC_SPAN = math.pi / 2
 # 220 bytes per vertex (measured at 944k vertices), so 2.2 GB at the limit.
 MAX_VERTICES = 10_000_000
 
-# Smallest helical band whose strips are filled on two threads.  Measured on
-# 2 cores, two threads break even near 4e5 vertices and are a third faster at
-# 7.6e5; in smaller bands the interpreter's work, which holds the GIL,
-# outweighs the gain.  Strips are filled in blocks of about _STRIP_CELLS
+# Smallest helical band whose strips are filled on two threads.  Timed on 2
+# cores (median of 40 builds of a 12-strip tube), two threads take 15-30%
+# longer at 3.9e4 vertices and are 1.3-1.6x as fast from 1.2e5 up when the
+# second core is idle, but up to 8% slower to 3.7e5 when it is busy; the
+# limit stays above both.  Strips are filled in blocks of about _STRIP_CELLS
 # cells, so the second thread's temporaries, which stay resident in its
 # glibc arena, remain small.
 _THREADED_VERTICES = 1 << 19
@@ -225,26 +221,16 @@ def gen_cylinder(spec: TubeSpec, nu: int, nv: int) -> TriMesh:
 
 
 def gen_twisted_prismatic_tube(
-    spec: TubeSpec, n_strips: int, nu: int, nv: int
+    a: float, alpha: float, n_strips: int, nu: int, nv: int
 ) -> TriMesh:
-    """Twisted-prismatic tube: n_strips ruled strips, each flat normal to the
-    creases, joined along helical crease polylines.
-
-    The spec's strip width must equal 2*pi*a*cos(alpha)/n_strips (see
-    tube_spec_for_strips); otherwise the cross-section cannot close and a
-    ClosureError reporting the gap is raised.
+    """Twisted-prismatic tube on a cylinder of radius a: n_strips ruled
+    strips, each flat normal to the creases, joined along helical crease
+    polylines at angle alpha to the axis.  Each strip is
+    2*pi*a*cos(alpha)/n_strips wide, the width that closes the cross-section;
+    the parameters are checked as tube_spec_for_strips checks them.
     """
-    if n_strips < 3:
-        raise ParameterError(f"n_strips must be >= 3, got {n_strips}")
-    h_req = TWO_PI * spec.a * math.cos(spec.alpha) / n_strips
-    gap = n_strips * (spec.h - h_req) / math.cos(spec.alpha) if spec.alpha < math.pi / 2 else 0.0
-    if abs(spec.h - h_req) > 1e-9 * spec.a:
-        raise ClosureError(
-            f"strip width {spec.h:.9g} does not close {n_strips} strips around "
-            f"the hoop (need {h_req:.9g}; hoop gap {gap:.3e})",
-            gap=gap,
-        )
-    return _helical_band(spec.a, spec.alpha, n_strips, nu, nv, flatten=True)
+    tube_spec_for_strips(a, alpha, n_strips)
+    return _helical_band(a, alpha, n_strips, nu, nv, flatten=True)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +345,7 @@ def gen_mudguard(spec: MudguardSpec, nu: int, nv: int) -> TriMesh:
     fn = mudguard_surface(spec)
     phi = np.linspace(0.0, TWO_PI, nu + 1)[:-1]
     eps = np.linspace(-spec.mu, spec.mu, nv + 1)
-    P, E = np.meshgrid(phi, eps, indexing="ij")
-    grid = fn(P, E)
+    grid = fn(phi[:, None], eps[None, :])
     verts = grid.reshape(-1, 3)
     ids = np.arange(nu * (nv + 1)).reshape(nu, nv + 1)
     wrapped = np.vstack([ids, ids[:1]])  # close the hoop
@@ -381,52 +366,39 @@ def gen_gore_sphere(spec: GoreSphereSpec, nu: int, nv: int) -> TriMesh:
     """
     _check_resolution(nu, nv, least_nu=4, least_nv=2)
     R, n = spec.R, spec.n
-    num_vertices = 2 + n * (nu - 1) * nv  # poles, seams, gore interiors
-    _check_size(num_vertices)
+    _check_size(2 + n * (nu - 1) * nv)  # poles, seams, gore interiors
     beta = math.pi / n
     theta = np.linspace(-math.pi / 2, math.pi / 2, nu + 1)[1:-1]
     ni = len(theta)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-
-    vertices = np.empty((num_vertices, 3))
-    vertices[:2] = [[0.0, 0.0, -R], [0.0, 0.0, R]]
-    # seam j vertices: ids 2 + j*ni + i, lying in the plane at azimuth 2*pi*j/n
-    seams = 2 + np.arange(n * ni).reshape(n, ni)
-    for j in range(n):
-        phi_j = TWO_PI * j / n
-        rho = R * cos_t / math.cos(beta)
-        vertices[seams[j]] = np.stack(
-            [rho * math.cos(phi_j), rho * math.sin(phi_j), R * sin_t], axis=-1
-        )
+    rho = R * cos_t / math.cos(beta)
+    # seam j: ids 2 + j*ni + i, lying in the plane at azimuth 2*pi*j/n
+    seams = [np.stack([rho * math.cos(TWO_PI * j / n), rho * math.sin(TWO_PI * j / n),
+                       R * sin_t], axis=-1) for j in range(n)]
+    verts = [np.array([[0.0, 0.0, -R], [0.0, 0.0, R]]), *seams]
+    tris = []
+    f = 2.0 * np.arange(1, nv) / nv - 1.0  # interior ruling fractions
+    w = f[None, :] * (R * cos_t * math.tan(beta))[:, None]
     offset = 2 + n * ni
-
-    # gore j's triangles: its 2*(ni - 1)*nv cells, then nv south and nv north pole fans
-    triangles = np.empty((n, 2 * ni * nv, 3), dtype=np.int64)
-    interior_cols = nv - 1
     for j in range(n):
         phi_c = TWO_PI * (j + 0.5) / n
         e1 = np.array([math.cos(phi_c), math.sin(phi_c), 0.0])
         u = np.array([-math.sin(phi_c), math.cos(phi_c), 0.0])
-        f = (2.0 * np.arange(1, nv) / nv - 1.0)  # interior ruling fractions
-        w = f[None, :] * (R * cos_t * math.tan(beta))[:, None]
         interior = (
             (R * cos_t)[:, None, None] * e1
             + w[:, :, None] * u
             + (R * sin_t)[:, None, None] * np.array([0.0, 0.0, 1.0])
         )
-        vertices[offset:offset + ni * interior_cols] = interior.reshape(-1, 3)
-
+        verts.append(interior.reshape(-1, 3))
         ids = np.empty((ni, nv + 1), dtype=np.int64)
-        ids[:, 0] = seams[j]
-        ids[:, nv] = seams[(j + 1) % n]
-        ids[:, 1:nv] = offset + np.arange(ni * interior_cols).reshape(ni, interior_cols)
-        offset += ni * interior_cols
-
-        triangles[j, :-2 * nv] = _grid_triangles(ids, vertices[ids], flip=True)
-        # pole fans, a row per corner: south pole 0 below row i=0, north pole 1
-        south, north = triangles[j, -2 * nv:].reshape(2, nv, 3).transpose(0, 2, 1)
-        south[0], south[1], south[2] = 0, ids[0, 1:], ids[0, :-1]
-        north[0], north[1], north[2] = 1, ids[-1, :-1], ids[-1, 1:]
-
-    polylines = {j + 1: seams[j] for j in range(n)}
-    return TriMesh(vertices, triangles.reshape(-1, 3), polylines)
+        ids[:, 0] = 2 + j * ni + np.arange(ni)
+        ids[:, nv] = 2 + (j + 1) % n * ni + np.arange(ni)
+        ids[:, 1:nv] = offset + np.arange(ni * (nv - 1)).reshape(ni, nv - 1)
+        offset += ni * (nv - 1)
+        grid = np.concatenate([seams[j][:, None], interior, seams[(j + 1) % n][:, None]], axis=1)
+        tris.append(_grid_triangles(ids, grid, flip=True))
+        # pole fans: south pole 0 below the first row, north pole 1 above the last
+        tris.append(np.stack([np.zeros(nv, np.int64), ids[0, 1:], ids[0, :-1]], axis=1))
+        tris.append(np.stack([np.ones(nv, np.int64), ids[-1, :-1], ids[-1, 1:]], axis=1))
+    polylines = {j + 1: 2 + j * ni + np.arange(ni) for j in range(n)}
+    return TriMesh(np.concatenate(verts), np.concatenate(tris), polylines)

@@ -209,7 +209,7 @@ def suite_strip_curvature() -> list[VerificationReport]:
     a, alpha, n_strips, res = 1.0, math.pi / 4, 12, 256
     spec = curvature.tube_spec_for_strips(a, alpha, n_strips)
     expected = curvature.gaussian_curvature(curvature.prismatic_curvatures(spec))
-    mesh = surfaces.gen_twisted_prismatic_tube(spec, n_strips, res, res)
+    mesh = surfaces.gen_twisted_prismatic_tube(a, alpha, n_strips, res, res)
     density = oracle.angle_defect(mesh).interior_defect_density()
     return [
         _rel(

@@ -67,6 +67,19 @@ def test_degrees_flag(tmp_path, capsys):
     assert out_rad.read_bytes() == out_deg.read_bytes()
 
 
+@pytest.mark.parametrize("degrees, radians", [
+    ("--param alpha --range 10:20:3",
+     f"--param alpha --range {math.radians(10)!r}:{math.radians(20)!r}:3"),
+    ("--param h --range 0.01:0.08:8 --alpha 45",
+     "--param h --range 0.01:0.08:8 --alpha 0.7853981633974483"),
+], ids=["swept-angle", "context-angle"])
+def test_sweep_degrees_flag(tmp_path, capsys, degrees, radians):
+    csv_deg, csv_rad = tmp_path / "deg.csv", tmp_path / "rad.csv"
+    assert run(["sweep", *degrees.split(), "--degrees", "--csv", csv_deg]) == 0
+    assert run(["sweep", *radians.split(), "--csv", csv_rad]) == 0
+    assert csv_deg.read_bytes() == csv_rad.read_bytes()
+
+
 ROUNDTRIP_ARGS = {
     "cylinder": ["--a", 1, "--alpha", 0.7, "--h", 0.1, "--nu", 40, "--nv", 6],
     "tube": ["--a", 1, "--alpha", 0.7, "--strips", 8, "--nu", 40, "--nv", 6],

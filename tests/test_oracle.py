@@ -172,8 +172,7 @@ def per_corner_defect(mesh):
 
 
 def test_angle_defect_matches_per_corner_reference():
-    spec = tube_spec_for_strips(1.0, math.pi / 4, 12)
-    mesh = gen_twisted_prismatic_tube(spec, 12, 48, 48)
+    mesh = gen_twisted_prismatic_tube(1.0, math.pi / 4, 12, 48, 48)
     field = angle_defect(mesh)
     angle_sum, lumped = per_corner_defect(mesh)
     flat = np.where(field.boundary_mask, math.pi, 2 * math.pi)
@@ -191,10 +190,9 @@ PEAK_BYTES_PER_VERTEX = 245
 
 
 def test_tube_generate_and_angle_defect_peak_memory():
-    spec = tube_spec_for_strips(1.0, math.pi / 4, 12)
     tracemalloc.start()
     try:
-        mesh = gen_twisted_prismatic_tube(spec, 12, 128, 128)
+        mesh = gen_twisted_prismatic_tube(1.0, math.pi / 4, 12, 128, 128)
         angle_defect(mesh)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -212,9 +210,9 @@ PEAK_RSS_BYTES_PER_VERTEX = 235
 
 RSS_PROBE = """
 import math, resource
-from creasegeom import angle_defect, gen_twisted_prismatic_tube, tube_spec_for_strips
+from creasegeom import angle_defect, gen_twisted_prismatic_tube
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-mesh = gen_twisted_prismatic_tube(tube_spec_for_strips(1.0, math.pi / 4, 12), 12, 256, 256)
+mesh = gen_twisted_prismatic_tube(1.0, math.pi / 4, 12, 256, 256)
 angle_defect(mesh).interior_defect_density()
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(mesh.num_vertices, (after - before) * 1024)
@@ -358,8 +356,7 @@ def test_exact_sum_limb_columns_at_the_width_limit(n):
 
 SIX_SHAPES = {
     "cylinder": lambda: gen_cylinder(tube_spec_for_strips(1.0, math.pi / 4, 8), 32, 6),
-    "tube": lambda: gen_twisted_prismatic_tube(
-        tube_spec_for_strips(1.0, math.pi / 4, 12), 12, 48, 48),
+    "tube": lambda: gen_twisted_prismatic_tube(1.0, math.pi / 4, 12, 48, 48),
     "twisted-patch": lambda: gen_twisted_patch(0.1, 1.0, 1.0, 0.2, 32, 32),
     "curved-crease": lambda: gen_curved_crease(CreaseSpec(R=2.0, mu=0.5), 0.3, 48, 8),
     "mudguard": lambda: gen_mudguard(MudguardSpec(R=2.0, r=0.1, mu=0.6), 48, 12),

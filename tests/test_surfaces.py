@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from creasegeom import (
-    ClosureError,
     CreaseSpec,
     GoreSphereSpec,
     MudguardSpec,
@@ -26,7 +25,7 @@ from creasegeom import (
     mudguard_surface,
     tube_spec_for_strips,
 )
-from creasegeom import surfaces
+from creasegeom import curvature, surfaces
 
 
 def signed_volume(mesh):
@@ -56,8 +55,7 @@ def test_cylinder_adjusts_spacing_with_warning():
 
 
 def test_tube_closes_and_is_ruled():
-    spec = tube_spec_for_strips(1.0, math.pi / 4, 12)
-    mesh = gen_twisted_prismatic_tube(spec, 12, 32, 6)
+    mesh = gen_twisted_prismatic_tube(1.0, math.pi / 4, 12, 32, 6)
     mesh.validate()
     # closed in the hoop direction, open at the two helical ends
     assert mesh.validate()[2].sum() > 0
@@ -70,27 +68,20 @@ def test_tube_closes_and_is_ruled():
     assert (radii[~crease] < 1.0 - 1e-9).all()
 
 
-def test_tube_rejects_mismatched_width():
-    spec = tube_spec_for_strips(1.0, math.pi / 4, 12)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ShallowRegimeWarning)
-        bad = type(spec)(a=spec.a, alpha=spec.alpha, h=spec.h * 1.01)
-    with pytest.raises(ClosureError) as excinfo:
-        gen_twisted_prismatic_tube(bad, 12, 32, 6)
-    assert excinfo.value.gap != 0
-
-
 def test_tube_axial_strips():
     # alpha = 0: straight prismatic tube, no helical shift
-    spec = tube_spec_for_strips(1.0, 0.0, 8)
-    mesh = gen_twisted_prismatic_tube(spec, 8, 16, 4)
+    mesh = gen_twisted_prismatic_tube(1.0, 0.0, 8, 16, 4)
     mesh.validate()
 
 
 def test_helical_band_rejects_hoop_lines_and_low_res():
-    spec = tube_spec_for_strips(1.0, math.pi / 4, 8)
     with pytest.raises(ResolutionError):
-        gen_twisted_prismatic_tube(spec, 8, 2, 6)
+        gen_twisted_prismatic_tube(1.0, math.pi / 4, 8, 2, 6)
+    # the tube checks its arguments as tube_spec_for_strips does
+    with pytest.raises(ParameterError, match="hoop-aligned creases"):
+        gen_twisted_prismatic_tube(1.0, math.pi / 2, 8, 16, 4)
+    with pytest.raises(ParameterError, match="n_strips must be >= 3, got 2"):
+        gen_twisted_prismatic_tube(1.0, math.pi / 4, 2, 16, 4)
 
 
 # -- twisted patch -----------------------------------------------------------
@@ -140,30 +131,30 @@ def test_twisted_patch_rejects_bad_params():
 
 @pytest.mark.parametrize("build", [
     lambda L: gen_cylinder(TubeSpec(a=L, alpha=0.6, h=L / 10), 8, 4),
-    lambda L: gen_twisted_prismatic_tube(tube_spec_for_strips(L, 0.6, 6), 6, 8, 4),
+    lambda L: gen_twisted_prismatic_tube(L, 0.6, 6, 8, 4),
     lambda L: gen_twisted_patch(0.1 / L, L, L, 0.0, 8, 8),
     lambda L: gen_curved_crease(CreaseSpec(R=L, mu=0.2), L / 10, 8, 4),
     lambda L: gen_mudguard(MudguardSpec(R=L, r=L / 10, mu=0.2), 8, 4),
     lambda L: gen_gore_sphere(GoreSphereSpec(R=L, n=6), 8, 4),
 ], ids=["cylinder", "tube", "twisted-patch", "curved-crease", "mudguard", "gore-sphere"])
 def test_generators_accept_max_length_and_refuse_more(build):
-    angle_defect(build(surfaces.MAX_LENGTH))  # no overflow inside the kernel either
+    angle_defect(build(curvature.MAX_LENGTH))  # no overflow inside the kernel either
     with pytest.raises(ParameterError, match="must be finite and at most 1e\\+50"):
-        build(surfaces.MAX_LENGTH * 10)
+        build(curvature.MAX_LENGTH * 10)
 
 
 @pytest.mark.parametrize("build", [
     lambda L: gen_cylinder(TubeSpec(a=L, alpha=0.6, h=L / 10), 8, 4),
-    lambda L: gen_twisted_prismatic_tube(tube_spec_for_strips(L, 0.6, 6), 6, 8, 4),
+    lambda L: gen_twisted_prismatic_tube(L, 0.6, 6, 8, 4),
     lambda L: gen_twisted_patch(0.1 / L, L, L, 0.0, 8, 8),
     lambda L: gen_curved_crease(CreaseSpec(R=10 * L, mu=0.2), L, 8, 4),
     lambda L: gen_mudguard(MudguardSpec(R=10 * L, r=L, mu=0.2), 8, 4),
     lambda L: gen_gore_sphere(GoreSphereSpec(R=L, n=6), 8, 4),
 ], ids=["cylinder", "tube", "twisted-patch", "curved-crease", "mudguard", "gore-sphere"])
 def test_generators_accept_min_length_and_refuse_less(build):
-    angle_defect(build(surfaces.MIN_LENGTH))  # nothing underflows inside the kernel
+    angle_defect(build(curvature.MIN_LENGTH))  # nothing underflows inside the kernel
     with pytest.raises(ParameterError, match="must be at least 1e-50, got 1e-51"):
-        build(surfaces.MIN_LENGTH / 10)
+        build(curvature.MIN_LENGTH / 10)
 
 
 def test_tiny_lengths_that_must_be_positive_are_refused_and_zero_height_is_not():
@@ -332,7 +323,7 @@ def test_generators_share_seam_vertices_exactly():
 SIZED = {  # odd nu/nv where a generator rounds them up to even
     "cylinder": lambda: gen_cylinder(tube_spec_for_strips(1.0, 0.6, 7), 9, 5),
     "cylinder-alpha0": lambda: gen_cylinder(TubeSpec(a=1.0, alpha=0.0, h=0.7), 9, 5),
-    "tube": lambda: gen_twisted_prismatic_tube(tube_spec_for_strips(1.0, 0.7, 7), 7, 9, 4),
+    "tube": lambda: gen_twisted_prismatic_tube(1.0, 0.7, 7, 9, 4),
     "twisted-patch": lambda: gen_twisted_patch(0.1, 1.0, 1.0, 0.2, 7, 5),
     "curved-crease": lambda: gen_curved_crease(CreaseSpec(R=2.0, mu=0.5), 0.3, 9, 4),
     "mudguard": lambda: gen_mudguard(MudguardSpec(R=2.0, r=0.1, mu=0.6), 9, 4),
@@ -360,10 +351,9 @@ class NoArrays:
 def test_oversized_resolution_is_refused_before_any_array(monkeypatch):
     # generate tube --nu 1000000 --nv 1000 would allocate about 7.5 GiB; with
     # numpy taken away the generator can only fail at the check
-    spec = tube_spec_for_strips(1.0, 0.7, 12)
     monkeypatch.setattr(surfaces, "np", NoArrays())
     with pytest.raises(ResolutionError, match="11500512000 vertices"):
-        gen_twisted_prismatic_tube(spec, 12, 1_000_000, 1000)
+        gen_twisted_prismatic_tube(1.0, 0.7, 12, 1_000_000, 1000)
 
 
 # -- preallocating builders against the stacking ones they replaced ----------
@@ -501,9 +491,7 @@ BUILT = {  # called through surfaces, so that the references can stand in
     "gore-sphere": lambda: surfaces.gen_gore_sphere(GoreSphereSpec(R=1.0, n=5), 7, 3),
     "gore-sphere-8": lambda: surfaces.gen_gore_sphere(GoreSphereSpec(R=2.0, n=8), 24, 4),
     "cylinder-8-lines": lambda: gen_cylinder(tube_spec_for_strips(1.0, math.pi / 4, 8), 32, 6),
-    "tube-12-strips-64": lambda: gen_twisted_prismatic_tube(
-        tube_spec_for_strips(1.0, math.pi / 4, 12), 12, 64, 64
-    ),
+    "tube-12-strips-64": lambda: gen_twisted_prismatic_tube(1.0, math.pi / 4, 12, 64, 64),
 }
 
 
@@ -596,5 +584,5 @@ def test_strip_worker_exception_propagates_and_the_thread_is_joined(monkeypatch)
     monkeypatch.setattr(surfaces, "_grid_triangles", failing)
     before = threading.active_count()
     with pytest.raises(MemoryError, match="no room for a strip"):
-        gen_twisted_prismatic_tube(tube_spec_for_strips(1.0, math.pi / 4, 12), 12, 24, 24)
+        gen_twisted_prismatic_tube(1.0, math.pi / 4, 12, 24, 24)
     assert threading.active_count() == before

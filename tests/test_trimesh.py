@@ -176,9 +176,7 @@ def unique_topology(mesh):
 
 GENERATED = {
     "cylinder": lambda: gen_cylinder(tube_spec_for_strips(1.0, math.pi / 4, 8), 32, 6),
-    "tube": lambda: gen_twisted_prismatic_tube(
-        tube_spec_for_strips(1.0, math.pi / 4, 12), 12, 24, 24
-    ),
+    "tube": lambda: gen_twisted_prismatic_tube(1.0, math.pi / 4, 12, 24, 24),
     "twisted-patch": lambda: gen_twisted_patch(0.1, 1.0, 1.0, 0.2, 12, 12),
     "curved-crease": lambda: gen_curved_crease(CreaseSpec(R=2.0, mu=0.5), 0.3, 24, 4),
     "mudguard": lambda: gen_mudguard(MudguardSpec(R=2.0, r=0.1, mu=0.6), 32, 6),
@@ -434,9 +432,7 @@ def awkward_values_mesh():
 OBJ_MESHES = {
     **GENERATED,
     # a coarser tube keeps the per-record reference parser quick
-    "tube": lambda: gen_twisted_prismatic_tube(
-        tube_spec_for_strips(1.0, math.pi / 4, 12), 12, 8, 4
-    ),
+    "tube": lambda: gen_twisted_prismatic_tube(1.0, math.pi / 4, 12, 8, 4),
     "awkward-values": awkward_values_mesh,
 }
 

@@ -1,0 +1,87 @@
+"""Write every output of the creasegeom command line into one directory, so
+that two source trees can be compared byte for byte:
+
+    PYTHONPATH=src python tools/cli_outputs.py OUTDIR
+    diff -r OUTDIR_A OUTDIR_B
+
+Each command runs as its own `python -m creasegeom.cli` process, from the
+creasegeom that this script imports, with OUTDIR as its working directory
+(so no output names an absolute path).  It runs `verify --suite all --json`;
+`generate` of all six shapes at two resolutions, each followed by `analyze`
+of the OBJ and of the JSON sidecar (report and CSV); `sweep` of every
+parameter, and of alpha in degrees; and `--version` and every `--help`.
+Beside each command's files it writes NAME.stdout, NAME.stderr and NAME.exit.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import creasegeom
+
+SHAPES = {
+    "cylinder": "--a 1 --alpha 0.7 --h 0.1",
+    "tube": "--a 1 --alpha 0.7 --strips 8",
+    "twisted-patch": "--kxy 0.1 --a-len 1 --b-len 1 --mu 0.2",
+    "curved-crease": "--R 2 --mu 0.5 --width 0.3",
+    "mudguard": "--R 10 --r 0.1 --mu 0.2",
+    "gore-sphere": "--radius 1 --n 8",
+}
+
+# The second resolution is odd, where some generators round up to even.
+RESOLUTIONS = {"default": "", "odd": "--nu 9 --nv 5"}
+
+SWEEPS = {
+    "alpha": "--param alpha --range 0.1:1.4:50",
+    "alpha-degrees": "--param alpha --range 5:80:16 --degrees",
+    "h": "--param h --range 0.01:0.08:20",
+    "mu": "--param mu --range 0.1:1.2:20",
+    "R": "--param R --range 2:50:20",
+    "r": "--param r --range 0.01:0.5:20",
+    "n": "--param n --range 3:200:30",
+}
+
+HELP = ["", "generate", "analyze", "verify", "sweep"]
+
+
+def run(outdir: Path, name: str, args: str) -> None:
+    """Run `creasegeom ARGS` in outdir and keep its stdout, stderr and exit code."""
+    env = dict(os.environ, COLUMNS="80",  # argparse wraps --help to the terminal width
+               PYTHONPATH=str(Path(creasegeom.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "creasegeom.cli", *args.split()],
+                          cwd=outdir, env=env, capture_output=True)
+    (outdir / f"{name}.stdout").write_bytes(done.stdout)
+    (outdir / f"{name}.stderr").write_bytes(done.stderr)
+    (outdir / f"{name}.exit").write_text(f"{done.returncode}\n")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    outdir = Path(argv[0])
+    outdir.mkdir(parents=True, exist_ok=True)
+    run(outdir, "verify", "verify --suite all --json verify.json")
+    for shape, params in SHAPES.items():
+        for res, res_args in RESOLUTIONS.items():
+            name = f"{shape}-{res}"
+            run(outdir, f"generate-{name}", f"generate {shape} {params} {res_args} "
+                                            f"--out {name}.obj")
+            run(outdir, f"analyze-obj-{name}", f"analyze --in {name}.obj "
+                                               f"--report {name}.obj.report --csv {name}.obj.csv")
+            run(outdir, f"analyze-sidecar-{name}", f"analyze --in {name}.obj.json "
+                                                   f"--report {name}.json.report "
+                                                   f"--csv {name}.json.csv")
+    for name, args in SWEEPS.items():
+        run(outdir, f"sweep-{name}", f"sweep {args} --csv sweep-{name}.csv")
+    run(outdir, "version", "--version")
+    for command in HELP:
+        run(outdir, f"help-{command or 'main'}", f"{command} --help")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
