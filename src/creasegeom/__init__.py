@@ -12,6 +12,7 @@ from .creases import (
     crease_specific_curvature,
     tube_balance,
     tube_crease_fold_angle,
+    tube_half_fold_angle,
 )
 from .curvature import (
     CurvatureState,
@@ -41,7 +42,6 @@ from .oracle import (
     gauss_map_integrate,
 )
 from .quadrature import (
-    MudguardTotal,
     QuadratureResult,
     gore_sphere_total,
     integrate,
@@ -72,9 +72,9 @@ __all__ = [
     "gaussian_curvature", "strip_specific_curvature", "tube_spec_for_strips",
     # creases
     "CreaseSpec", "BalanceReport", "crease_specific_curvature",
-    "tube_crease_fold_angle", "tube_balance",
+    "tube_half_fold_angle", "tube_crease_fold_angle", "tube_balance",
     # quadrature
-    "QuadratureResult", "MudguardTotal", "integrate",
+    "QuadratureResult", "integrate",
     "mudguard_closed_form", "mudguard_total", "gore_sphere_total",
     # meshes and generators
     "TriMesh", "export_obj", "load_obj",

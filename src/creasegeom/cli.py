@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import __version__, creases, curvature, oracle, quadrature, surfaces, verify
 from .errors import (InputFormatError, MeshError, ParameterError, QuadratureError,
                      ShallowRegimeWarning)
@@ -328,8 +330,10 @@ def _parse_range(text: str, integral: bool):
 
 
 def _mudguard_columns(specs: list):
-    total = quadrature.mudguard_total(specs)
-    return [x.tolist() for x in (total.closed_form, total.by_quadrature.value, total.residual)]
+    value = quadrature.mudguard_total(specs).value
+    closed = quadrature.mudguard_closed_form(*(np.array([getattr(s, k) for s in specs])
+                                               for k in ("R", "r", "mu")))
+    return [x.tolist() for x in (closed, value, value - closed)]
 
 
 def _alpha_row(c: dict):

@@ -1,10 +1,12 @@
 """Closed-form crease laws: the specific curvature 2*sin(mu)/R of a curved
-crease, and the strip-vs-crease balance of the creased tube.
+crease, the exact fold angle of the creased tube, and its strip-vs-crease
+balance.
 
 A crease is characterised by its half fold angle mu (the surface normal turns
-by 2*mu across it), the radius of curvature R along it, and the twist along
-it.  Canonical outputs keep the exact trigonometric forms; small-angle forms
-are documented approximations only.
+by 2*mu across it) and the radius of curvature R along it.  Its torsion does
+not enter the law; verify checks that on the tube's helical creases, whose
+torsion-to-curvature ratio is cot(alpha).  Canonical outputs keep the exact
+trigonometric forms; small-angle forms are documented approximations only.
 """
 
 from __future__ import annotations
@@ -20,24 +22,19 @@ from .errors import ParameterError
 class CreaseSpec:
     """Curved-crease parameters.
 
-    R      radius of curvature along the crease, in [MIN_LENGTH, MAX_LENGTH];
-           math.inf for a straight crease
-    mu     half fold angle, in [0, pi/2)
-    twist  twist rate along the crease (any finite value; it never enters the
-           specific curvature, see crease_specific_curvature)
+    R   radius of curvature along the crease, in [MIN_LENGTH, MAX_LENGTH];
+        math.inf for a straight crease
+    mu  half fold angle, in [0, pi/2)
     """
 
     R: float
     mu: float
-    twist: float = 0.0
 
     def __post_init__(self):
         if self.R != math.inf:
             _check_length("crease radius R", self.R)
         if not (0 <= self.mu < math.pi / 2):
             raise ParameterError(f"half fold angle mu must lie in [0, pi/2), got {self.mu}")
-        if not math.isfinite(self.twist):
-            raise ParameterError(f"twist rate must be finite, got {self.twist}")
 
     @property
     def is_straight(self) -> bool:
@@ -57,21 +54,31 @@ class BalanceReport:
 def crease_specific_curvature(spec: CreaseSpec) -> float:
     """Specific Gaussian curvature of a crease: 2*sin(mu)/R.
 
-    Solid angle per unit arc length.  Zero for a straight crease.  The twist
-    rate is deliberately ignored: twisting along a crease does not change its
-    solid angle.
+    Solid angle per unit arc length.  Zero for a straight crease.
     """
     if spec.is_straight:
         return 0.0
     return 2.0 * math.sin(spec.mu) / spec.R
 
 
-def tube_crease_fold_angle(spec: TubeSpec) -> float:
-    """Total fold angle 2*mu across one crease of the creased tube.
+def tube_half_fold_angle(spec: TubeSpec) -> float:
+    """Exact half fold angle mu of the twisted-prismatic tube's creases.
 
-    Equals the angle subtended between adjacent lines on the smooth cylinder:
-    kyy * h = (h/a) * cos^2(alpha).  The half angle mu is half the return value.
+    Half the angle between the tangent planes of the two strips that meet at
+    a crease, each spanned by the crease tangent and that strip's ruling:
+    tan(mu) = 2a sin^2(hc/2a) / (h s^2 + a c sin(hc/a)), s = sin(alpha),
+    c = cos(alpha).  At alpha = 0 it is h/2a.
     """
+    s, c = math.sin(spec.alpha), math.cos(spec.alpha)
+    a, h = spec.a, spec.h
+    return math.atan2(2.0 * a * math.sin(h * c / (2.0 * a)) ** 2,
+                      h * s * s + a * c * math.sin(h * c / a))
+
+
+def tube_crease_fold_angle(spec: TubeSpec) -> float:
+    """Total fold angle 2*mu across one crease of the creased tube in the
+    h -> 0 limit of tube_half_fold_angle: the angle kyy * h = (h/a) * cos^2(alpha)
+    subtended between adjacent lines on the smooth cylinder."""
     c = math.cos(spec.alpha)
     return (spec.h / spec.a) * c * c
 

@@ -119,27 +119,16 @@ def _refine(f, lo, hi, args, tol, max_evals):
     return sums[:, 0], sums[:, 1], np.where(lo != hi, 3 + 2 * nodes, 0), failed
 
 
-@dataclass(frozen=True)
-class MudguardTotal:
-    """Mudguard total solid angle evaluated both ways."""
-
-    by_quadrature: QuadratureResult
-    closed_form: float
-
-    @property
-    def residual(self) -> float:
-        return self.by_quadrature.value - self.closed_form
-
-
 def mudguard_closed_form(R, r, mu):
     """Total solid angle of the mudguard surface: 4*pi*R*sin(mu) / [R - r*(1 - cos(mu))]."""
     return 4.0 * np.pi * R * np.sin(mu) / (R - r * (1.0 - np.cos(mu)))
 
 
-def mudguard_total(specs) -> MudguardTotal:
-    """Total solid angle of the mudguard model, by quadrature and closed form.
+def mudguard_total(specs) -> QuadratureResult:
+    """Total solid angle of the mudguard model by quadrature, for comparison
+    with mudguard_closed_form.
 
-    The quadrature side integrates the local Gaussian curvature
+    Integrates the local Gaussian curvature
     (1/r) * cos(eps) / [R - r*(1 - cos(mu))] over the transverse arc (length
     element r * d(eps)) and a hoop of length 2*pi*R.  Takes a MudguardSpec,
     or a list of them for one batched quadrature and array fields, with each
@@ -149,8 +138,7 @@ def mudguard_total(specs) -> MudguardTotal:
     value, err, evals = _simpson(lambda eps, d: np.cos(eps) / d, -mu, mu, DEFAULT_TOL,
                                  MAX_EVALUATIONS, (R - r * (1.0 - np.cos(mu)),))
     value, err = 2.0 * np.pi * R * value, 2.0 * np.pi * R * err  # a hoop of length 2*pi*R
-    return MudguardTotal(QuadratureResult(_out(value), _out(err), _out(evals)),
-                         _out(mudguard_closed_form(R, r, mu)))
+    return QuadratureResult(_out(value), _out(err), _out(evals))
 
 
 def gore_sphere_total(specs) -> QuadratureResult:

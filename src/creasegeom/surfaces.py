@@ -133,10 +133,6 @@ def _helical_band(a, alpha, n_strips, nu, nv, flatten):
     cylinder.  Each strip fills its own slices of the vertex and triangle
     arrays, so a large band is filled on two threads, alternate strips each."""
     _check_resolution(nu, nv)
-    if alpha >= math.pi / 2:
-        raise ParameterError(
-            "alpha = pi/2 (hoop-aligned lines) degenerates the strip construction"
-        )
     nu += nu % 2  # the helical seam shift below needs an even count
     h = TWO_PI * a * math.cos(alpha) / n_strips
     l_shift = TWO_PI * a * math.sin(alpha)
@@ -205,6 +201,8 @@ def gen_cylinder(spec: TubeSpec, nu: int, nv: int) -> TriMesh:
     """Open circular cylinder with helical lines at angle alpha recorded as
     zero-fold crease polylines.  The line spacing is adjusted to the nearest
     value that closes the hoop; large adjustments are warned about."""
+    if spec.alpha >= math.pi / 2:
+        raise ParameterError("alpha = pi/2 (hoop-aligned lines) degenerates the strip construction")
     hoop = TWO_PI * spec.a * math.cos(spec.alpha)
     if hoop / spec.h > MAX_VERTICES:  # a line has vertices of its own; inf must not reach round
         raise ResolutionError(f"a and h give {hoop / spec.h:.3g} lines, over the limit of "

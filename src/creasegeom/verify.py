@@ -1,12 +1,12 @@
 """Verification suites; a suite passes iff each of its VerificationReports
 does.  Closed forms are compared with an oracle (the angle defects of a mesh
-in crease-law and strip-curvature, the Gauss map in one mudguard report),
-with another closed form (tube-balance), with their own model by quadrature
-(27 mudguard reports), with a limit (mudguard r -> 0, gore n -> infinity and
-its 1/n^2 deficit scaling), or with identities: algebraic ones (mohr) and
-ones that hold by construction (twist-independence, Gauss-Bonnet on a closed
-gore mesh).  So 7 of the 66 reports of run_suite("all") test a closed form
-against an independent oracle."""
+in crease-law, twist-independence and strip-curvature, the Gauss map in one
+mudguard report), with another closed form (tube-balance), with their own
+model by quadrature (27 mudguard reports), with a limit (mudguard r -> 0,
+gore n -> infinity and its 1/n^2 deficit scaling), or with identities:
+algebraic ones (mohr) and one that holds by construction (Gauss-Bonnet on a
+closed gore mesh).  So 9 of the 66 reports of run_suite("all") test a closed
+form against an independent oracle."""
 
 from __future__ import annotations
 
@@ -128,13 +128,14 @@ def suite_mudguard() -> list[VerificationReport]:
     gauss_res = 256
     grid = [(R, ratio, mu) for R in (1.0, 2.0, 10.0) for ratio in (0.001, 0.01, 0.05)
             for mu in (0.1, 0.2, 0.4)]
-    total = quadrature.mudguard_total([surfaces.MudguardSpec(R, ratio * R, mu)
-                                       for R, ratio, mu in grid])
-    reports = [_rel(f"mudguard quadrature R={R} r/R={ratio} mu={mu}", closed, value, 1e-8,
+    specs = [surfaces.MudguardSpec(R, ratio * R, mu) for R, ratio, mu in grid]
+    total = quadrature.mudguard_total(specs)
+    closed = quadrature.mudguard_closed_form(*(np.array([getattr(s, k) for s in specs])
+                                               for k in ("R", "r", "mu")))
+    reports = [_rel(f"mudguard quadrature R={R} r/R={ratio} mu={mu}", c, value, 1e-8,
                     R=R, r=ratio * R, mu=mu, evaluations=evaluations)
-               for (R, ratio, mu), closed, value, evaluations in zip(
-                   grid, total.closed_form, total.by_quadrature.value,
-                   total.by_quadrature.evaluations.tolist())]
+               for (R, ratio, mu), c, value, evaluations in zip(
+                   grid, closed, total.value, total.evaluations.tolist())]
     spec = surfaces.MudguardSpec(**CANONICAL_MUDGUARD)
     closed = quadrature.mudguard_closed_form(spec.R, spec.r, spec.mu)
     swept = oracle.gauss_map_integrate(
@@ -182,24 +183,25 @@ def suite_gore() -> list[VerificationReport]:
 
 
 def suite_twist_independence() -> list[VerificationReport]:
-    """Twisting along a crease changes nothing: the closed form is bit-for-bit
-    twist-independent, and folding the twisted patch leaves its discrete total
-    defect unchanged."""
-    patch_res = 256
+    """The crease law ignores torsion: on 12-strip tubes whose helical creases
+    have torsion/curvature cot(alpha) = 2.41 and 0.41, crease 1's rate less
+    its strips' share (interior density times the crease vertices' lumped
+    area) is 2*kappa*sin(mu), kappa = sin^2(alpha)/a, mu exact."""
+    a, n_strips, nu, nv = 1.0, 12, 128, 32
     reports = []
-    base = creases.crease_specific_curvature(creases.CreaseSpec(R=2.0, mu=0.4, twist=0.0))
-    worst = max(
-        abs(creases.crease_specific_curvature(creases.CreaseSpec(R=2.0, mu=0.4, twist=t)) - base)
-        for t in (-10.0, 0.0, 10.0)
-    )
-    reports.append(_report("twist-independence closed form", base, base + worst, worst, 0.0,
-                           "absolute", twists=[-10.0, 0.0, 10.0]))
-    totals = {}
-    for mu in (0.0, 0.2):
-        mesh = surfaces.gen_twisted_patch(0.1, 1.0, 1.0, mu, patch_res, patch_res)
-        totals[mu] = oracle.angle_defect(mesh).total_defect
-    reports.append(_rel("twist-independence patch defect mu=0 vs 0.2",
-                        totals[0.0], totals[0.2], 0.01, kxy=0.1, nu=patch_res))
+    for alpha in (math.pi / 8, 3 * math.pi / 8):
+        mesh = surfaces.gen_twisted_prismatic_tube(a, alpha, n_strips, nu, nv)
+        field = oracle.angle_defect(mesh)
+        chain = mesh.crease_polylines[1]
+        area = field.lumped_area[chain[~field.boundary_mask[chain]]].sum()
+        length = field.crease_totals[1] / field.crease_rates[1]  # what crease_rates divides by
+        rate = (field.crease_totals[1] - field.interior_defect_density() * area) / length
+        kappa, torsion = math.sin(alpha) ** 2 / a, math.sin(alpha) * math.cos(alpha) / a
+        mu = creases.tube_half_fold_angle(curvature.tube_spec_for_strips(a, alpha, n_strips))
+        reports.append(_rel(f"twist-independence tube crease alpha={alpha:.4f}",
+                            2.0 * kappa * math.sin(mu), rate, 1e-3, a=a, alpha=alpha,
+                            n_strips=n_strips, nu=nu, nv=nv, curvature=kappa, torsion=torsion,
+                            mu=mu))
     return reports
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from creasegeom import (
@@ -7,8 +8,11 @@ from creasegeom import (
     ParameterError,
     TubeSpec,
     crease_specific_curvature,
+    gen_twisted_prismatic_tube,
     tube_balance,
     tube_crease_fold_angle,
+    tube_half_fold_angle,
+    tube_spec_for_strips,
 )
 
 
@@ -19,8 +23,6 @@ def test_crease_spec_validation():
         CreaseSpec(R=math.nan, mu=0.2)
     with pytest.raises(ParameterError):
         CreaseSpec(R=2.0, mu=math.pi / 2)
-    with pytest.raises(ParameterError):
-        CreaseSpec(R=2.0, mu=0.2, twist=math.inf)
     assert CreaseSpec(R=math.inf, mu=0.3).is_straight
     assert not CreaseSpec(R=2.0, mu=0.3).is_straight
 
@@ -32,18 +34,44 @@ def test_crease_specific_curvature():
     assert crease_specific_curvature(CreaseSpec(R=math.inf, mu=0.4)) == 0.0
 
 
-def test_crease_rate_is_twist_independent_bitwise():
-    rates = {
-        crease_specific_curvature(CreaseSpec(R=2.0, mu=0.4, twist=t))
-        for t in (-10.0, -1.0, 0.0, 1.0, 10.0)
-    }
-    assert len(rates) == 1
-
-
 def test_tube_crease_fold_angle():
     spec = TubeSpec(a=1.0, alpha=math.pi / 4, h=0.05)
     # 2 mu = (h/a) cos^2(alpha) = 0.025
     assert tube_crease_fold_angle(spec) == pytest.approx(0.025)
+
+
+def mesh_half_fold_angle(a, alpha, n_strips, nu):
+    """Half the angle between the tangent planes of strips 1 and 2 at the
+    middle vertex of the crease they share, each plane spanned by the crease
+    tangent (a central difference) and that strip's ruling, which joins equal
+    positions on adjacent crease polylines."""
+    mesh = gen_twisted_prismatic_tube(a, alpha, n_strips, nu, 4)
+    before, crease, after = (mesh.vertices[mesh.crease_polylines[k]] for k in (1, 2, 3))
+    i = nu // 2
+    tangent = crease[i + 1] - crease[i - 1]
+    n1 = np.cross(before[i] - crease[i], tangent)
+    n2 = np.cross(tangent, after[i] - crease[i])
+    return 0.5 * math.atan2(np.linalg.norm(np.cross(n1, n2)), np.dot(n1, n2))
+
+
+@pytest.mark.parametrize("a, alpha, n_strips", [
+    (1.0, math.pi / 4, 12), (1.0, math.pi / 8, 24), (1.0, 1.2, 5), (1.0, 0.3, 7),
+    (2.5, 0.7, 9), (0.2, 1.0, 16), (1.0, 0.0, 12), (3.0, 0.0, 5),
+])
+def test_tube_half_fold_angle_matches_mesh_strip_planes(a, alpha, n_strips):
+    mu = tube_half_fold_angle(tube_spec_for_strips(a, alpha, n_strips))
+    assert mesh_half_fold_angle(a, alpha, n_strips, 4096) == pytest.approx(mu, rel=1e-8)
+
+
+def test_tube_half_fold_angle_tends_to_shallow_limit():
+    # 1 - 2 mu / ((h/a) cos^2 alpha) quarters each time the strip count doubles
+    gaps = []
+    for n_strips in (12, 24, 48, 96):
+        spec = tube_spec_for_strips(1.0, math.pi / 4, n_strips)
+        gaps.append(1.0 - 2.0 * tube_half_fold_angle(spec) / tube_crease_fold_angle(spec))
+    assert gaps[:3] == pytest.approx([2.9e-3, 7.1e-4, 1.8e-4], rel=0.03)
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert coarse / fine == pytest.approx(4.0, rel=0.01)
 
 
 def test_tube_balance_canonical():

@@ -74,6 +74,13 @@ def test_tube_axial_strips():
     mesh.validate()
 
 
+def test_cylinder_refuses_hoop_lines_before_adjusting_spacing():
+    # TubeSpec accepts alpha = pi/2; the cylinder refuses it before the hoop
+    # spacing (2*pi*a*cos(alpha), about 4e-16) would warn about its adjustment
+    with pytest.raises(ParameterError, match="alpha = pi/2"):
+        gen_cylinder(TubeSpec(1.0, math.pi / 2, 0.1), 8, 4)
+
+
 def test_helical_band_rejects_hoop_lines_and_low_res():
     with pytest.raises(ResolutionError):
         gen_twisted_prismatic_tube(1.0, math.pi / 4, 8, 2, 6)
@@ -105,6 +112,18 @@ def test_twisted_patch_fold_opens_dihedral():
     assert mesh.vertices[up, 2] == pytest.approx(
         -mesh.vertices[up, 1] * math.tan(mu), rel=1e-12
     )
+
+
+def test_twisted_patch_fold_is_rigid():
+    # each half turns rigidly about the crease, so the folded twisted patch
+    # has the triangles, edge lengths and intrinsic angle defects of the flat one
+    flat, folded = (gen_twisted_patch(0.1, 1.0, 1.0, mu, 16, 16) for mu in (0.0, 0.2))
+    assert np.array_equal(flat.triangles, folded.triangles)
+    edges = [np.linalg.norm(m.vertices[m.triangles] - m.vertices[np.roll(m.triangles, 1, axis=1)],
+                            axis=2) for m in (flat, folded)]
+    assert edges[1] == pytest.approx(edges[0], rel=1e-13, abs=0)
+    assert angle_defect(folded).total_defect == pytest.approx(
+        angle_defect(flat).total_defect, rel=1e-9)
 
 
 def test_twisted_patch_warns_outside_shallow_regime():

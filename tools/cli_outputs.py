@@ -9,7 +9,8 @@ creasegeom that this script imports, with OUTDIR as its working directory
 (so no output names an absolute path).  It runs `verify --suite all --json`;
 `generate` of all six shapes at two resolutions, each followed by `analyze`
 of the OBJ and of the JSON sidecar (report and CSV); `sweep` of every
-parameter, and of alpha in degrees; and `--version` and every `--help`.
+parameter, and of alpha in degrees; a few inputs that must be refused, whose
+stderr and exit code are the output; and `--version` and every `--help`.
 Beside each command's files it writes NAME.stdout, NAME.stderr and NAME.exit.
 """
 
@@ -42,6 +43,14 @@ SWEEPS = {
     "R": "--param R --range 2:50:20",
     "r": "--param r --range 0.01:0.5:20",
     "n": "--param n --range 3:200:30",
+}
+
+# Inputs refused with exit 2 (parameter error) or 3 (input-format error).
+REFUSED = {
+    "cylinder-hoop-lines": "generate cylinder --a 1 --alpha 90 --degrees --h 0.1 --out x.obj",
+    "tube-two-strips": "generate tube --a 1 --alpha 0.7 --strips 2 --out x.obj",
+    "mudguard-wide-arc": "generate mudguard --R 1 --r 0.5 --mu 0.2 --out x.obj",
+    "analyze-missing-file": "analyze --in missing.obj",
 }
 
 HELP = ["", "generate", "analyze", "verify", "sweep"]
@@ -77,6 +86,8 @@ def main(argv: list[str]) -> int:
                                                    f"--csv {name}.json.csv")
     for name, args in SWEEPS.items():
         run(outdir, f"sweep-{name}", f"sweep {args} --csv sweep-{name}.csv")
+    for name, args in REFUSED.items():
+        run(outdir, f"refused-{name}", args)
     run(outdir, "version", "--version")
     for command in HELP:
         run(outdir, f"help-{command or 'main'}", f"{command} --help")
