@@ -100,31 +100,21 @@ def angle_defect(mesh: TriMesh) -> DefectField:
     """Angle-defect field of a validated mesh.
 
     Validation runs first, so inconsistent winding raises OrientationError
-    before any curvature is reported; its twice-areas, corner angles and
-    boundary mask give every angle and area used here.  The barycentric
-    lumped area, not the mixed Voronoi area of Meyer, Desbrun, Schroeder &
-    Barr (2003), suffices: each strip is a uniform grid split along its
-    shorter diagonals, so interior vertices have centrally symmetric
-    valence-6 rings, where defect / barycentric area converges pointwise to
-    K (Borrelli, Cazals & Morvan 2003).
+    before any curvature is reported; its per-vertex angle sums, lumped
+    areas and boundary mask give every angle and area used here.  The
+    barycentric lumped area, not the mixed Voronoi area of Meyer, Desbrun,
+    Schroeder & Barr (2003), suffices: each strip is a uniform grid split
+    along its shorter diagonals, so interior vertices have centrally
+    symmetric valence-6 rings, where defect / barycentric area converges
+    pointwise to K (Borrelli, Cazals & Morvan 2003).
     """
-    twice_area, angles, boundary, num_edges = mesh.validate()
-    nv = mesh.num_vertices
-    third = twice_area / 6.0
-
-    angle_sum = np.zeros(nv)
-    lumped = np.zeros(nv)
-    for k in range(3):
-        corner = np.ascontiguousarray(mesh.triangles[:, k])  # one copy, two bincounts
-        angle_sum += np.bincount(corner, weights=angles[k], minlength=nv)
-        lumped += np.bincount(corner, weights=third, minlength=nv)
-
+    angle_sum, lumped, boundary, num_edges = mesh.validate()
     flat = np.where(boundary, math.pi, 2.0 * math.pi)
     defect = flat - angle_sum
 
     out = DefectField(defect=defect, lumped_area=lumped, boundary_mask=boundary,
-                      crease_mask=np.zeros(nv, dtype=bool),
-                      euler_characteristic=nv - num_edges + mesh.num_triangles)
+                      crease_mask=np.zeros(mesh.num_vertices, dtype=bool),
+                      euler_characteristic=mesh.num_vertices - num_edges + mesh.num_triangles)
     for cid, chain in mesh.crease_polylines.items():
         out.crease_mask[chain] = True
         seg = np.linalg.norm(np.diff(mesh.vertices[chain], axis=0), axis=1)

@@ -25,7 +25,7 @@ CREASE_ARC_SPAN = math.pi / 2
 
 # Largest mesh, in vertices, that a generator builds: 13 times the
 # strip-curvature suite's tube.  Analysing a generated mesh peaks at about
-# 220 bytes per vertex (measured at 944k vertices), so 2.2 GB at the limit.
+# 182 bytes per vertex (sidecar analyze, 945k vertices): 1.8 GB at the limit.
 MAX_VERTICES = 10_000_000
 
 # Smallest helical band whose strips are filled on two threads.  Timed on 2

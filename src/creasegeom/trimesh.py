@@ -53,32 +53,22 @@ class TriMesh:
     def validate(self) -> tuple:
         """Raise MeshError on any structural invariant violation: topology faults
         first, then a triangle whose area is not finite (the coordinates
-        overflow the kernel), then a degenerate one.  Returns the (twice_area
-        (T,), corner_angles (3, T), boundary (V,), edge count) it computed, so
-        angle_defect measures without a second pass."""
+        overflow the kernel), then a degenerate one.  Returns each vertex's
+        corner-angle sum and lumped area (V,), the boundary mask (V,) and the
+        edge count it computed, so angle_defect measures without a second pass."""
         if self.num_vertices == 0 or self.num_triangles == 0:
             raise MeshError("mesh has no geometry")
         nonfinite = np.flatnonzero(~np.isfinite(self.vertices))
         if nonfinite.size:
             raise MeshError(f"non-finite coordinates at vertex {nonfinite[0] // 3}")
-
-        def geometry():  # runs while the edge keys are sorted
-            # huge coordinates overflow here; the area check below reports it
-            with np.errstate(over="ignore", invalid="ignore"):
-                twice_area, dots = _corner_geometry(self.vertices, self.triangles)
-                diag = float(np.linalg.norm([np.ptp(column) for column in self.vertices.T]))
-                return diag, twice_area, np.arctan2(twice_area, dots, out=dots)
-        num_edges, boundary, (diag, twice_area, angles) = _edge_topology(
-            self.triangles, self.num_vertices, geometry)
-        overflowed = np.flatnonzero(~np.isfinite(twice_area))
-        if overflowed.size:
-            bad = int(overflowed[0])
-            raise MeshError(f"triangle {bad} has a non-finite area ({twice_area[bad] / 2})")
+        num_edges, boundary, (angle_sum, lumped, diag, (bad, twice_area)) = _edge_topology(
+            self.triangles, self.num_vertices, lambda: _vertex_sums(self.vertices, self.triangles))
+        if not np.isfinite(twice_area):
+            raise MeshError(f"triangle {bad} has a non-finite area ({twice_area / 2})")
         limit = DEGENERATE_AREA_FACTOR * diag * diag
-        if np.any(twice_area <= 2.0 * limit):
-            bad = int(np.argmin(twice_area))
+        if twice_area <= 2.0 * limit:
             raise MeshError(
-                f"degenerate triangle {bad} (area {twice_area[bad] / 2:.3e} <= {limit:.3e})"
+                f"degenerate triangle {bad} (area {twice_area / 2:.3e} <= {limit:.3e})"
             )
 
         for cid, chain in self.crease_polylines.items():
@@ -88,7 +78,7 @@ class TriMesh:
                 raise MeshError(f"crease {cid} polyline is self-intersecting")
             if chain.min() < 0 or chain.max() >= self.num_vertices:
                 raise MeshError(f"crease {cid} polyline index out of range")
-        return twice_area, angles, boundary, num_edges
+        return angle_sum, lumped, boundary, num_edges
 
 
 def _edge_topology(triangles: np.ndarray, num_vertices: int, meanwhile=lambda: None) -> tuple:
@@ -173,26 +163,44 @@ def _pack_edge_keys(triangles: np.ndarray, num_vertices: int, out: np.ndarray) -
         key += higher
 
 
-def _corner_geometry(vertices: np.ndarray, triangles: np.ndarray):
-    """(twice_area (T,), corner_dots (3, T)), one cross product per triangle.
+def _vertex_sums(vertices: np.ndarray, triangles: np.ndarray) -> tuple:
+    """(angle_sum (V,), lumped_area (V,), bounding-box diagonal, worst): each
+    vertex's corner angles and a third of its triangles' areas, summed, and
+    (triangle, twice its area) of the first non-finite area, else of the
+    first smallest.  One cross product per triangle, a block at a time.
 
-    With e_k = p_{k+1} - p_k, corner k lies between e_k and -e_{k-1}, so
-    corner_dots[k] = -e_k . e_{k-1}.  |e_0 x e_1| = 2A is common to the three
-    corners: corner k's angle is atan2(twice_area, corner_dots[k]).
+    With e_k = p_{k+1} - p_k, corner k lies between e_k and -e_{k-1}, so its
+    dot is -e_k . e_{k-1}; |e_0 x e_1| = 2A is common to the three corners,
+    and corner k's angle is atan2(2A, dot_k).  np.add.at adds each corner
+    slot k into its own sums in triangle order, as np.bincount(triangles[:, k])
+    would, and the slots are then added in the order 0, 1, 2.
     """
-    twice_area = np.empty(len(triangles))
-    dots = np.empty((3, len(triangles)))
-    for s in range(0, len(triangles), _BLOCK):
-        idx = triangles[s:s + _BLOCK].T
-        # x, y, z are (3, block): one coordinate of e_0, e_1, e_2 per row
-        x, y, z = (p[[1, 2, 0]] - p for p in (vertices[:, c][idx] for c in range(3)))
-        nx = y[0] * z[1] - z[0] * y[1]
-        ny = z[0] * x[1] - x[0] * z[1]
-        nz = x[0] * y[1] - y[0] * x[1]
-        twice_area[s:s + _BLOCK] = np.sqrt(nx * nx + ny * ny + nz * nz)
-        prev = [2, 0, 1]
-        dots[:, s:s + _BLOCK] = -(x * x[prev] + y * y[prev] + z * z[prev])
-    return twice_area, dots
+    sums = [[np.zeros(len(vertices)) for _ in range(3)] for _ in range(2)]
+    worst = (np.inf, 0, np.inf)  # (rank, triangle, twice its area)
+    with np.errstate(over="ignore", invalid="ignore"):  # validate reports the overflow
+        diag = float(np.linalg.norm([np.ptp(column) for column in vertices.T]))
+        for s in range(0, len(triangles), _BLOCK):
+            idx = triangles[s:s + _BLOCK].T
+            # x, y, z are (3, block): one coordinate of e_0, e_1, e_2 per row
+            x, y, z = (p[[1, 2, 0]] - p for p in (vertices[:, c][idx] for c in range(3)))
+            nx = y[0] * z[1] - z[0] * y[1]
+            ny = z[0] * x[1] - x[0] * z[1]
+            nz = x[0] * y[1] - y[0] * x[1]
+            twice_area = np.sqrt(nx * nx + ny * ny + nz * nz)
+            prev = [2, 0, 1]
+            angles = np.arctan2(twice_area, -(x * x[prev] + y * y[prev] + z * z[prev]))
+            third = twice_area / 6.0
+            for k in range(3):
+                np.add.at(sums[0][k], idx[k], angles[k])
+                np.add.at(sums[1][k], idx[k], third)
+            rank = np.where(np.isfinite(twice_area), twice_area, -1.0)  # non-finite first
+            low = int(np.argmin(rank))
+            if rank[low] < worst[0]:  # of equal ranks, the earlier triangle stays
+                worst = (rank[low], s + low, twice_area[low])
+    for total, slot1, slot2 in sums:
+        total += slot1
+        total += slot2
+    return sums[0][0], sums[1][0], diag, worst[1:]
 
 
 def export_obj(mesh: TriMesh, path) -> None:
@@ -214,7 +222,8 @@ def export_obj(mesh: TriMesh, path) -> None:
 
 def load_obj(path) -> TriMesh:
     """Read an OBJ written by export_obj, one crease polyline per crease
-    group; other records are ignored, and face token a/b/c names vertex a.
+    group (its `l` records joined, `l 1 2` and `l 2 3` as `l 1 2 3`); other
+    records are ignored, and face token a/b/c names vertex a.
     Raises InputFormatError with the file and line for a `v` record without
     three finite coordinates, a face without three integer indices, or a
     face or polyline index not in 1..(vertex count).  The `v` and `f` records
@@ -240,7 +249,8 @@ def load_obj(path) -> TriMesh:
     for ln, cid, chain in chains:
         if min(chain, default=0) < 0 or max(chain, default=0) >= n:
             raise InputFormatError(f"{path}:{ln}: polyline index out of range 1..{n}")
-        polylines.setdefault(cid, []).extend(chain)
+        joined = polylines.setdefault(cid, [])  # a record may restart where the chain ends
+        joined.extend(chain[1:] if joined and chain and chain[0] == joined[-1] else chain)
     bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
     if bad.size:
         raise InputFormatError(f"{path}:{vertex_lines[bad[0]]}: non-finite coordinate")

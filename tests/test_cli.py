@@ -158,6 +158,37 @@ def test_analyze_creases_sharing_a_vertex(tmp_path, capsys):
     assert "interior_defect_density" not in data
 
 
+def test_analyze_joins_crease_records_that_share_their_junction(tmp_path, capsys):
+    obj = tmp_path / "crease.obj"
+    assert run(["generate", "curved-crease", "--R", 2, "--mu", 0.5, "--width", 0.3,
+                "--out", obj]) == 0
+    capsys.readouterr()
+    head, record = obj.read_text().rstrip("\n").rsplit("\n", 1)
+    chain = record.split()[1:]
+    middle = len(chain) // 2
+    variants = {
+        "whole": [chain],
+        "split": [chain[:middle + 1], chain[middle:]],  # both records hold the middle vertex
+        "edges": [chain[i:i + 2] for i in range(len(chain) - 1)],  # l 1 2, l 2 3, ...
+        "doubled-back": [chain, chain[-2:-4:-1]],  # ends, then steps back over two vertices
+    }
+    outcomes = {}
+    for name, records in variants.items():
+        run_dir = tmp_path / name  # the same file names in each, for the reports
+        run_dir.mkdir()
+        path = run_dir / "crease.obj"
+        path.write_text(head + "\n" + "".join(f"l {' '.join(r)}\n" for r in records))
+        code = run(["analyze", "--in", path, "--report", run_dir / "report.json",
+                    "--csv", run_dir / "vertices.csv"])
+        captured = capsys.readouterr()
+        outcomes[name] = (code, *(text.replace(str(run_dir), "") for text in captured), *(
+            (run_dir / f).read_bytes() for f in ("report.json", "vertices.csv") if code == 0))
+    assert outcomes["whole"][0] == 0
+    assert outcomes["split"] == outcomes["edges"] == outcomes["whole"]
+    code, _, err = outcomes["doubled-back"]
+    assert code == 3 and "crease 1 polyline is self-intersecting" in err
+
+
 def test_analyze_deterministic_reports(tmp_path, capsys):
     out = tmp_path / "g.obj"
     run(["generate", "gore-sphere", "--n", 6, "--radius", 1, "--out", out])

@@ -31,6 +31,7 @@ from creasegeom import (
     mudguard_surface,
     oracle,
     surfaces,
+    trimesh,
     tube_spec_for_strips,
 )
 from creasegeom.verify import CANONICAL_MUDGUARD
@@ -100,7 +101,9 @@ def test_cylinder_mesh_is_developable():
 def test_lumped_area_covers_mesh():
     mesh = gen_twisted_patch(0.1, 1.0, 1.0, 0.0, 8, 8)
     field = angle_defect(mesh)
-    assert field.lumped_area.sum() == pytest.approx(0.5 * mesh.validate()[0].sum())
+    p = mesh.vertices[mesh.triangles]
+    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    assert field.lumped_area.sum() == pytest.approx(0.5 * np.linalg.norm(cross, axis=1).sum())
 
 
 def test_curved_crease_rate_matches_law():
@@ -181,12 +184,88 @@ def test_angle_defect_matches_per_corner_reference():
 
 
 
+
+def reference_kernel(mesh):
+    """angle_defect's figures as the kernel computed them when validate
+    returned per-triangle arrays: twice-areas and corner angles a block at a
+    time, summed per vertex by six np.bincounts; boundary and edge count from
+    np.unique of the undirected edges; exact sums by math.fsum."""
+    nv, block = mesh.num_vertices, trimesh._BLOCK
+    twice_area = np.empty(mesh.num_triangles)
+    dots = np.empty((3, mesh.num_triangles))
+    for s in range(0, mesh.num_triangles, block):
+        idx = mesh.triangles[s:s + block].T
+        x, y, z = (p[[1, 2, 0]] - p for p in (mesh.vertices[:, c][idx] for c in range(3)))
+        nx = y[0] * z[1] - z[0] * y[1]
+        ny = z[0] * x[1] - x[0] * z[1]
+        nz = x[0] * y[1] - y[0] * x[1]
+        twice_area[s:s + block] = np.sqrt(nx * nx + ny * ny + nz * nz)
+        prev = [2, 0, 1]
+        dots[:, s:s + block] = -(x * x[prev] + y * y[prev] + z * z[prev])
+    angles = np.arctan2(twice_area, dots)
+    third = twice_area / 6.0
+    angle_sum, lumped = np.zeros(nv), np.zeros(nv)
+    for k in range(3):
+        angle_sum += np.bincount(mesh.triangles[:, k], weights=angles[k], minlength=nv)
+        lumped += np.bincount(mesh.triangles[:, k], weights=third, minlength=nv)
+
+    t = mesh.triangles
+    edges = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
+    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    boundary = np.zeros(nv, dtype=bool)
+    boundary[uniq[counts == 1].ravel()] = True
+    defect = np.where(boundary, math.pi, 2.0 * math.pi) - angle_sum
+    totals, rates = {}, {}
+    for cid, chain in mesh.crease_polylines.items():
+        seg = np.linalg.norm(np.diff(mesh.vertices[chain], axis=0), axis=1)
+        assoc = np.zeros(len(chain))
+        assoc[:-1] += 0.5 * seg
+        assoc[1:] += 0.5 * seg
+        keep = ~boundary[chain]
+        totals[cid] = math.fsum(defect[chain[keep]])
+        rates[cid] = totals[cid] / float(assoc[keep].sum())
+    return types.SimpleNamespace(
+        defect=defect, lumped_area=lumped, boundary_mask=boundary,
+        euler_characteristic=nv - len(uniq) + mesh.num_triangles,
+        crease_totals=totals, crease_rates=rates, total_defect=math.fsum(defect[~boundary]))
+
+
+SEVERAL_BLOCKS = {  # 2 to 7 kernel blocks each
+    "cylinder": lambda: gen_cylinder(tube_spec_for_strips(1.0, math.pi / 4, 8), 96, 24),
+    "tube": lambda: gen_twisted_prismatic_tube(1.0, math.pi / 4, 12, 48, 48),
+    "twisted-patch": lambda: gen_twisted_patch(0.1, 1.0, 1.0, 0.2, 96, 96),
+    "curved-crease": lambda: gen_curved_crease(CreaseSpec(R=2.0, mu=0.5), 0.3, 192, 48),
+    "mudguard": lambda: gen_mudguard(MudguardSpec(R=2.0, r=0.1, mu=0.6), 192, 48),
+    "gore-sphere": lambda: gen_gore_sphere(GoreSphereSpec(R=1.0, n=8), 96, 24),
+}
+
+
+@pytest.mark.parametrize("variant", ["generated", "shuffled", "unreferenced-vertex"])
+@pytest.mark.parametrize("shape", sorted(SEVERAL_BLOCKS))
+def test_angle_defect_equals_the_per_triangle_kernel_bit_for_bit(shape, variant):
+    mesh = SEVERAL_BLOCKS[shape]()
+    assert mesh.num_triangles > 2 * trimesh._BLOCK
+    if variant == "shuffled":  # scattered vertex indices in every block
+        order = np.random.default_rng(17).permutation(mesh.num_triangles)
+        mesh.triangles = mesh.triangles[order]
+    elif variant == "unreferenced-vertex":  # in no triangle: no angles, no area
+        mesh.vertices = np.vstack([mesh.vertices, mesh.vertices.mean(axis=0)])
+    field, ref = angle_defect(mesh), reference_kernel(mesh)
+    for name in ("defect", "lumped_area", "boundary_mask"):
+        assert np.array_equal(getattr(field, name), getattr(ref, name)), name
+    assert field.euler_characteristic == ref.euler_characteristic
+    assert field.crease_totals == ref.crease_totals
+    assert field.crease_rates == ref.crease_rates
+    assert field.total_defect == ref.total_defect
+    if variant == "unreferenced-vertex":
+        assert field.defect[-1] == 2 * math.pi and field.lumped_area[-1] == 0
+
 # Traced peak of generating a 12-strip 128x128 tube (190,016 vertices) and
-# taking its angle defect, per vertex: 221.5 B measured with numpy 2.4 (the
-# generator that concatenated per-strip arrays and a kernel that copied the
-# sorted edge keys and the corner angles peaked at 262 B).  The ceiling
-# leaves 10% for allocator and numpy-version differences.
-PEAK_BYTES_PER_VERTEX = 245
+# taking its angle defect, per vertex: 187.6 B measured with numpy 2.4, where
+# validate sums each vertex's angles and area in its block pass (206.8 B when
+# it kept per-triangle areas and corner angles for six np.bincounts).  The
+# ceiling leaves 10% for allocator and numpy-version differences.
+PEAK_BYTES_PER_VERTEX = 206
 
 
 def test_tube_generate_and_angle_defect_peak_memory():
@@ -202,11 +281,11 @@ def test_tube_generate_and_angle_defect_peak_memory():
 
 # Growth of ru_maxrss over its post-import value when a fresh interpreter
 # generates the 12-strip 256x256 tube (756,864 vertices) and takes its
-# density, per vertex: 211-213 B measured with numpy 2.4 and glibc malloc
-# (219 B with the band built on one thread).  tracemalloc does not see
-# memory that a thread's glibc arena keeps after numpy frees it; ru_maxrss
-# does.
-PEAK_RSS_BYTES_PER_VERTEX = 235
+# density, per vertex: 129.6-132.0 B in 14 runs with numpy 2.4 and glibc
+# malloc (155.2-157.2 B with per-triangle areas and corner angles).  The
+# ceiling leaves 10%.  tracemalloc does not see memory that a thread's glibc
+# arena keeps after numpy frees it; ru_maxrss does.
+PEAK_RSS_BYTES_PER_VERTEX = 145
 
 RSS_PROBE = """
 import math, resource

@@ -51,7 +51,10 @@ def test_basic_queries():
     mesh = square_mesh()
     assert mesh.num_vertices == 4
     assert mesh.num_triangles == 2
-    assert mesh.validate()[0] == pytest.approx([1.0, 1.0])  # twice the areas
+    angle_sum, lumped = mesh.validate()[:2]
+    assert angle_sum == pytest.approx([math.pi / 2] * 4)  # a right angle at each corner
+    assert lumped == pytest.approx(cross_sums(mesh)[1])
+    assert lumped == pytest.approx([1 / 3, 1 / 6, 1 / 3, 1 / 6])  # a third of 1/2 per triangle
     closed = tetrahedron()  # the square's crease has only rim vertices, which carry no rate
     closed.crease_polylines = {1: np.array([1, 2, 3])}
     assert angle_defect(closed).crease_lengths[1] == pytest.approx(2 * math.sqrt(2))
@@ -164,6 +167,21 @@ def test_load_obj_rejects_garbage(tmp_path):
 
 # -- single-pass kernel against brute-force references ----------------------
 
+def cross_sums(mesh):
+    """Per-vertex corner-angle sums and lumped areas from np.cross: each
+    corner's angle is atan2(|e1 x e2|, e1 . e2) of its two edges."""
+    pts = mesh.vertices[mesh.triangles]
+    angles = np.empty((mesh.num_triangles, 3))
+    for k in range(3):
+        e1 = pts[:, (k + 1) % 3] - pts[:, k]
+        e2 = pts[:, (k + 2) % 3] - pts[:, k]
+        angles[:, k] = np.arctan2(np.linalg.norm(np.cross(e1, e2), axis=1), (e1 * e2).sum(axis=1))
+    area = 0.5 * np.linalg.norm(np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]), axis=1)
+    corners = mesh.triangles.ravel()
+    return (np.bincount(corners, angles.ravel(), mesh.num_vertices),
+            np.bincount(corners, np.repeat(area / 3, 3), mesh.num_vertices))
+
+
 def unique_topology(mesh):
     """Boundary mask and Euler characteristic from np.unique of edge pairs."""
     t = mesh.triangles
@@ -188,14 +206,13 @@ GENERATED = {
 def test_topology_matches_unique_reference(shape):
     mesh = GENERATED[shape]()
     mask, euler = unique_topology(mesh)
-    twice_area, angles, boundary, num_edges = mesh.validate()
+    angle_sum, lumped, boundary, num_edges = mesh.validate()
     assert mesh.num_vertices - num_edges + mesh.num_triangles == euler
     assert np.array_equal(boundary, mask)
-    p = mesh.vertices[mesh.triangles]
-    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    assert np.allclose(twice_area, np.linalg.norm(cross, axis=1), rtol=1e-12, atol=0)
-    assert angles.shape == (3, mesh.num_triangles)
-    assert np.allclose(angles.sum(axis=0), math.pi, rtol=0, atol=1e-12)
+    angle_ref, lumped_ref = cross_sums(mesh)
+    assert np.allclose(lumped, lumped_ref, rtol=1e-12, atol=0)
+    assert np.allclose(angle_sum, angle_ref, rtol=0, atol=1e-12)
+    assert angle_sum.sum() == pytest.approx(math.pi * mesh.num_triangles, rel=1e-14, abs=0)
 
 
 def test_kernel_error_types_on_hand_built_meshes():
@@ -250,6 +267,36 @@ def test_topology_faults_are_raised_before_degenerate_triangles():
         fan.validate()
 
 
+def quad_strip(quads=4):
+    """Unit quads along x, a_i = (i, 0, 0) and b_i = (i, 1, 0); quad i is
+    triangles 2i = (a_i, a_i+1, b_i+1) and 2i + 1 = (a_i, b_i+1, b_i)."""
+    a = [[i, 0, 0] for i in range(quads + 1)]
+    b = [[i, 1, 0] for i in range(quads + 1)]
+    n = quads + 1
+    triangles = [t for i in range(quads) for t in ([i, i + 1, n + i + 1], [i, n + i + 1, n + i])]
+    return TriMesh(vertices=np.array(a + b, float), triangles=np.array(triangles))
+
+
+def test_area_faults_are_found_across_blocks(monkeypatch):
+    monkeypatch.setattr(trimesh, "_BLOCK", 2)  # one quad per block
+    mesh = quad_strip()
+    mesh.vertices[5] = [0.5, 0.5, 0]  # b_0 on the diagonal a_0 b_1: triangle 1 is flat
+    mesh.vertices[3] = [2.5, 0.5, 0]  # a_3 on the diagonal a_2 b_3: triangle 4 is flat too
+    p = mesh.vertices[mesh.triangles]
+    twice_area = np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
+    assert twice_area[1] == twice_area[4] == 0 < twice_area[[0, 2, 3, 5, 6, 7]].min()
+    with pytest.raises(MeshError, match=r"degenerate triangle 1 \(area 0\.000e\+00 <="):
+        mesh.validate()  # the first of two equal smallest areas, blocks apart
+
+    mesh.vertices[4, 2] = 1e300  # a_4's triangles 6 and 7 overflow, blocks after the flat ones
+    with pytest.raises(MeshError, match=r"^triangle 6 has a non-finite area \(inf\)$"):
+        mesh.validate()
+
+    mesh.triangles[7] = mesh.triangles[7][::-1]  # and a winding fault comes before both
+    with pytest.raises(OrientationError):
+        mesh.validate()
+
+
 def test_repeated_directed_edge_that_sorts_last_is_a_winding_fault():
     # edge 2->3 in both triangles: the largest packed key, twice, at the end
     mesh = TriMesh(
@@ -268,7 +315,7 @@ def test_index_range_is_checked_before_any_gather(monkeypatch):
     def gather(*args):
         raise AssertionError("vertices gathered before the index range check")
 
-    monkeypatch.setattr(trimesh, "_corner_geometry", gather)
+    monkeypatch.setattr(trimesh, "_vertex_sums", gather)
     for index in (4, -1, 2**40):
         mesh = square_mesh()
         mesh.triangles[1, 2] = index
@@ -296,10 +343,10 @@ def test_validate_joins_its_sort_thread_on_every_path(monkeypatch):
 
     def failing(*args):
         during.append(threading.active_count())
-        raise RuntimeError("corner geometry failed")
+        raise RuntimeError("vertex sums failed")
 
-    monkeypatch.setattr(trimesh, "_corner_geometry", failing)
-    with pytest.raises(RuntimeError, match="corner geometry failed"):
+    monkeypatch.setattr(trimesh, "_vertex_sums", failing)
+    with pytest.raises(RuntimeError, match="vertex sums failed"):
         mesh.validate()
     assert before <= during[0] <= before + 1  # at most the one sort thread
     assert len(started) == 2 and joined == started
@@ -400,7 +447,10 @@ def reference_load_obj(path):
                     cid = int(group.split("_", 1)[1])
                     chain = [int(p) - 1 for p in parts[1:]]
                     chains.append((ln, chain))
-                    polylines.setdefault(cid, []).extend(chain)
+                    joined = polylines.setdefault(cid, [])
+                    if joined and chain and chain[0] == joined[-1]:
+                        chain = chain[1:]  # the junction of two touching records, once
+                    joined.extend(chain)
             except (ValueError, IndexError) as exc:
                 raise InputFormatError(f"{path}:{ln}: {exc}") from exc
     if not vertices or not triangles:

@@ -7,10 +7,11 @@ that two source trees can be compared byte for byte:
 Each command runs as its own `python -m creasegeom.cli` process, from the
 creasegeom that this script imports, with OUTDIR as its working directory
 (so no output names an absolute path).  It runs `verify --suite all --json`;
-`generate` of all six shapes at two resolutions, each followed by `analyze`
-of the OBJ and of the JSON sidecar (report and CSV); `sweep` of every
-parameter, and of alpha in degrees; a few inputs that must be refused, whose
-stderr and exit code are the output; and `--version` and every `--help`.
+`generate` of all six shapes at two resolutions, and of one tube of many
+mesh-kernel blocks, each followed by `analyze` of the OBJ and of the JSON
+sidecar (report and CSV); `sweep` of every parameter, and of alpha in
+degrees; a few inputs that must be refused, whose stderr and exit code are
+the output; and `--version` and every `--help`.
 Beside each command's files it writes NAME.stdout, NAME.stderr and NAME.exit.
 """
 
@@ -34,6 +35,10 @@ SHAPES = {
 
 # The second resolution is odd, where some generators round up to even.
 RESOLUTIONS = {"default": "", "odd": "--nu 9 --nv 5"}
+
+# Meshes of many mesh-kernel blocks (8,192 triangles each): this tube has
+# 122,880 triangles, so the kernel sums across 15 blocks.
+LARGE = {"tube-blocks": "tube --a 1 --alpha 0.7 --strips 8 --nu 512 --nv 16"}
 
 SWEEPS = {
     "alpha": "--param alpha --range 0.1:1.4:50",
@@ -74,16 +79,15 @@ def main(argv: list[str]) -> int:
     outdir = Path(argv[0])
     outdir.mkdir(parents=True, exist_ok=True)
     run(outdir, "verify", "verify --suite all --json verify.json")
-    for shape, params in SHAPES.items():
-        for res, res_args in RESOLUTIONS.items():
-            name = f"{shape}-{res}"
-            run(outdir, f"generate-{name}", f"generate {shape} {params} {res_args} "
-                                            f"--out {name}.obj")
-            run(outdir, f"analyze-obj-{name}", f"analyze --in {name}.obj "
-                                               f"--report {name}.obj.report --csv {name}.obj.csv")
-            run(outdir, f"analyze-sidecar-{name}", f"analyze --in {name}.obj.json "
-                                                   f"--report {name}.json.report "
-                                                   f"--csv {name}.json.csv")
+    meshes = {f"{shape}-{res}": f"{shape} {params} {res_args}"
+              for shape, params in SHAPES.items() for res, res_args in RESOLUTIONS.items()}
+    for name, args in {**meshes, **LARGE}.items():
+        run(outdir, f"generate-{name}", f"generate {args} --out {name}.obj")
+        run(outdir, f"analyze-obj-{name}", f"analyze --in {name}.obj "
+                                           f"--report {name}.obj.report --csv {name}.obj.csv")
+        run(outdir, f"analyze-sidecar-{name}", f"analyze --in {name}.obj.json "
+                                               f"--report {name}.json.report "
+                                               f"--csv {name}.json.csv")
     for name, args in SWEEPS.items():
         run(outdir, f"sweep-{name}", f"sweep {args} --csv sweep-{name}.csv")
     for name, args in REFUSED.items():
