@@ -11,7 +11,6 @@ from .creases import (
     CreaseSpec,
     crease_specific_curvature,
     tube_balance,
-    tube_crease_fold_angle,
     tube_half_fold_angle,
 )
 from .curvature import (
@@ -72,7 +71,7 @@ __all__ = [
     "gaussian_curvature", "strip_specific_curvature", "tube_spec_for_strips",
     # creases
     "CreaseSpec", "BalanceReport", "crease_specific_curvature",
-    "tube_half_fold_angle", "tube_crease_fold_angle", "tube_balance",
+    "tube_half_fold_angle", "tube_balance",
     # quadrature
     "QuadratureResult", "integrate",
     "mudguard_closed_form", "mudguard_total", "gore_sphere_total",

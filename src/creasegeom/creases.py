@@ -67,7 +67,9 @@ def tube_half_fold_angle(spec: TubeSpec) -> float:
     Half the angle between the tangent planes of the two strips that meet at
     a crease, each spanned by the crease tangent and that strip's ruling:
     tan(mu) = 2a sin^2(hc/2a) / (h s^2 + a c sin(hc/a)), s = sin(alpha),
-    c = cos(alpha).  At alpha = 0 it is h/2a.
+    c = cos(alpha).  At alpha = 0 it is h/2a.  As h -> 0 it tends to
+    (h/2a) * cos^2(alpha), half the angle kyy * h subtended between adjacent
+    lines on the smooth cylinder.
     """
     s, c = math.sin(spec.alpha), math.cos(spec.alpha)
     a, h = spec.a, spec.h
@@ -75,24 +77,17 @@ def tube_half_fold_angle(spec: TubeSpec) -> float:
                       h * s * s + a * c * math.sin(h * c / a))
 
 
-def tube_crease_fold_angle(spec: TubeSpec) -> float:
-    """Total fold angle 2*mu across one crease of the creased tube in the
-    h -> 0 limit of tube_half_fold_angle: the angle kyy * h = (h/a) * cos^2(alpha)
-    subtended between adjacent lines on the smooth cylinder."""
-    c = math.cos(spec.alpha)
-    return (spec.h / spec.a) * c * c
-
-
 def tube_balance(spec: TubeSpec) -> BalanceReport:
     """Balance of specific Gaussian curvature between strips and creases.
 
-    strip_term is the (negative) strip value, crease_term the exact crease
-    value 2*(sin^2(alpha)/a)*sin((h/2a)*cos^2(alpha)); their sum is the
-    residual, of order (h/a)^3.
+    strip_term is the (negative) strip value, crease_term the crease law
+    2*(sin^2(alpha)/a)*sin(mu) with mu at the h -> 0 limit of
+    tube_half_fold_angle, (h/2a)*cos^2(alpha); their sum is the residual, of
+    order (h/a)^3.
     """
     strip_term = strip_specific_curvature(spec)
-    s = math.sin(spec.alpha)
-    mu = 0.5 * tube_crease_fold_angle(spec)
+    s, c = math.sin(spec.alpha), math.cos(spec.alpha)
+    mu = 0.5 * ((spec.h / spec.a) * c * c)
     crease_term = 2.0 * (s * s / spec.a) * math.sin(mu)
     residual = strip_term + crease_term
     scale = max(abs(strip_term), abs(crease_term))

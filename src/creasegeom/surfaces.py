@@ -28,14 +28,9 @@ CREASE_ARC_SPAN = math.pi / 2
 # 182 bytes per vertex (sidecar analyze, 945k vertices): 1.8 GB at the limit.
 MAX_VERTICES = 10_000_000
 
-# Smallest helical band whose strips are filled on two threads.  Timed on 2
-# cores (median of 40 builds of a 12-strip tube), two threads take 15-30%
-# longer at 3.9e4 vertices and are 1.3-1.6x as fast from 1.2e5 up when the
-# second core is idle, but up to 8% slower to 3.7e5 when it is busy; the
-# limit stays above both.  Strips are filled in blocks of about _STRIP_CELLS
-# cells, so the second thread's temporaries, which stay resident in its
-# glibc arena, remain small.
-_THREADED_VERTICES = 1 << 19
+# Cells per block in which each thread fills a helical band's strips, so the
+# second thread's temporaries, which stay resident in its glibc arena, remain
+# small: filling whole strips peaked 5 MB higher on the 757k-vertex tube.
 _STRIP_CELLS = 1 << 14
 
 
@@ -131,7 +126,7 @@ def _helical_band(a, alpha, n_strips, nu, nv, flatten):
     """Build the band of n_strips helical strips; flatten=True replaces each
     strip by straight rulings (the prismatic tube), False keeps points on the
     cylinder.  Each strip fills its own slices of the vertex and triangle
-    arrays, so a large band is filled on two threads, alternate strips each."""
+    arrays, so the band is filled on two threads, alternate strips each."""
     _check_resolution(nu, nv)
     nu += nu % 2  # the helical seam shift below needs an even count
     h = TWO_PI * a * math.cos(alpha) / n_strips
@@ -187,10 +182,7 @@ def _helical_band(a, alpha, n_strips, nu, nv, flatten):
                 cells[:, r[0]:hi - 1] = _grid_triangles(ids, vertices[ids], flip=True).reshape(
                     2, -1, nv, 3)
 
-    if num_vertices < _THREADED_VERTICES:
-        fill(range(n_strips))
-    else:
-        _run_beside(lambda: fill(range(1, n_strips, 2)), lambda: fill(range(0, n_strips, 2)))
+    _run_beside(lambda: fill(range(1, n_strips, 2)), lambda: fill(range(0, n_strips, 2)))
     polylines = {
         j + 1: np.arange(j * n_line, (j + 1) * n_line) for j in range(n_strips)
     }

@@ -61,8 +61,16 @@ class TriMesh:
         nonfinite = np.flatnonzero(~np.isfinite(self.vertices))
         if nonfinite.size:
             raise MeshError(f"non-finite coordinates at vertex {nonfinite[0] // 3}")
-        num_edges, boundary, (angle_sum, lumped, diag, (bad, twice_area)) = _edge_topology(
-            self.triangles, self.num_vertices, lambda: _vertex_sums(self.vertices, self.triangles))
+        triangles, num_vertices = self.triangles, self.num_vertices
+        if triangles.min() < 0 or triangles.max() >= num_vertices:
+            raise MeshError("triangle index out of range")  # keys would alias
+        # allocated on this thread: what the second one allocates stays in its arena
+        keys = np.empty(triangles.size, dtype=np.int64)
+        starts = np.ones(len(keys) + 1, dtype=bool)  # starts[i]: edge[i] opens a run
+        mask = np.zeros(num_vertices, dtype=bool)
+        (num_edges, boundary), (angle_sum, lumped, diag, (bad, twice_area)) = _run_beside(
+            lambda: _edge_topology(triangles, keys, starts, mask),
+            lambda: _vertex_sums(self.vertices, triangles))
         if not np.isfinite(twice_area):
             raise MeshError(f"triangle {bad} has a non-finite area ({twice_area / 2})")
         limit = DEGENERATE_AREA_FACTOR * diag * diag
@@ -81,71 +89,62 @@ class TriMesh:
         return angle_sum, lumped, boundary, num_edges
 
 
-def _edge_topology(triangles: np.ndarray, num_vertices: int, meanwhile=lambda: None) -> tuple:
-    """(edge count, boundary vertex mask, meanwhile()) from one in-place sort of
-    packed edge keys.  A second thread packs and sorts the keys and does the
-    edge bookkeeping below, writing only into arrays allocated here, while
-    this one calls meanwhile.
+def _edge_topology(triangles: np.ndarray, keys: np.ndarray, starts: np.ndarray,
+                   mask: np.ndarray) -> tuple:
+    """(edge count, boundary vertex mask) from one in-place sort of packed
+    edge keys.  The caller allocates keys (3T,), starts (3T + 1,) of ones and
+    mask (V,) of zeros, which this fills: run on a second thread, it then
+    allocates no array of the mesh's size until it finds a fault.
 
     Directed edge a->b packs into the int64 key 2*(min*V + max) + (a > b),
     exact while V <= 2**31.  Equal keys are a directed edge used twice, which
-    consistent winding forbids (an edge of 3+ triangles always has one); the
-    worker then stops, and this thread tells the two faults apart.  Otherwise
-    key >> 1, shifted in place, is an undirected edge id, a run of 1 a rim edge.
+    consistent winding forbids (an edge of 3+ triangles always has one).
+    Otherwise key >> 1, shifted in place, is an undirected edge id, a run of
+    1 a rim edge.
     """
-    if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= num_vertices:
-        raise MeshError("triangle index out of range")  # keys would alias
-    keys = np.empty(triangles.size, dtype=np.int64)
-    starts = np.ones(len(keys) + 1, dtype=bool)  # starts[i]: edge[i] opens a run
-    mask = np.zeros(num_vertices, dtype=bool)
-    counted = []  # the edge count, unless a directed key repeats
-
-    def sort_and_count():
-        _pack_edge_keys(triangles, num_vertices, keys.reshape(triangles.shape))
-        keys.sort()
-        if np.equal(keys[1:], keys[:-1], out=starts[1:-1]).any():
-            return
-        edge = np.right_shift(keys, 1, out=keys)
-        np.not_equal(edge[1:], edge[:-1], out=starts[1:-1])
-        counted.append(int(np.count_nonzero(starts[:-1])))
-        # starts[i] &= starts[i + 1] marks the rim edges, in place a block at
-        # a time: a block reads one entry of the next, not yet overwritten
-        for s in range(0, len(edge), _BLOCK):
-            e = min(s + _BLOCK, len(edge))
-            np.logical_and(starts[s:e], starts[s + 1:e + 1], out=starts[s:e])
-        mask[np.concatenate(np.divmod(edge[starts[:-1]], num_vertices))] = True
-
-    during = _run_beside(sort_and_count, meanwhile)
-    if not counted:
+    num_vertices = len(mask)
+    _pack_edge_keys(triangles, num_vertices, keys.reshape(triangles.shape))
+    keys.sort()
+    if np.equal(keys[1:], keys[:-1], out=starts[1:-1]).any():
         if np.any(keys[2:] >> 1 == keys[:-2] >> 1):
             raise MeshError("non-manifold edge shared by more than 2 triangles")
         raise OrientationError("inconsistent winding: repeated directed edge")
-    return counted[0], mask, during
+    edge = np.right_shift(keys, 1, out=keys)
+    np.not_equal(edge[1:], edge[:-1], out=starts[1:-1])
+    num_edges = int(np.count_nonzero(starts[:-1]))
+    # starts[i] &= starts[i + 1] marks the rim edges, in place a block at
+    # a time: a block reads one entry of the next, not yet overwritten
+    for s in range(0, len(edge), _BLOCK):
+        e = min(s + _BLOCK, len(edge))
+        np.logical_and(starts[s:e], starts[s + 1:e + 1], out=starts[s:e])
+    mask[np.concatenate(np.divmod(edge[starts[:-1]], num_vertices))] = True
+    return num_edges, mask
 
 
-def _run_beside(worker, meanwhile):
-    """meanwhile() on this thread while worker() runs on a second one (numpy
-    releases the GIL in its loops).  The second thread is joined before this
-    returns or raises, and an exception raised on it is raised here unless
-    meanwhile raised one first.  A worker allocates only block-sized
-    temporaries: what a thread allocates stays resident in its glibc arena."""
-    failed = []
+def _run_beside(worker, meanwhile) -> tuple:
+    """(worker(), meanwhile()), with meanwhile() on this thread while worker()
+    runs on a second one (numpy releases the GIL in its loops).  The second
+    thread is joined before this returns or raises, and an exception raised
+    on it is raised here unless meanwhile raised one first.  A worker
+    allocates only block-sized temporaries: what a thread allocates stays
+    resident in its glibc arena."""
+    done, failed = [], []
 
     def run():
         try:
-            worker()
+            done.append(worker())
         except BaseException as exc:
             failed.append(exc)
 
     thread = threading.Thread(target=run)
     thread.start()
     try:
-        result = meanwhile()
+        during = meanwhile()
     finally:
         thread.join()
     if failed:
         raise failed[0]
-    return result
+    return done[0], during
 
 
 def _pack_edge_keys(triangles: np.ndarray, num_vertices: int, out: np.ndarray) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,15 +44,7 @@ class VerificationReport:
         return abs(self.residual) <= self.tolerance
 
     def to_json_dict(self) -> dict:
-        return {
-            "case_name": self.case_name,
-            "closed_form": self.closed_form,
-            "oracle": self.oracle,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "metadata": self.metadata,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _report(case, closed, oracle_value, residual, tol, kind, **meta):

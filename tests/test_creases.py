@@ -10,7 +10,6 @@ from creasegeom import (
     crease_specific_curvature,
     gen_twisted_prismatic_tube,
     tube_balance,
-    tube_crease_fold_angle,
     tube_half_fold_angle,
     tube_spec_for_strips,
 )
@@ -36,8 +35,10 @@ def test_crease_specific_curvature():
 
 def test_tube_crease_fold_angle():
     spec = TubeSpec(a=1.0, alpha=math.pi / 4, h=0.05)
-    # 2 mu = (h/a) cos^2(alpha) = 0.025
-    assert tube_crease_fold_angle(spec) == pytest.approx(0.025)
+    # the h -> 0 limit of the fold, 2 mu = (h/a) cos^2(alpha) = 0.025
+    two_mu = (spec.h / spec.a) * math.cos(spec.alpha) ** 2
+    assert two_mu == pytest.approx(0.025)
+    assert 2.0 * tube_half_fold_angle(spec) == pytest.approx(two_mu, rel=1e-4)
 
 
 def mesh_half_fold_angle(a, alpha, n_strips, nu):
@@ -68,7 +69,8 @@ def test_tube_half_fold_angle_tends_to_shallow_limit():
     gaps = []
     for n_strips in (12, 24, 48, 96):
         spec = tube_spec_for_strips(1.0, math.pi / 4, n_strips)
-        gaps.append(1.0 - 2.0 * tube_half_fold_angle(spec) / tube_crease_fold_angle(spec))
+        shallow = (spec.h / spec.a) * math.cos(spec.alpha) ** 2
+        gaps.append(1.0 - 2.0 * tube_half_fold_angle(spec) / shallow)
     assert gaps[:3] == pytest.approx([2.9e-3, 7.1e-4, 1.8e-4], rel=0.03)
     for coarse, fine in zip(gaps, gaps[1:]):
         assert coarse / fine == pytest.approx(4.0, rel=0.01)

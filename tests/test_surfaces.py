@@ -551,7 +551,6 @@ def test_grid_triangles_matches_reference_on_ties(flip):
 @pytest.mark.parametrize("strip_cells", [1, 5 * 64, 1 << 14])
 @pytest.mark.parametrize("shape", ["cylinder-8-lines", "tube-12-strips-64"])
 def test_threaded_band_in_blocks_matches_stacking_reference(shape, strip_cells, monkeypatch):
-    monkeypatch.setattr(surfaces, "_THREADED_VERTICES", 0)
     monkeypatch.setattr(surfaces, "_STRIP_CELLS", strip_cells)  # 2, 5 or all rows a block
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # the two threads trade the GIL as often as they can
@@ -583,12 +582,10 @@ def band_threads(monkeypatch, build):
     return seen
 
 
-def test_large_bands_fill_strips_on_two_threads_and_small_ones_on_one(monkeypatch):
-    build = BUILT["tube-12-strips-64"]
-    assert band_threads(monkeypatch, build) == {threading.current_thread()}
-    monkeypatch.setattr(surfaces, "_THREADED_VERTICES", 0)
-    threads = band_threads(monkeypatch, build)
-    assert len(threads) == 2 and threading.current_thread() in threads
+def test_every_band_fills_its_strips_on_two_threads(monkeypatch):
+    for shape in ("tube-12-strips-64", "cylinder-8-lines"):
+        threads = band_threads(monkeypatch, BUILT[shape])
+        assert len(threads) == 2 and threading.current_thread() in threads, shape
 
 
 def test_strip_worker_exception_propagates_and_the_thread_is_joined(monkeypatch):
@@ -599,7 +596,6 @@ def test_strip_worker_exception_propagates_and_the_thread_is_joined(monkeypatch)
             raise MemoryError("no room for a strip")
         return triangulate(*args, **kwargs)
 
-    monkeypatch.setattr(surfaces, "_THREADED_VERTICES", 0)
     monkeypatch.setattr(surfaces, "_grid_triangles", failing)
     before = threading.active_count()
     with pytest.raises(MemoryError, match="no room for a strip"):

@@ -215,6 +215,39 @@ def test_topology_matches_unique_reference(shape):
     assert angle_sum.sum() == pytest.approx(math.pi * mesh.num_triangles, rel=1e-14, abs=0)
 
 
+def edge_topology(mesh):
+    """_edge_topology of mesh on this thread, into arrays allocated as validate
+    allocates them."""
+    t = mesh.triangles
+    return trimesh._edge_topology(t, np.empty(t.size, dtype=np.int64),
+                                  np.ones(t.size + 1, dtype=bool),
+                                  np.zeros(mesh.num_vertices, dtype=bool))
+
+
+def test_edge_topology_runs_on_the_calling_thread_and_raises_its_faults(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a second thread was started")
+
+    meshes = (square_mesh(), GENERATED["tube"]())  # the tube's strips fill on two threads
+    monkeypatch.setattr(trimesh, "threading", types.SimpleNamespace(Thread=no_thread))
+    for mesh in meshes:
+        mask, euler = unique_topology(mesh)
+        num_edges, boundary = edge_topology(mesh)
+        assert num_edges == mesh.num_vertices + mesh.num_triangles - euler
+        assert np.array_equal(boundary, mask)
+
+    fan = TriMesh(  # edge 0-1 in three triangles
+        vertices=np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]], float),
+        triangles=np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]),
+    )
+    with pytest.raises(MeshError, match="non-manifold"):
+        edge_topology(fan)
+    flipped = square_mesh()
+    flipped.triangles[1] = flipped.triangles[1][::-1]
+    with pytest.raises(OrientationError, match="repeated directed edge"):
+        edge_topology(flipped)
+
+
 def test_kernel_error_types_on_hand_built_meshes():
     # three triangles on edge 0-1, each winding it differently
     fan = TriMesh(
@@ -335,8 +368,8 @@ def test_validate_joins_its_sort_thread_on_every_path(monkeypatch):
             joined.append(self)
             super().join(timeout)
 
+    mesh = GENERATED["tube"]()  # before the patch: the tube's strips fill on two threads
     monkeypatch.setattr(trimesh, "threading", types.SimpleNamespace(Thread=Recorded))
-    mesh = GENERATED["tube"]()
     before = threading.active_count()
     mesh.validate()
     during = []
