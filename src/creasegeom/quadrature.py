@@ -20,7 +20,7 @@ _BLOCK = 2048  # integrals refined together: about 10 MB of level arrays when sm
 class QuadratureResult:
     value: float
     error_estimate: float
-    evaluations: int
+    evaluations: int | np.ndarray  # a total, or mudguard_total's per-spec counts
 
 
 def _out(x: np.ndarray):  # a Python scalar for shape ()
@@ -131,9 +131,8 @@ def mudguard_total(specs) -> QuadratureResult:
     Integrates the local Gaussian curvature
     (1/r) * cos(eps) / [R - r*(1 - cos(mu))] over the transverse arc (length
     element r * d(eps)) and a hoop of length 2*pi*R.  Takes a MudguardSpec,
-    or a list of them for one batched quadrature and array fields, with each
-    spec's evaluations.
-    """
+    or a list of them for one batched quadrature and array fields (evaluations
+    per spec: an int for one spec, an int64 array for a list)."""
     R, r, mu = (np.vectorize(attrgetter(k), otypes=[float])(specs) for k in ("R", "r", "mu"))
     value, err, evals = _simpson(lambda eps, d: np.cos(eps) / d, -mu, mu, DEFAULT_TOL,
                                  MAX_EVALUATIONS, (R - r * (1.0 - np.cos(mu)),))
@@ -149,7 +148,7 @@ def gore_sphere_total(specs) -> QuadratureResult:
     mu = (pi/n)*cos(theta).  Approaches 4*pi from below as n grows.  A model,
     not the exact seam rate: gen_gore_sphere's seams carry 4*pi/n each,
     3.1% above the model's share at n = 6.  Takes a GoreSphereSpec or a list
-    of them, as mudguard_total does; value and error are n times integrate's.
+    of them; value and error are n times integrate's, evaluations its total.
     """
     n = np.vectorize(attrgetter("n"), otypes=[float])(specs)
     quad = integrate(lambda theta, beta: 2.0 * np.sin(beta * np.cos(theta)),

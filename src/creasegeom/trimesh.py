@@ -7,6 +7,7 @@ topology.
 
 from __future__ import annotations
 
+import functools
 import re
 import threading
 import warnings
@@ -18,7 +19,7 @@ from .errors import InputFormatError, MeshError, OrientationError
 
 DEGENERATE_AREA_FACTOR = 1e-12
 _BLOCK = 1 << 13  # triangles per block in the mesh kernel; keeps temporaries in cache
-_WRITE_BLOCK = 1 << 16  # OBJ records per write
+_WRITE_BLOCK = 1 << 11  # OBJ records formatted per write; keeps temporaries in cache
 # byte -> is ASCII and not whitespace, so continues an OBJ keyword
 _WORD = np.array([c < 128 and not chr(c).isspace() for c in range(256)])
 _SLASH_TAIL = re.compile(r"(?<=\S)/\S*")  # the "/b/c" of a face token "a/b/c"
@@ -204,19 +205,90 @@ def _vertex_sums(vertices: np.ndarray, triangles: np.ndarray) -> tuple:
 
 def export_obj(mesh: TriMesh, path) -> None:
     """Write a Wavefront OBJ: v/f records plus one `l` polyline per crease
-    under `g crease_<id>`.  1-based indices, LF endings, 9 significant digits
-    (`%.9g` formats a float as an f-string's `.9g` does)."""
+    under `g crease_<id>`.  1-based indices, LF endings, each value as `%.9g`
+    or `%d` writes it: _WRITE_BLOCK records at a time (under 1 MB) as rows of
+    NUL-padded words of 3-digit chunks, written without the NULs, and by `%`
+    a row with a value _vertex_records cannot prove or an index outside 0..999999998."""
     if mesh.num_vertices == 0 or mesh.num_triangles == 0:
         raise MeshError("refusing to export an empty mesh")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for template, rows in (("v %.9g %.9g %.9g\n", mesh.vertices),
-                               ("f %d %d %d\n", mesh.triangles + 1)):
-            for s in range(0, len(rows), _WRITE_BLOCK):  # one % format per block
-                block = rows[s:s + _WRITE_BLOCK]
-                fh.write(template * len(block) % tuple(block.ravel().tolist()))
+    with open(path, "wb") as fh:
+        for records, rows in ((_vertex_records, mesh.vertices), (_face_records, mesh.triangles)):
+            for s in range(0, len(rows), _WRITE_BLOCK):
+                fh.write(records(rows[s:s + _WRITE_BLOCK]))
         for cid in sorted(mesh.crease_polylines):
             chain = (mesh.crease_polylines[cid] + 1).tolist()
-            fh.write(f"g crease_{cid}\nl {' '.join(map(str, chain))}\n")
+            fh.write(f"g crease_{cid}\nl {' '.join(map(str, chain))}\n".encode())
+
+
+@functools.cache  # built on first use: 3 ms that runs without OBJ output skip
+def _chunks() -> np.ndarray:
+    """Chunks 000..999 as little-endian words of NUL-padded text, in blocks of
+    1000: as is, from 1000 without leading zeros, from 2000 without trailing
+    zeros, then with a point after digit 1, 2 or 3, as is and as %g strips it."""
+    digits = [b"%03d" % c for c in range(1000)]
+    return np.array(
+        digits + [c.lstrip(b"0") for c in digits] + [c.rstrip(b"0") for c in digits]
+        + [c[:d] + (b"." + c[d:]).rstrip(b"0").rstrip(b".") if strip else c[:d] + b"." + c[d:]
+           for d in (1, 2, 3) for strip in (0, 1) for c in digits], dtype="S4").view("<u4")
+
+
+# The block of mantissa chunk k, by (e - 3k + 11) * 2 + (the later chunks are 0).
+_MANTISSA = np.array([3000 + 2000 * d + 1000 * zeros if 0 <= d <= 2 else 2000 * zeros * (d < 0)
+                      for d in range(-11, 10) for zeros in (0, 1)])
+# "v " or " ", sign and for e < 0 "0." and -e - 1 zeros, as an 8-byte word, by
+# (e + 5) * 2 + sign + 30 for the coordinates after the first.
+_PREFIX = np.array([head + sign + (b"0." + b"0" * (-e - 1) if e < 0 else b"")
+                    for head in (b"v ", b" ") for e in range(-5, 10) for sign in (b"", b"-")],
+                   dtype="S8").view("<u8")
+_POW10 = np.array([float(10**k) for k in range(14)])  # exact
+
+
+def _vertex_records(block: np.ndarray) -> bytes:
+    """`v` records of vertex rows (R, 3).  With e = floor(log10 |x|), one
+    rounding puts s = |x| * 10**(8 - e) within ulp(s) / 2 <= 2**-24 of exact
+    for s <= 1e9, so for s in [1e8, 1e9] further than 2**-23 from a half
+    integer, m = rint(s) is the correctly rounded mantissa (1e9 carries to
+    1e8, e + 1), written with the point after digit e for e in -4..8."""
+    x = block.ravel()
+    a, zero = np.fmin(np.abs(x), 1e300), x == 0  # inf and nan as 1e300, which go to %
+    e = np.clip(np.floor(np.log10(a + zero)), -5, 8).astype(np.intp)
+    s = a * _POW10[8 - e]
+    m = np.rint(s)
+    m, e = np.where(m == 1e9, 1e8, m), e + (m == 1e9)  # the carry
+    fast = (s >= 1e8) & (s <= 1e9) & (np.abs(s - m) < 0.5 - 2.0**-23) & (e >= -4) & (e <= 8)
+    fast |= zero  # e = 0, m = 0: "0"
+    m = np.where(fast, m, 0).astype(np.int32)
+    c = (m // 10**6, m // 1000 % 1000, m % 1000)
+    z = ((c[1] == 0) & (c[2] == 0), c[2] == 0, 1)  # the later chunks are 0
+    words = np.empty((len(block), 18), "<u4")  # per coordinate: prefix (2), mantissa (3), end
+    words.view("<u8")[:, 0::3] = _PREFIX[(2 * e + np.signbit(x)).reshape(-1, 3) + (10, 40, 40)]
+    for k in range(3):
+        words[:, 2 + k::6] = _chunks()[c[k] + _MANTISSA[2 * e + 22 - 6 * k + z[k]]].reshape(-1, 3)
+    words[:, 5::6] = (0, 0, ord("\n"))
+    return _compact(words, ~fast, "v %.9g %.9g %.9g\n", block)
+
+
+def _face_records(block: np.ndarray) -> bytes:
+    """`f` records of triangle rows (R, 3): each index + 1 as three chunks."""
+    n = block.ravel() + 1
+    fast = (n > 0) & (n < 10**9)
+    n = np.where(fast, n, 0).astype(np.int32)
+    words = np.full((len(block), 10), int.from_bytes(b"f ", "little"), "<u4")
+    for k, c in enumerate((n // 10**6, n // 1000 % 1000, n % 1000)):  # leading zeros dropped
+        words[:, 1 + k::3] = _chunks()[c + 1000 * (n < 1000 ** (3 - k))].reshape(-1, 3)
+    words.view(np.uint8)[:, 15::12] = np.frombuffer(b"  \n", np.uint8)
+    return _compact(words, ~fast, "f %d %d %d\n", block + 1)
+
+
+def _compact(words: np.ndarray, slow: np.ndarray, template: str, rows: np.ndarray) -> bytes:
+    """Word rows (R, W) as bytes without NULs, a row with a slow value as template % row."""
+    text = words.view(np.uint8)
+    redo = sorted(set((np.flatnonzero(slow) // rows.shape[1]).tolist()))
+    if len(redo):
+        lines = np.array([template % tuple(row) for row in rows[redo].tolist()], dtype="S")
+        text = np.pad(text, ((0, 0), (0, max(0, lines.itemsize - text.shape[1]))))
+        text[redo] = lines.astype(f"S{text.shape[1]}").view(np.uint8).reshape(len(redo), -1)
+    return text.tobytes().translate(None, b"\0")
 
 
 def load_obj(path) -> TriMesh:

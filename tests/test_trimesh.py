@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 import types
 
 import numpy as np
@@ -526,6 +527,101 @@ def test_export_obj_matches_reference_writer(tmp_path, name):
     export_obj(mesh, tmp_path / "bulk.obj")
     reference_export_obj(mesh, tmp_path / "reference.obj")
     assert (tmp_path / "bulk.obj").read_bytes() == (tmp_path / "reference.obj").read_bytes()
+
+
+def percent_corpus():
+    """Over 10**6 floats and the ints that the OBJ record layout must write as
+    `%.9g` and `%d` do: every decimal exponent with both signs, exact
+    9-digit ties (k + 1/2) * 10**j and their neighbours, powers of ten and
+    their neighbours (1e-4 and 1e9 among them), carries such as 999999999.5,
+    short decimals whose trailing zeros `%g` drops, +-0, +-inf, nan,
+    subnormals and random bit patterns; ints at 0, at every 10**j - 1 and
+    10**j, up to 10**9 - 1, and past it."""
+    rng = np.random.default_rng(19)
+
+    def signed(x):
+        return x * rng.choice([-1.0, 1.0], size=np.shape(x))
+
+    def scaled(k, exponents):  # k * 10**j rounded once
+        return np.concatenate([k * 10.0**j if j >= 0 else k / 10.0**-j for j in exponents])
+
+    with np.errstate(over="ignore"):
+        every_exponent = rng.uniform(1, 10, (629, 800)) * np.array(
+            [float(f"1e{j}") for j in range(-320, 309)])[:, None]
+    ties = scaled(rng.integers(10**8, 10**9, 2000) + 0.5, range(-20, 12))
+    carries = scaled(10**9 - np.array([0.5, 0.3, 0.7, 1e-3]), range(-20, 12))
+    powers = np.array([float(f"1e{j}") for j in range(-323, 309)])
+    short = rng.integers(1, 10**4, 10**5) / 10.0 ** rng.integers(-5, 13, 10**5)
+    subnormal = np.r_[5e-324, 2.2250738585072014e-308, rng.integers(1, 2**52, 1000) * 5e-324]
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 999999999.5, 1e-4, 1e9])
+    bits = rng.integers(0, 2**64, 2 * 10**5, dtype=np.uint64, endpoint=False).view(np.float64)
+    floats = np.concatenate([
+        signed(every_exponent.ravel()), signed(_neighbours(ties, 2)),
+        signed(_neighbours(carries, 3)), signed(_neighbours(powers, 3)), signed(short),
+        _neighbours(subnormal, 2), _neighbours(special, 2), bits, rng.uniform(-10, 10, 2 * 10**5)])
+    powers_int = 10 ** np.arange(10)
+    ints = np.concatenate([np.arange(2000), powers_int - 1, powers_int, 10**9 - np.arange(1, 50),
+                           rng.integers(0, 10**9, 10**5), [-1, -1000, 10**12, 2**62]])
+    return floats, ints
+
+
+def _neighbours(x, steps):
+    """x and the `steps` floats on each side of each of its values."""
+    out, up, down = [x], x, x
+    for _ in range(steps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+def test_record_layout_matches_percent_format():
+    floats, ints = percent_corpus()
+    assert len(floats) >= 10**6
+    floats = floats[:len(floats) // 3 * 3].reshape(-1, 3)
+    ints = ints[:len(ints) // 3 * 3].reshape(-1, 3)
+    # the face writer is given indices, and writes each index + 1
+    for values, records, key, fmt, shift in ((floats, trimesh._vertex_records, "v", "%.9g", 0),
+                                             (ints, trimesh._face_records, "f", "%d", 1)):
+        for s in range(0, len(values), trimesh._WRITE_BLOCK):
+            block = values[s:s + trimesh._WRITE_BLOCK]
+            got = records(block - shift if shift else block).decode().split("\n")[:-1]
+            want = [" ".join([key] + [fmt % v for v in row]) for row in block.tolist()]
+            if got != want:
+                bad = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+                pytest.fail(f"{block[bad].tolist()}: wrote {got[bad]!r}, want {want[bad]!r}")
+
+
+def test_export_obj_across_a_write_block_boundary(tmp_path):
+    n, edge = trimesh._WRITE_BLOCK + 3, trimesh._WRITE_BLOCK
+    rng = np.random.default_rng(3)
+    vertices = rng.uniform(-2.0, 2.0, (n, 3))
+    vertices[edge - 2:edge + 2] = awkward_values_mesh().vertices  # two on each side
+    triangles = rng.integers(0, n, (n, 3))
+    triangles[edge - 1:edge + 1] = [[n - 1, 0, 999], [1000, 999999 % n, n - 2]]
+    mesh = TriMesh(vertices, triangles, {2: [edge - 1, edge, n - 1]})
+    export_obj(mesh, tmp_path / "bulk.obj")
+    reference_export_obj(mesh, tmp_path / "reference.obj")
+    assert (tmp_path / "bulk.obj").read_bytes() == (tmp_path / "reference.obj").read_bytes()
+
+
+# Peak traced memory of export_obj on the 12-strip 128x128 tube (190,016
+# vertices) per vertex: 4.63 B with numpy 2.4, one write block of temporaries,
+# and 4.84 B when the call also builds the chunk table (102.1 B when it
+# formatted 65,536 records with one `%` and added 1 to every index at once).
+# The ceiling leaves 10%.
+EXPORT_PEAK_BYTES_PER_VERTEX = 5.35
+
+
+def test_export_obj_peak_memory(tmp_path):
+    mesh = gen_twisted_prismatic_tube(1.0, math.pi / 4, 12, 128, 128)
+    tracemalloc.start()
+    try:
+        export_obj(mesh, tmp_path / "tube.obj")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mesh.num_vertices == 190_016
+    assert peak / mesh.num_vertices < EXPORT_PEAK_BYTES_PER_VERTEX
 
 
 def assert_same_mesh(a, b):

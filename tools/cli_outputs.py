@@ -7,11 +7,12 @@ that two source trees can be compared byte for byte:
 Each command runs as its own `python -m creasegeom.cli` process, from the
 creasegeom that this script imports, with OUTDIR as its working directory
 (so no output names an absolute path).  It runs `verify --suite all --json`;
-`generate` of all six shapes at two resolutions, and of one tube of many
-mesh-kernel blocks, each followed by `analyze` of the OBJ and of the JSON
-sidecar (report and CSV); `sweep` of every parameter, and of alpha in
-degrees; a few inputs that must be refused, whose stderr and exit code are
-the output; and `--version` and every `--help`.
+`generate` of all six shapes at two resolutions, of one tube of many
+mesh-kernel blocks and of two meshes with exponent-form coordinates, each
+followed by `analyze` of the OBJ and of the JSON sidecar (report and CSV);
+`sweep` of every parameter, and of alpha in degrees; a few inputs that must
+be refused, whose stderr and exit code are the output; and `--version` and
+every `--help`.
 Beside each command's files it writes NAME.stdout, NAME.stderr and NAME.exit.
 """
 
@@ -39,6 +40,14 @@ RESOLUTIONS = {"default": "", "odd": "--nu 9 --nv 5"}
 # Meshes of many mesh-kernel blocks (8,192 triangles each): this tube has
 # 122,880 triangles, so the kernel sums across 15 blocks.
 LARGE = {"tube-blocks": "tube --a 1 --alpha 0.7 --strips 8 --nu 512 --nv 16"}
+
+# Meshes whose coordinates `%.9g` writes in exponent form (|x| < 1e-4 or
+# >= 1e9), which the OBJ writer formats one value at a time.
+EXPONENT_FORM = {
+    "twisted-patch-tiny": "twisted-patch --kxy 0.1 --a-len 1e-5 --b-len 1e-5 --mu 0.2 "
+                          "--nu 9 --nv 5",
+    "mudguard-huge": "mudguard --R 2e9 --r 2e7 --mu 0.2 --nu 9 --nv 5",
+}
 
 SWEEPS = {
     "alpha": "--param alpha --range 0.1:1.4:50",
@@ -81,7 +90,7 @@ def main(argv: list[str]) -> int:
     run(outdir, "verify", "verify --suite all --json verify.json")
     meshes = {f"{shape}-{res}": f"{shape} {params} {res_args}"
               for shape, params in SHAPES.items() for res, res_args in RESOLUTIONS.items()}
-    for name, args in {**meshes, **LARGE}.items():
+    for name, args in {**meshes, **LARGE, **EXPONENT_FORM}.items():
         run(outdir, f"generate-{name}", f"generate {args} --out {name}.obj")
         run(outdir, f"analyze-obj-{name}", f"analyze --in {name}.obj "
                                            f"--report {name}.obj.report --csv {name}.obj.csv")
