@@ -24,8 +24,9 @@ DEFAULT_EXPORT_RES = 32
 CREASE_ARC_SPAN = math.pi / 2
 
 # Largest mesh, in vertices, that a generator builds: 13 times the
-# strip-curvature suite's tube.  Analysing a generated mesh peaks at about
-# 182 bytes per vertex (sidecar analyze, 945k vertices): 1.8 GB at the limit.
+# strip-curvature suite's tube, and below 2**31, so generators index their
+# triangles in int32.  Analysing a generated mesh peaks at about 156 bytes
+# per vertex (sidecar analyze, 944k vertices): 1.6 GB at the limit.
 MAX_VERTICES = 10_000_000
 
 # Cells per block in which each thread fills a helical band's strips, so the
@@ -149,7 +150,7 @@ def _helical_band(a, alpha, n_strips, nu, nv, flatten):
         return np.stack([a * np.cos(s / a), a * np.sin(s / a), z], axis=-1)
 
     vertices = np.empty((num_vertices, 3))
-    triangles = np.empty((2 * nv * (n_strips * nu - m), 3), dtype=np.int64)
+    triangles = np.empty((2 * nv * (n_strips * nu - m), 3), dtype=np.int32)
     # crease-line vertices first, line j at developed offset j*h*yhat
     line_pts = vertices[:n_strips * n_line].reshape(n_strips, n_line, 3)
     for j in range(n_strips):
@@ -176,7 +177,7 @@ def _helical_band(a, alpha, n_strips, nu, nv, flatten):
                     interior[lo:hi] = wrap((j * h + t * h)[None, :, None] * yhat
                                            + x[shift + lo:shift + hi, None, None] * xhat)
                 r = np.arange(max(lo - 1, 0), hi)
-                ids = np.empty((len(r), nv + 1), dtype=np.int64)
+                ids = np.empty((len(r), nv + 1), dtype=np.int32)
                 ids[:, 0], ids[:, nv] = j * n_line + shift + r, jn * n_line + r
                 ids[:, 1:nv] = offset + (nv - 1) * r[:, None] + np.arange(nv - 1)
                 cells[:, r[0]:hi - 1] = _grid_triangles(ids, vertices[ids], flip=True).reshape(
@@ -264,7 +265,7 @@ def gen_twisted_patch(
         Y, Z = Y * np.cos(theta) - Z * np.sin(theta), Y * np.sin(theta) + Z * np.cos(theta)
     grid = np.stack([X, Y, Z], axis=-1)
     verts = grid.reshape(-1, 3)
-    ids = np.arange((nu + 1) * (nv + 1)).reshape(nu + 1, nv + 1)
+    ids = np.arange((nu + 1) * (nv + 1), dtype=np.int32).reshape(nu + 1, nv + 1)
     tris = _grid_triangles(ids, grid)
     return TriMesh(verts, tris, {1: ids[:, nv // 2].copy()})
 
@@ -300,7 +301,7 @@ def gen_curved_crease(spec: CreaseSpec, strip_width: float, nu: int, nv: int) ->
     ruling = -math.sin(spec.mu) * rho_hat[:, None, :] + side * math.cos(spec.mu) * zhat
     pts = spec.R * rho_hat[:, None, :] + dist * ruling
     verts = pts.reshape(-1, 3)
-    ids = np.arange((nu + 1) * (2 * nv + 1)).reshape(nu + 1, 2 * nv + 1)
+    ids = np.arange((nu + 1) * (2 * nv + 1), dtype=np.int32).reshape(nu + 1, 2 * nv + 1)
     tris = _grid_triangles(ids, pts)
     return TriMesh(verts, tris, {1: ids[:, nv].copy()})
 
@@ -337,7 +338,7 @@ def gen_mudguard(spec: MudguardSpec, nu: int, nv: int) -> TriMesh:
     eps = np.linspace(-spec.mu, spec.mu, nv + 1)
     grid = fn(phi[:, None], eps[None, :])
     verts = grid.reshape(-1, 3)
-    ids = np.arange(nu * (nv + 1)).reshape(nu, nv + 1)
+    ids = np.arange(nu * (nv + 1), dtype=np.int32).reshape(nu, nv + 1)
     wrapped = np.vstack([ids, ids[:1]])  # close the hoop
     tris = _grid_triangles(wrapped, np.concatenate([grid, grid[:1]], axis=0))
     return TriMesh(verts, tris)
@@ -380,7 +381,7 @@ def gen_gore_sphere(spec: GoreSphereSpec, nu: int, nv: int) -> TriMesh:
             + (R * sin_t)[:, None, None] * np.array([0.0, 0.0, 1.0])
         )
         verts.append(interior.reshape(-1, 3))
-        ids = np.empty((ni, nv + 1), dtype=np.int64)
+        ids = np.empty((ni, nv + 1), dtype=np.int32)
         ids[:, 0] = 2 + j * ni + np.arange(ni)
         ids[:, nv] = 2 + (j + 1) % n * ni + np.arange(ni)
         ids[:, 1:nv] = offset + np.arange(ni * (nv - 1)).reshape(ni, nv - 1)
@@ -388,7 +389,7 @@ def gen_gore_sphere(spec: GoreSphereSpec, nu: int, nv: int) -> TriMesh:
         grid = np.concatenate([seams[j][:, None], interior, seams[(j + 1) % n][:, None]], axis=1)
         tris.append(_grid_triangles(ids, grid, flip=True))
         # pole fans: south pole 0 below the first row, north pole 1 above the last
-        tris.append(np.stack([np.zeros(nv, np.int64), ids[0, 1:], ids[0, :-1]], axis=1))
-        tris.append(np.stack([np.ones(nv, np.int64), ids[-1, :-1], ids[-1, 1:]], axis=1))
+        tris.append(np.stack([np.zeros(nv, np.int32), ids[0, 1:], ids[0, :-1]], axis=1))
+        tris.append(np.stack([np.ones(nv, np.int32), ids[-1, :-1], ids[-1, 1:]], axis=1))
     polylines = {j + 1: 2 + j * ni + np.arange(ni) for j in range(n)}
     return TriMesh(np.concatenate(verts), np.concatenate(tris), polylines)

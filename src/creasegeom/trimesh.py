@@ -20,6 +20,7 @@ from .errors import InputFormatError, MeshError, OrientationError
 DEGENERATE_AREA_FACTOR = 1e-12
 _BLOCK = 1 << 13  # triangles per block in the mesh kernel; keeps temporaries in cache
 _WRITE_BLOCK = 1 << 11  # OBJ records formatted per write; keeps temporaries in cache
+_LOAD_BLOCK = 1 << 13  # OBJ v or f lines per np.loadtxt call; bounds its text and line list
 # byte -> is ASCII and not whitespace, so continues an OBJ keyword
 _WORD = np.array([c < 128 and not chr(c).isspace() for c in range(256)])
 _SLASH_TAIL = re.compile(r"(?<=\S)/\S*")  # the "/b/c" of a face token "a/b/c"
@@ -28,12 +29,13 @@ _SLASH_TAIL = re.compile(r"(?<=\S)/\S*")  # the "/b/c" of a face token "a/b/c"
 @dataclass
 class TriMesh:
     vertices: np.ndarray                 # (V, 3) float64
-    triangles: np.ndarray                # (T, 3) int, CCW outward
+    triangles: np.ndarray                # (T, 3) int32 as given, else int64; CCW outward
     crease_polylines: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
-        self.triangles = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
+        index = np.int32 if getattr(self.triangles, "dtype", None) == np.int32 else np.int64
+        self.triangles = np.asarray(self.triangles, dtype=index).reshape(-1, 3)
         self.crease_polylines = {
             int(k): np.asarray(v, dtype=np.int64).reshape(-1)
             for k, v in self.crease_polylines.items()
@@ -180,7 +182,7 @@ def _vertex_sums(vertices: np.ndarray, triangles: np.ndarray) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):  # validate reports the overflow
         diag = float(np.linalg.norm([np.ptp(column) for column in vertices.T]))
         for s in range(0, len(triangles), _BLOCK):
-            idx = triangles[s:s + _BLOCK].T
+            idx = triangles[s:s + _BLOCK].T.astype(np.intp, order="C")  # cast once, not per gather
             # x, y, z are (3, block): one coordinate of e_0, e_1, e_2 per row
             x, y, z = (p[[1, 2, 0]] - p for p in (vertices[:, c][idx] for c in range(3)))
             nx = y[0] * z[1] - z[0] * y[1]
@@ -298,8 +300,8 @@ def load_obj(path) -> TriMesh:
     Raises InputFormatError with the file and line for a `v` record without
     three finite coordinates, a face without three integer indices, or a
     face or polyline index not in 1..(vertex count).  The `v` and `f` records
-    go to numpy's text parser as blocks; a file that fails there is read
-    again record by record."""
+    go to numpy's text parser _LOAD_BLOCK lines at a time; a file that fails
+    there is read again record by record."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.isascii():
@@ -369,15 +371,19 @@ def _parse_records(path, lines) -> tuple:
 
 
 def _parse_blocks(path, data: bytes) -> tuple | None:
-    """_parse_records' result, with the `v` and `f` records parsed as two
-    blocks, or None if the file needs the record scan.  Lines of "v" or "f"
-    and an ASCII blank are block records; lines whose first word starts with
-    "#" or two ASCII non-blanks (vt, usemtl) are skipped.  The rest (g and l
-    records) are scanned, and a v or f record among them fails the blocks."""
-    buf = np.frombuffer(data + b"  ", dtype=np.uint8)  # every line has 2 more bytes
+    """_parse_records' result, with the `v` and `f` records parsed in blocks
+    of _LOAD_BLOCK lines into arrays of their final size, or None if the file
+    needs the record scan.  Lines of "v" or "f" and an ASCII blank are block
+    records; lines whose first word starts with "#" or two ASCII non-blanks
+    (vt, usemtl) are skipped.  The rest (g and l records) are scanned, and a
+    v or f record among them fails the blocks."""
+    if not data:
+        return None  # the record scan finds no geometry
+    buf = np.frombuffer(data, dtype=np.uint8)
     newline = np.flatnonzero(buf == ord("\n"))
     starts, stops = np.r_[0, newline + 1], np.r_[newline, len(data)]
-    first, second = buf[starts], buf[starts + 1]
+    first, second = (np.where(i < len(buf), buf[np.minimum(i, len(buf) - 1)], ord(" "))
+                     for i in (starts, starts + 1))  # a blank past the end
     block = ((first == ord("v")) | (first == ord("f"))) & ~_WORD[second] & (second < 128)
     skip = (first == ord("#")) | (_WORD[first] & _WORD[second])
     try:
@@ -388,15 +394,23 @@ def _parse_blocks(path, data: bytes) -> tuple | None:
     v, f = (np.flatnonzero(block & (first == ord(c))) for c in "vf")
     if len(scanned[0]) or len(scanned[2]) or not len(v) or not len(f):
         return None
-    vertices = _loadtxt(_block_text(data, starts, stops, v), usecols=(1, 2, 3))
-    # blank the first len(f) "f"s, which are the lines' leading ones unless a
-    # token holds an "f": then a leading "f" is left and its line fails
-    text = _block_text(data, starts, stops, f).replace("f", " ", len(f))
-    triangles = _loadtxt(_SLASH_TAIL.sub("", text) if "/" in text else text, dtype=np.int64)
-    if vertices is None or triangles is None or len(vertices) != len(v) \
-            or triangles.shape != (len(f), 3):
-        return None
-    return vertices, v + 1, triangles - 1, f + 1, scanned[4]
+    vertices, triangles = np.empty((len(v), 3)), np.empty((len(f), 3), dtype=np.int64)
+    for rows, lines in ((vertices, v), (triangles, f)):
+        for s in range(0, len(lines), _LOAD_BLOCK):
+            chunk = lines[s:s + _LOAD_BLOCK]
+            text = _block_text(data, starts, stops, chunk)
+            if rows is vertices:
+                part = _loadtxt(text, usecols=(1, 2, 3))
+            else:  # blank the first len(chunk) "f"s, which are the lines' leading ones
+                # unless a token holds an "f": then a leading "f" is left and its line fails
+                text = text.replace("f", " ", len(chunk))
+                part = _loadtxt(_SLASH_TAIL.sub("", text) if "/" in text else text,
+                                dtype=np.int64)
+            if part is None or part.shape != (len(chunk), 3):
+                return None
+            rows[s:s + len(chunk)] = part
+    triangles -= 1
+    return vertices, v + 1, triangles, f + 1, scanned[4]
 
 
 def _block_text(data: bytes, starts, stops, idx) -> str:

@@ -261,11 +261,12 @@ def test_angle_defect_equals_the_per_triangle_kernel_bit_for_bit(shape, variant)
         assert field.defect[-1] == 2 * math.pi and field.lumped_area[-1] == 0
 
 # Traced peak of generating a 12-strip 128x128 tube (190,016 vertices) and
-# taking its angle defect, per vertex: 187.6 B measured with numpy 2.4, where
-# validate sums each vertex's angles and area in its block pass (206.8 B when
-# it kept per-triangle areas and corner angles for six np.bincounts).  The
-# ceiling leaves 10% for allocator and numpy-version differences.
-PEAK_BYTES_PER_VERTEX = 206
+# taking its angle defect, per vertex: 164.1 B measured with numpy 2.4, where
+# the generator indexes triangles in int32 (187.9 B with int64 triangles,
+# 206.8 B when validate also kept per-triangle areas and corner angles for
+# six np.bincounts).  The ceiling leaves 10% for allocator and numpy-version
+# differences.
+PEAK_BYTES_PER_VERTEX = 181
 
 
 def test_tube_generate_and_angle_defect_peak_memory():
@@ -281,11 +282,12 @@ def test_tube_generate_and_angle_defect_peak_memory():
 
 # Growth of ru_maxrss over its post-import value when a fresh interpreter
 # generates the 12-strip 256x256 tube (756,864 vertices) and takes its
-# density, per vertex: 129.6-132.0 B in 14 runs with numpy 2.4 and glibc
-# malloc (155.2-157.2 B with per-triangle areas and corner angles).  The
-# ceiling leaves 10%.  tracemalloc does not see memory that a thread's glibc
-# arena keeps after numpy frees it; ru_maxrss does.
-PEAK_RSS_BYTES_PER_VERTEX = 145
+# density, per vertex: 111.0-111.2 B in 7 runs with numpy 2.4 and glibc
+# malloc, with int32 triangles (128.7-130.3 B with int64 ones, 155.2-157.2 B
+# with per-triangle areas and corner angles as well).  The ceiling leaves
+# 10%.  tracemalloc does not see memory that a thread's glibc arena keeps
+# after numpy frees it; ru_maxrss does.
+PEAK_RSS_BYTES_PER_VERTEX = 123
 
 RSS_PROBE = """
 import math, resource

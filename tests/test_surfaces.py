@@ -434,7 +434,7 @@ def reference_helical_band(a, alpha, n_strips, nu, nv, flatten):
         jn = (j + 1) % n_strips
         shift = m if j == n_strips - 1 else 0
         i = np.arange(shift, nu + 1)
-        ids = np.empty((len(i), nv + 1), dtype=np.int64)
+        ids = np.empty((len(i), nv + 1), dtype=np.int32)
         ids[:, 0] = j * n_line + i
         ids[:, nv] = jn * n_line + (i - shift)
         n_int = (len(i)) * (nv - 1)
@@ -490,7 +490,7 @@ def reference_gore_sphere(spec, nu, nv):
             + (R * sin_t)[:, None, None] * np.array([0.0, 0.0, 1.0])
         )
         verts.append(interior.reshape(-1, 3))
-        ids = np.empty((ni, nv + 1), dtype=np.int64)
+        ids = np.empty((ni, nv + 1), dtype=np.int32)
         ids[:, 0] = 2 + j * ni + np.arange(ni)
         ids[:, nv] = 2 + ((j + 1) % n) * ni + np.arange(ni)
         ids[:, 1:nv] = offset + np.arange(ni * interior_cols).reshape(ni, interior_cols)
@@ -500,10 +500,27 @@ def reference_gore_sphere(spec, nu, nv):
         grid[:, nv] = verts[1 + (j + 1) % n]
         grid[:, 1:nv] = interior
         tris.append(reference_grid_triangles(ids, grid, flip=True))
-        tris.append(np.stack([np.zeros(nv, np.int64), ids[0, 1:], ids[0, :-1]], axis=1))
-        tris.append(np.stack([np.ones(nv, np.int64), ids[-1, :-1], ids[-1, 1:]], axis=1))
+        tris.append(np.stack([np.zeros(nv, np.int32), ids[0, 1:], ids[0, :-1]], axis=1))
+        tris.append(np.stack([np.ones(nv, np.int32), ids[-1, :-1], ids[-1, 1:]], axis=1))
     polylines = {j + 1: 2 + j * ni + np.arange(ni) for j in range(n)}
     return TriMesh(np.concatenate(verts), np.concatenate(tris), polylines)
+
+@pytest.mark.parametrize("shape", sorted(SIZED))
+def test_generators_index_in_int32_as_int64_would(shape):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ShallowRegimeWarning)
+        mesh = SIZED[shape]()
+    assert mesh.triangles.dtype == np.int32
+    wide = TriMesh(mesh.vertices, mesh.triangles.astype(np.int64), mesh.crease_polylines)
+    assert wide.triangles.dtype == np.int64
+    got, want = angle_defect(mesh), angle_defect(wide)
+    for name in ("defect", "lumped_area", "boundary_mask", "crease_mask"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.euler_characteristic == want.euler_characteristic
+    assert got.crease_totals == want.crease_totals
+    assert got.crease_rates == want.crease_rates
+    assert got.crease_lengths == want.crease_lengths
+
 
 BUILT = {  # called through surfaces, so that the references can stand in
     **SIZED,

@@ -331,6 +331,16 @@ def test_area_faults_are_found_across_blocks(monkeypatch):
         mesh.validate()
 
 
+def test_trimesh_keeps_int32_triangles_and_casts_other_indices_to_int64():
+    triangles = [[0, 1, 2], [0, 2, 3]]
+    for given, kept in ((np.array(triangles, np.int32), np.int32), (triangles, np.int64),
+                        (np.array(triangles, np.int16), np.int64),
+                        (np.array(triangles, np.uint32), np.int64),
+                        (np.array(triangles, np.int64), np.int64)):
+        mesh = TriMesh(square_mesh().vertices, given)
+        assert mesh.triangles.dtype == kept and np.array_equal(mesh.triangles, triangles)
+
+
 def test_repeated_directed_edge_that_sorts_last_is_a_winding_fault():
     # edge 2->3 in both triangles: the largest packed key, twice, at the end
     mesh = TriMesh(
@@ -624,6 +634,27 @@ def test_export_obj_peak_memory(tmp_path):
     assert peak / mesh.num_vertices < EXPORT_PEAK_BYTES_PER_VERTEX
 
 
+# Peak traced memory of load_obj on the exported 12-strip 128x128 tube
+# (190,016 vertices, 80.5 B of OBJ text each) per vertex: 285.7 B with numpy
+# 2.4, parsing _LOAD_BLOCK lines per np.loadtxt call into the final arrays
+# (539.0 B when all `v` and then all `f` lines went to one call each).  The
+# ceiling leaves 10%.
+LOAD_PEAK_BYTES_PER_VERTEX = 314
+
+
+def test_load_obj_peak_memory(tmp_path):
+    mesh = gen_twisted_prismatic_tube(1.0, math.pi / 4, 12, 128, 128)
+    export_obj(mesh, tmp_path / "tube.obj")
+    tracemalloc.start()
+    try:
+        loaded = load_obj(tmp_path / "tube.obj")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.num_vertices == 190_016
+    assert peak / loaded.num_vertices < LOAD_PEAK_BYTES_PER_VERTEX
+
+
 def assert_same_mesh(a, b):
     assert np.array_equal(a.vertices, b.vertices)
     assert np.array_equal(a.triangles, b.triangles)
@@ -675,6 +706,29 @@ def test_load_obj_matches_reference_parser(tmp_path, name):
         # only indented records need the record-by-record scan
         data = path.read_bytes().replace(b"\r\n", b"\n")
         assert (trimesh._parse_blocks(path, data) is None) == (variant == "indented")
+
+
+@pytest.mark.parametrize("block", [5, trimesh._LOAD_BLOCK])
+def test_load_obj_blocks_split_by_comments_match_reference(tmp_path, monkeypatch, block):
+    # comments break the runs of v and f lines just before, at and after
+    # each block boundary, so one block's lines come from several runs
+    monkeypatch.setattr(trimesh, "_LOAD_BLOCK", block)
+    written = tmp_path / "mesh.obj"
+    export_obj(gen_twisted_patch(0.1, 1.0, 1.0, 0.2, 90, 90), written)
+    lines, seen = [], {"v": 0, "f": 0}
+    for line in written.read_text().splitlines():
+        kind = line.split()[0]
+        if kind in seen:
+            if (seen[kind] + 1) % block in (0, 1, 2):
+                lines.append(f"# before {kind} record {seen[kind]}")
+            seen[kind] += 1
+        lines.append(line)
+    assert min(seen.values()) > block + 2
+    path = tmp_path / "split.obj"
+    path.write_text("\n".join(lines) + "\n")
+    assert trimesh._parse_blocks(path, path.read_bytes()) is not None
+    assert_same_mesh(load_obj(path), reference_load_obj(path))
+    assert_same_mesh(load_obj(path), load_obj(written))
 
 
 def test_load_obj_rejects_non_finite_and_oversized_ids(tmp_path):

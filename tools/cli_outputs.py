@@ -10,6 +10,8 @@ creasegeom that this script imports, with OUTDIR as its working directory
 `generate` of all six shapes at two resolutions, of one tube of many
 mesh-kernel blocks and of two meshes with exponent-form coordinates, each
 followed by `analyze` of the OBJ and of the JSON sidecar (report and CSV);
+`analyze` of that tube's OBJ with comments breaking its runs of `v` and `f`
+lines around each OBJ load block boundary;
 `sweep` of every parameter, and of alpha in degrees; a few inputs that must
 be refused, whose stderr and exit code are the output; and `--version` and
 every `--help`.
@@ -49,6 +51,9 @@ EXPONENT_FORM = {
     "mudguard-huge": "mudguard --R 2e9 --r 2e7 --mu 0.2 --nu 9 --nv 5",
 }
 
+# load_obj parses `v` and `f` lines in blocks of this many (trimesh._LOAD_BLOCK).
+LOAD_BLOCK = 1 << 13
+
 SWEEPS = {
     "alpha": "--param alpha --range 0.1:1.4:50",
     "alpha-degrees": "--param alpha --range 5:80:16 --degrees",
@@ -81,6 +86,20 @@ def run(outdir: Path, name: str, args: str) -> None:
     (outdir / f"{name}.exit").write_text(f"{done.returncode}\n")
 
 
+def split_runs(source: Path, target: Path) -> None:
+    """Copy an OBJ with a comment line before each `v` or `f` record whose
+    index is one less than, equal to or one more than a multiple of LOAD_BLOCK."""
+    lines, seen = [], {b"v": 0, b"f": 0}
+    for line in source.read_bytes().splitlines(keepends=True):
+        kind = line.split(b" ", 1)[0]
+        if kind in seen:
+            if (seen[kind] + 1) % LOAD_BLOCK <= 2:
+                lines.append(b"# split\n")
+            seen[kind] += 1
+        lines.append(line)
+    target.write_bytes(b"".join(lines))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -97,6 +116,9 @@ def main(argv: list[str]) -> int:
         run(outdir, f"analyze-sidecar-{name}", f"analyze --in {name}.obj.json "
                                                f"--report {name}.json.report "
                                                f"--csv {name}.json.csv")
+    split_runs(outdir / "tube-blocks.obj", outdir / "tube-blocks-split.obj")
+    run(outdir, "analyze-obj-tube-blocks-split", "analyze --in tube-blocks-split.obj "
+        "--report tube-blocks-split.obj.report --csv tube-blocks-split.obj.csv")
     for name, args in SWEEPS.items():
         run(outdir, f"sweep-{name}", f"sweep {args} --csv sweep-{name}.csv")
     for name, args in REFUSED.items():
