@@ -35,6 +35,7 @@ EXIT_BROKEN_PIPE = 141
 ANGLE_PARAMS = {"alpha", "mu"}
 # Rows are held until the CSV is written, about 0.4 kB each: 40 MB at the cap.
 _MAX_SWEEP_STEPS = 100_000
+_STAMP = {"tool": "creasegeom", "version": __version__}  # heads every JSON file and report
 
 
 def _write_json(path, payload) -> None:
@@ -175,13 +176,7 @@ def cmd_generate(args) -> int:
     mesh.validate()
     out = Path(args.out)
     export_obj(mesh, out)
-    sidecar = {
-        "tool": "creasegeom",
-        "version": __version__,
-        "shape": args.shape,
-        "params": params,
-        "obj": out.name,
-    }
+    sidecar = {**_STAMP, "shape": args.shape, "params": params, "obj": out.name}
     _write_json(out.with_suffix(out.suffix + ".json"), sidecar)
     print(
         f"wrote {out} ({mesh.num_vertices} vertices, {mesh.num_triangles} "
@@ -245,8 +240,7 @@ def cmd_analyze(args) -> int:
         for cid in sorted(mesh.crease_polylines)
     }
     report = {
-        "tool": "creasegeom",
-        "version": __version__,
+        **_STAMP,
         "input": path.name,
         "shape": shape,
         "params": params,
@@ -273,11 +267,7 @@ def cmd_analyze(args) -> int:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["crease_id", "rate", "arc_length", "defect_total"])
-            for cid, row in creases_out.items():
-                writer.writerow(
-                    [cid, repr(row["rate"]), repr(row["arc_length"]),
-                     repr(row["defect_total"])]
-                )
+            writer.writerows([cid, *row.values()] for cid, row in creases_out.items())
     return EXIT_OK
 
 
@@ -297,15 +287,8 @@ def cmd_verify(args) -> int:
     failed = sum(not r.passed for r in reports)
     print(f"{len(reports) - failed}/{len(reports)} checks passed")
     if args.json:
-        _write_json(
-            args.json,
-            {
-                "tool": "creasegeom",
-                "version": __version__,
-                "suite": args.suite,
-                "reports": [r.to_json_dict() for r in reports],
-            },
-        )
+        _write_json(args.json, {**_STAMP, "suite": args.suite,
+                                "reports": [r.to_json_dict() for r in reports]})
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
 
@@ -405,8 +388,7 @@ def cmd_sweep(args) -> int:
     with open(args.csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([args.param, *columns])
-        for value, row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in (value, *row)])
+        writer.writerows((value, *row) for value, row in rows)  # csv writes a float as repr
     print(f"wrote {len(rows)} rows to {args.csv}")
     return EXIT_OK
 

@@ -21,6 +21,8 @@ DEGENERATE_AREA_FACTOR = 1e-12
 _BLOCK = 1 << 13  # triangles per block in the mesh kernel; keeps temporaries in cache
 _WRITE_BLOCK = 1 << 11  # OBJ records formatted per write; keeps temporaries in cache
 _LOAD_BLOCK = 1 << 13  # OBJ v or f lines per np.loadtxt call; bounds its text and line list
+_SCAN_BLOCK = 1 << 18  # OBJ bytes searched for newlines at a time
+_INT32_OFFSETS = 2**31 - 2  # OBJ files shorter than this hold line offsets (+ 2) in int32
 # byte -> is ASCII and not whitespace, so continues an OBJ keyword
 _WORD = np.array([c < 128 and not chr(c).isspace() for c in range(256)])
 _SLASH_TAIL = re.compile(r"(?<=\S)/\S*")  # the "/b/c" of a face token "a/b/c"
@@ -301,32 +303,27 @@ def load_obj(path) -> TriMesh:
     three finite coordinates, a face without three integer indices, or a
     face or polyline index not in 1..(vertex count).  The `v` and `f` records
     go to numpy's text parser _LOAD_BLOCK lines at a time; a file that fails
-    there is read again record by record."""
+    there is read again record by record.  Triangles are int32."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.isascii():
         data.decode("utf-8")  # raises what a text-mode read would
     if b"\r" in data:  # universal newlines, as a text-mode read sees them
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    parsed = _parse_blocks(path, data)
-    if parsed is None:
-        parsed = _parse_records(path, enumerate(data.decode("utf-8").split("\n"), 1))
-    vertices, vertex_lines, triangles, face_lines, chains = parsed
+    vertices, vertex_lines, triangles, chains = _parse_blocks(path, data) or _parse_records(
+        path, enumerate(data.decode("utf-8").split("\n")))
     n = len(vertices)
     if not n or not len(triangles):
         raise InputFormatError(f"{path}: no triangle geometry found")
-    bad = np.flatnonzero(((triangles < 0) | (triangles >= n)).any(axis=1))
-    if bad.size:
-        raise InputFormatError(f"{path}:{face_lines[bad[0]]}: face index out of range 1..{n}")
     polylines: dict[int, list[int]] = {}
     for ln, cid, chain in chains:
         if min(chain, default=0) < 0 or max(chain, default=0) >= n:
-            raise InputFormatError(f"{path}:{ln}: polyline index out of range 1..{n}")
+            raise InputFormatError(f"{path}:{ln + 1}: polyline index out of range 1..{n}")
         joined = polylines.setdefault(cid, [])  # a record may restart where the chain ends
         joined.extend(chain[1:] if joined and chain and chain[0] == joined[-1] else chain)
     bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
     if bad.size:
-        raise InputFormatError(f"{path}:{vertex_lines[bad[0]]}: non-finite coordinate")
+        raise InputFormatError(f"{path}:{vertex_lines[bad[0]] + 1}: non-finite coordinate")
     for cid in polylines:
         if not -2**63 <= cid < 2**63:
             raise InputFormatError(f"{path}: crease id {cid} does not fit in 64 bits")
@@ -334,9 +331,10 @@ def load_obj(path) -> TriMesh:
 
 
 def _parse_records(path, lines) -> tuple:
-    """(vertices, their lines, triangles, their lines, (line, crease id,
-    chain) per `l` record) from numbered lines, one record at a time;
-    InputFormatError at the first record that does not parse."""
+    """(vertices, their lines, int32 triangles, (line, crease id, chain) per
+    `l` record) from lines numbered from 0, one record at a time;
+    InputFormatError at the first record that does not parse, else at the
+    first face with an index not in 1..(vertex count) if there are vertices."""
     vertices, vertex_lines, triangles, face_lines, chains = [], [], [], [], []
     group = None
     for ln, raw in lines:
@@ -351,7 +349,7 @@ def _parse_records(path, lines) -> tuple:
                 vertices.append([float(x) for x in parts[1:4]])
                 vertex_lines.append(ln)
             elif kind == "f":
-                idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
+                idx = [int(p.split("/")[0]) for p in parts[1:]]
                 if len(idx) != 3:
                     raise ValueError("only triangle faces are supported")
                 triangles.append(idx)
@@ -364,10 +362,13 @@ def _parse_records(path, lines) -> tuple:
                 cid = int(group.split("_", 1)[1])
                 chains.append((ln, cid, [int(p) - 1 for p in parts[1:]]))
         except (ValueError, IndexError) as exc:
-            raise InputFormatError(f"{path}:{ln}: {exc}") from exc
-    # object dtype: an index too large for int64 is still out of range
+            raise InputFormatError(f"{path}:{ln + 1}: {exc}") from exc
+    n = len(vertices)  # if 0, load_obj reports no geometry, so faces go unchecked
+    for ln, idx in zip(face_lines, triangles if n else []):  # checked before int32 narrows them
+        if not all(1 <= i <= n for i in idx):
+            raise InputFormatError(f"{path}:{ln + 1}: face index out of range 1..{n}")
     return (np.array(vertices, dtype=np.float64).reshape(-1, 3), vertex_lines,
-            np.array(triangles, dtype=object).reshape(-1, 3), face_lines, chains)
+            np.array(triangles if n else [], dtype=np.int32).reshape(-1, 3) - 1, chains)
 
 
 def _parse_blocks(path, data: bytes) -> tuple | None:
@@ -376,29 +377,23 @@ def _parse_blocks(path, data: bytes) -> tuple | None:
     needs the record scan.  Lines of "v" or "f" and an ASCII blank are block
     records; lines whose first word starts with "#" or two ASCII non-blanks
     (vt, usemtl) are skipped.  The rest (g and l records) are scanned, and a
-    v or f record among them fails the blocks."""
+    v or f record among them fails the blocks, as does a face index out of
+    range, which the record scan then reports in order."""
     if not data:
         return None  # the record scan finds no geometry
-    buf = np.frombuffer(data, dtype=np.uint8)
-    newline = np.flatnonzero(buf == ord("\n"))
-    starts, stops = np.r_[0, newline + 1], np.r_[newline, len(data)]
-    first, second = (np.where(i < len(buf), buf[np.minimum(i, len(buf) - 1)], ord(" "))
-                     for i in (starts, starts + 1))  # a blank past the end
-    block = ((first == ord("v")) | (first == ord("f"))) & ~_WORD[second] & (second < 128)
-    skip = (first == ord("#")) | (_WORD[first] & _WORD[second])
+    ends, v, f, other = _line_kinds(data)
     try:
-        scanned = _parse_records(path, ((i + 1, data[starts[i]:stops[i]].decode("utf-8"))
-                                        for i in np.flatnonzero(~(block | skip)).tolist()))
+        scanned = _parse_records(path, ((i, data[ends[i] + 1:ends[i + 1]].decode("utf-8"))
+                                        for i in other.tolist()))
     except InputFormatError:
         return None
-    v, f = (np.flatnonzero(block & (first == ord(c))) for c in "vf")
     if len(scanned[0]) or len(scanned[2]) or not len(v) or not len(f):
         return None
-    vertices, triangles = np.empty((len(v), 3)), np.empty((len(f), 3), dtype=np.int64)
+    vertices, triangles = np.empty((len(v), 3)), np.empty((len(f), 3), dtype=np.int32)
     for rows, lines in ((vertices, v), (triangles, f)):
         for s in range(0, len(lines), _LOAD_BLOCK):
             chunk = lines[s:s + _LOAD_BLOCK]
-            text = _block_text(data, starts, stops, chunk)
+            text = _block_text(data, ends, chunk)
             if rows is vertices:
                 part = _loadtxt(text, usecols=(1, 2, 3))
             else:  # blank the first len(chunk) "f"s, which are the lines' leading ones
@@ -406,18 +401,35 @@ def _parse_blocks(path, data: bytes) -> tuple | None:
                 text = text.replace("f", " ", len(chunk))
                 part = _loadtxt(_SLASH_TAIL.sub("", text) if "/" in text else text,
                                 dtype=np.int64)
-            if part is None or part.shape != (len(chunk), 3):
-                return None
+            if part is None or part.shape != (len(chunk), 3) or (
+                    rows is triangles and ((part < 1) | (part > len(v))).any()):
+                return None  # an index is checked before int32 narrows it: 2**32 + 2 wraps to 2
             rows[s:s + len(chunk)] = part
     triangles -= 1
-    return vertices, v + 1, triangles, f + 1, scanned[4]
+    return vertices, v, triangles, scanned[3]
 
 
-def _block_text(data: bytes, starts, stops, idx) -> str:
+def _line_kinds(data: bytes) -> tuple:
+    """(ends, `v` block lines, `f` block lines, lines to scan) by each line's
+    first two bytes (a blank past the end), line i being data[ends[i] + 1:ends[i + 1]];
+    newlines are found _SCAN_BLOCK bytes at a time, not by a file-sized mask."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.concatenate([[-1], *(np.flatnonzero(buf[s:s + _SCAN_BLOCK] == ord("\n")) + s
+                                   for s in range(0, len(data), _SCAN_BLOCK)), [len(data)]],
+                          dtype=np.int32 if len(data) < _INT32_OFFSETS else np.int64)
+    first, second = (np.where(i < len(buf), buf[np.minimum(i, len(buf) - 1)], ord(" "))
+                     for i in (ends[:-1] + 1, ends[:-1] + 2))
+    block = ((first == ord("v")) | (first == ord("f"))) & ~_WORD[second] & (second < 128)
+    skip = (first == ord("#")) | (_WORD[first] & _WORD[second])
+    return (ends, *(np.flatnonzero(block & (first == ord(c))).astype(ends.dtype) for c in "vf"),
+            np.flatnonzero(~(block | skip)))
+
+
+def _block_text(data: bytes, ends, idx) -> str:
     """Lines idx of data as one string, one slice per run of adjacent lines."""
     cut = np.flatnonzero(np.diff(idx) != 1) + 1
     runs = zip(idx[np.r_[0, cut]].tolist(), idx[np.r_[cut - 1, -1]].tolist())
-    return b"\n".join(data[starts[a]:stops[b]] for a, b in runs).decode("utf-8")
+    return b"\n".join(data[ends[a] + 1:ends[b + 1]] for a, b in runs).decode("utf-8")
 
 
 def _loadtxt(text: str, **kw) -> np.ndarray | None:

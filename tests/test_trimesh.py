@@ -635,11 +635,12 @@ def test_export_obj_peak_memory(tmp_path):
 
 
 # Peak traced memory of load_obj on the exported 12-strip 128x128 tube
-# (190,016 vertices, 80.5 B of OBJ text each) per vertex: 285.7 B with numpy
-# 2.4, parsing _LOAD_BLOCK lines per np.loadtxt call into the final arrays
-# (539.0 B when all `v` and then all `f` lines went to one call each).  The
-# ceiling leaves 10%.
-LOAD_PEAK_BYTES_PER_VERTEX = 314
+# (190,016 vertices, 80.5 B of OBJ text each) per vertex: 160.4 B with numpy
+# 2.4, holding the text, int32 line ends and v and f line numbers, and the
+# float64 vertices and int32 triangles (285.7 B with int64 line offsets and
+# triangles, 539.0 B when all `v` and then all `f` lines went to one
+# np.loadtxt call each).  The ceiling leaves 10%.
+LOAD_PEAK_BYTES_PER_VERTEX = 176.5
 
 
 def test_load_obj_peak_memory(tmp_path):
@@ -651,7 +652,7 @@ def test_load_obj_peak_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert loaded.num_vertices == 190_016
+    assert loaded.num_vertices == 190_016 and loaded.triangles.dtype == np.int32
     assert peak / loaded.num_vertices < LOAD_PEAK_BYTES_PER_VERTEX
 
 
@@ -705,7 +706,14 @@ def test_load_obj_matches_reference_parser(tmp_path, name):
         assert_same_mesh(loaded, as_written)
         # only indented records need the record-by-record scan
         data = path.read_bytes().replace(b"\r\n", b"\n")
-        assert (trimesh._parse_blocks(path, data) is None) == (variant == "indented")
+        blocks = trimesh._parse_blocks(path, data)
+        assert (blocks is None) == (variant == "indented")
+        records = trimesh._parse_records(path, enumerate(data.decode().split("\n")))
+        for parsed in (records,) if blocks is None else (blocks, records):
+            assert parsed[2].dtype == np.int32
+            assert np.array_equal(parsed[2], loaded.triangles)
+            assert np.array_equal(parsed[0], loaded.vertices)
+        assert loaded.triangles.dtype == np.int32
 
 
 @pytest.mark.parametrize("block", [5, trimesh._LOAD_BLOCK])
@@ -729,6 +737,55 @@ def test_load_obj_blocks_split_by_comments_match_reference(tmp_path, monkeypatch
     assert trimesh._parse_blocks(path, path.read_bytes()) is not None
     assert_same_mesh(load_obj(path), reference_load_obj(path))
     assert_same_mesh(load_obj(path), load_obj(written))
+
+
+def test_load_obj_holds_line_ends_in_int64_past_the_int32_limit(tmp_path, monkeypatch):
+    written = tmp_path / "mesh.obj"
+    export_obj(OBJ_MESHES["tube"](), written)
+    data = written.read_bytes()
+    assert trimesh._line_kinds(data)[0].dtype == np.int32
+    as_int32 = load_obj(written)
+    monkeypatch.setattr(trimesh, "_INT32_OFFSETS", len(data))
+    ends, v, f, _ = trimesh._line_kinds(data)
+    assert ends.dtype == v.dtype == f.dtype == np.int64
+    assert trimesh._parse_blocks(written, data) is not None
+    assert_same_mesh(load_obj(written), as_int32)
+
+
+def tube_obj_with_face_index(tmp_path, index, row=7):
+    """The coarse tube's OBJ with the second index of face `row` replaced,
+    its line number and the vertex count."""
+    written = tmp_path / "tube.obj"
+    export_obj(OBJ_MESHES["tube"](), written)
+    lines = written.read_text().splitlines()
+    at = [i for i, line in enumerate(lines) if line.startswith("f ")][row]
+    _, a, _, c = lines[at].split()
+    lines[at] = f"f {a} {index} {c}"
+    path = tmp_path / "bad.obj"
+    path.write_text("\n".join(lines) + "\n")
+    return path, at + 1, sum(line.startswith("v ") for line in lines)
+
+
+# 2**32 + 2 is 2 once narrowed to int32, and 2**63 does not fit in int64.
+@pytest.mark.parametrize("index", [2**31, 2**32 + 2, 2**63])
+def test_load_obj_rejects_face_indices_that_int32_cannot_hold(tmp_path, index):
+    path, line, n = tube_obj_with_face_index(tmp_path, index)
+    assert trimesh._parse_blocks(path, path.read_bytes()) is None
+    with pytest.raises(InputFormatError) as caught:
+        load_obj(path)
+    assert str(caught.value) == f"{path}:{line}: face index out of range 1..{n}"
+
+
+def test_load_obj_reports_a_later_malformed_face_before_an_index_out_of_range(
+        tmp_path, monkeypatch):
+    # the index fails the first block of five faces, the malformed face a later one
+    monkeypatch.setattr(trimesh, "_LOAD_BLOCK", 5)
+    path, _, _ = tube_obj_with_face_index(tmp_path, 2**32 + 2, row=2)
+    path.write_text(path.read_text() + "f 1 2 x\n")
+    with pytest.raises(InputFormatError) as caught:
+        load_obj(path)
+    assert "invalid literal for int()" in str(caught.value)
+    assert str(caught.value) == str(_outcome(reference_load_obj, path))
 
 
 def test_load_obj_rejects_non_finite_and_oversized_ids(tmp_path):
