@@ -35,7 +35,6 @@ EXIT_BROKEN_PIPE = 141
 ANGLE_PARAMS = {"alpha", "mu"}
 # Rows are held until the CSV is written, about 0.4 kB each: 40 MB at the cap.
 _MAX_SWEEP_STEPS = 100_000
-_STAMP = {"tool": "creasegeom", "version": __version__}  # heads every JSON file and report
 
 
 def _write_json(path, payload) -> None:
@@ -176,7 +175,13 @@ def cmd_generate(args) -> int:
     mesh.validate()
     out = Path(args.out)
     export_obj(mesh, out)
-    sidecar = {**_STAMP, "shape": args.shape, "params": params, "obj": out.name}
+    sidecar = {
+        "tool": "creasegeom",
+        "version": __version__,
+        "shape": args.shape,
+        "params": params,
+        "obj": out.name,
+    }
     _write_json(out.with_suffix(out.suffix + ".json"), sidecar)
     print(
         f"wrote {out} ({mesh.num_vertices} vertices, {mesh.num_triangles} "
@@ -240,7 +245,8 @@ def cmd_analyze(args) -> int:
         for cid in sorted(mesh.crease_polylines)
     }
     report = {
-        **_STAMP,
+        "tool": "creasegeom",
+        "version": __version__,
         "input": path.name,
         "shape": shape,
         "params": params,
@@ -267,7 +273,11 @@ def cmd_analyze(args) -> int:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["crease_id", "rate", "arc_length", "defect_total"])
-            writer.writerows([cid, *row.values()] for cid, row in creases_out.items())
+            for cid, row in creases_out.items():
+                writer.writerow(
+                    [cid, repr(row["rate"]), repr(row["arc_length"]),
+                     repr(row["defect_total"])]
+                )
     return EXIT_OK
 
 
@@ -287,8 +297,15 @@ def cmd_verify(args) -> int:
     failed = sum(not r.passed for r in reports)
     print(f"{len(reports) - failed}/{len(reports)} checks passed")
     if args.json:
-        _write_json(args.json, {**_STAMP, "suite": args.suite,
-                                "reports": [r.to_json_dict() for r in reports]})
+        _write_json(
+            args.json,
+            {
+                "tool": "creasegeom",
+                "version": __version__,
+                "suite": args.suite,
+                "reports": [r.to_json_dict() for r in reports],
+            },
+        )
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
 

@@ -363,12 +363,13 @@ def _parse_records(path, lines) -> tuple:
                 chains.append((ln, cid, [int(p) - 1 for p in parts[1:]]))
         except (ValueError, IndexError) as exc:
             raise InputFormatError(f"{path}:{ln + 1}: {exc}") from exc
-    n = len(vertices)  # if 0, load_obj reports no geometry, so faces go unchecked
+    n = len(vertices)  # if 0, load_obj reports no geometry, so faces are only counted
     for ln, idx in zip(face_lines, triangles if n else []):  # checked before int32 narrows them
         if not all(1 <= i <= n for i in idx):
             raise InputFormatError(f"{path}:{ln + 1}: face index out of range 1..{n}")
     return (np.array(vertices, dtype=np.float64).reshape(-1, 3), vertex_lines,
-            np.array(triangles if n else [], dtype=np.int32).reshape(-1, 3) - 1, chains)
+            np.array(triangles, dtype=np.int32).reshape(-1, 3) - 1 if n
+            else np.zeros((len(triangles), 3), dtype=np.int32), chains)
 
 
 def _parse_blocks(path, data: bytes) -> tuple | None:
@@ -381,7 +382,19 @@ def _parse_blocks(path, data: bytes) -> tuple | None:
     range, which the record scan then reports in order."""
     if not data:
         return None  # the record scan finds no geometry
-    ends, v, f, other = _line_kinds(data)
+    # line i is data[ends[i] + 1:ends[i + 1]]; newlines are found _SCAN_BLOCK bytes at a time
+    buf = np.frombuffer(data, dtype=np.uint8)
+    dtype = np.int32 if len(data) < _INT32_OFFSETS else np.int64  # of line ends and numbers
+    ends = np.concatenate([[-1], *((np.flatnonzero(buf[s:s + _SCAN_BLOCK] == ord("\n")) + s)
+                                   .astype(dtype) for s in range(0, len(data), _SCAN_BLOCK)),
+                           [len(data)]], dtype=dtype)
+    first, second = (np.where(i < len(buf), buf[np.minimum(i, len(buf) - 1)], ord(" "))
+                     for i in (ends[:-1] + 1, ends[:-1] + 2))  # a blank past the end
+    block = ((first == ord("v")) | (first == ord("f"))) & ~_WORD[second] & (second < 128)
+    skip = (first == ord("#")) | (_WORD[first] & _WORD[second])
+    v, f = (np.flatnonzero(block & (first == ord(c))).astype(dtype) for c in "vf")
+    other = np.flatnonzero(~(block | skip))
+    del first, second, block, skip
     try:
         scanned = _parse_records(path, ((i, data[ends[i] + 1:ends[i + 1]].decode("utf-8"))
                                         for i in other.tolist()))
@@ -407,22 +420,6 @@ def _parse_blocks(path, data: bytes) -> tuple | None:
             rows[s:s + len(chunk)] = part
     triangles -= 1
     return vertices, v, triangles, scanned[3]
-
-
-def _line_kinds(data: bytes) -> tuple:
-    """(ends, `v` block lines, `f` block lines, lines to scan) by each line's
-    first two bytes (a blank past the end), line i being data[ends[i] + 1:ends[i + 1]];
-    newlines are found _SCAN_BLOCK bytes at a time, not by a file-sized mask."""
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.concatenate([[-1], *(np.flatnonzero(buf[s:s + _SCAN_BLOCK] == ord("\n")) + s
-                                   for s in range(0, len(data), _SCAN_BLOCK)), [len(data)]],
-                          dtype=np.int32 if len(data) < _INT32_OFFSETS else np.int64)
-    first, second = (np.where(i < len(buf), buf[np.minimum(i, len(buf) - 1)], ord(" "))
-                     for i in (ends[:-1] + 1, ends[:-1] + 2))
-    block = ((first == ord("v")) | (first == ord("f"))) & ~_WORD[second] & (second < 128)
-    skip = (first == ord("#")) | (_WORD[first] & _WORD[second])
-    return (ends, *(np.flatnonzero(block & (first == ord(c))).astype(ends.dtype) for c in "vf"),
-            np.flatnonzero(~(block | skip)))
 
 
 def _block_text(data: bytes, ends, idx) -> str:

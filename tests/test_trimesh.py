@@ -670,6 +670,11 @@ def _face_tokens(line, form):
     return "f " + " ".join(form.format(i) for i in line.split()[1:])
 
 
+def _indent_first_face(lines):
+    at = next(i for i, line in enumerate(lines) if line.startswith("f "))
+    return lines[:at] + [" " + lines[at]] + lines[at + 1:]
+
+
 # Rewrites of an exported OBJ that keep its geometry: each must load to the
 # same mesh through both parsers.
 OBJ_VARIANTS = {
@@ -689,6 +694,7 @@ OBJ_VARIANTS = {
         line + " 1.0" if line.startswith("v ") else line for line in lines
     ],
     "indented": lambda lines: ["  " + line for line in lines],
+    "one-indented-face": lambda lines: _indent_first_face(lines),
 }
 
 
@@ -707,7 +713,7 @@ def test_load_obj_matches_reference_parser(tmp_path, name):
         # only indented records need the record-by-record scan
         data = path.read_bytes().replace(b"\r\n", b"\n")
         blocks = trimesh._parse_blocks(path, data)
-        assert (blocks is None) == (variant == "indented")
+        assert (blocks is None) == (variant in ("indented", "one-indented-face"))
         records = trimesh._parse_records(path, enumerate(data.decode().split("\n")))
         for parsed in (records,) if blocks is None else (blocks, records):
             assert parsed[2].dtype == np.int32
@@ -743,12 +749,10 @@ def test_load_obj_holds_line_ends_in_int64_past_the_int32_limit(tmp_path, monkey
     written = tmp_path / "mesh.obj"
     export_obj(OBJ_MESHES["tube"](), written)
     data = written.read_bytes()
-    assert trimesh._line_kinds(data)[0].dtype == np.int32
+    assert trimesh._parse_blocks(written, data)[1].dtype == np.int32  # `v` line numbers
     as_int32 = load_obj(written)
     monkeypatch.setattr(trimesh, "_INT32_OFFSETS", len(data))
-    ends, v, f, _ = trimesh._line_kinds(data)
-    assert ends.dtype == v.dtype == f.dtype == np.int64
-    assert trimesh._parse_blocks(written, data) is not None
+    assert trimesh._parse_blocks(written, data)[1].dtype == np.int64
     assert_same_mesh(load_obj(written), as_int32)
 
 
@@ -832,9 +836,10 @@ def _outcome(load, path):
 # must accept, reject and report them exactly as the reference parser does.
 ODD_RECORDS = [
     "f 1 2 3 /", "f 1 2 3f", "f ", "f 1/ 2/x 3//4", "f 1 2 3 # c", "f +1 02 3",
-    "f \u0661 2 3", "f\t1\t2\t3", " v 0.5 0.5 0.5", "v\xa00.5 0.5 0.5",
-    "\x0cv 0.5 0.5 0.5", "v\u00e9 1 2 3", "v 1 2 3 # c", "v 1_0 2 3", "v 1e5 -.5 +3.",
-    "v 1 2", "vt 1 2", "#v 1 2 3", "v# 1 2 3", "g crease_2\nl 1 2", "g other\nl 1 2",
+    "f \u0661 2 3", "f\t1\t2\t3", " f 1 2 3", "\tf 2 4 3", " v 0.5 0.5 0.5",
+    "v\xa00.5 0.5 0.5", "\x0cv 0.5 0.5 0.5", "v\u00e9 1 2 3", "v 1 2 3 # c", "v 1_0 2 3",
+    "v 1e5 -.5 +3.", "v 1 2", "vt 1 2", "#v 1 2 3", "v# 1 2 3", "g crease_2\nl 1 2",
+    "g other\nl 1 2",
 ]
 
 

@@ -11,8 +11,9 @@ creasegeom that this script imports, with OUTDIR as its working directory
 mesh-kernel blocks and of two meshes with exponent-form coordinates, each
 followed by `analyze` of the OBJ and of the JSON sidecar (report and CSV);
 `analyze` of that tube's OBJ with comments breaking its runs of `v` and `f`
-lines around each OBJ load block boundary, and of two copies with a face
-index that int32 cannot hold (refused with exit 3);
+lines around each OBJ load block boundary, of two copies with a face
+index that int32 cannot hold (refused with exit 3), and of a copy with one
+face record indented (which sends it to the record-by-record parser);
 `sweep` of every parameter, and of alpha in degrees; a few inputs that must
 be refused, whose stderr and exit code are the output; and `--version` and
 every `--help`.
@@ -55,10 +56,12 @@ EXPONENT_FORM = {
 # load_obj parses `v` and `f` lines in blocks of this many (trimesh._LOAD_BLOCK).
 LOAD_BLOCK = 1 << 13
 
-# Face indices that int32 cannot hold, each put in place of the first index of
-# one face in the second load block: index + 2**32 narrows back to index itself.
-HUGE_FACE_INDEX = {"index-plus-2-32": lambda index: index + 2**32,
-                   "2-31": lambda index: 2**31}
+# Rewrites (first index a, rest of the record) -> record of one face in the
+# second load block: two first indices that int32 cannot hold (a + 2**32
+# narrows back to a itself), and an indent.
+FACE_REWRITES = {"index-plus-2-32": lambda a, rest: b"f %d %s" % (int(a) + 2**32, rest),
+                 "2-31": lambda a, rest: b"f %d %s" % (2**31, rest),
+                 "indented": lambda a, rest: b" f %s %s" % (a, rest)}
 
 SWEEPS = {
     "alpha": "--param alpha --range 0.1:1.4:50",
@@ -106,12 +109,12 @@ def split_runs(source: Path, target: Path) -> None:
     target.write_bytes(b"".join(lines))
 
 
-def replace_face_index(source: Path, target: Path, new) -> None:
-    """Copy an OBJ with the first index a of face record LOAD_BLOCK + 1 made new(a)."""
+def rewrite_face(source: Path, target: Path, new) -> None:
+    """Copy an OBJ with face record LOAD_BLOCK + 1, `f a rest`, made new(a, rest)."""
     lines = source.read_bytes().splitlines(keepends=True)
     at = [i for i, line in enumerate(lines) if line.startswith(b"f ")][LOAD_BLOCK + 1]
-    _, index, rest = lines[at].split(b" ", 2)
-    lines[at] = b"f %d %s" % (new(int(index)), rest)
+    _, a, rest = lines[at].split(b" ", 2)
+    lines[at] = new(a, rest)
     target.write_bytes(b"".join(lines))
 
 
@@ -134,9 +137,10 @@ def main(argv: list[str]) -> int:
     split_runs(outdir / "tube-blocks.obj", outdir / "tube-blocks-split.obj")
     run(outdir, "analyze-obj-tube-blocks-split", "analyze --in tube-blocks-split.obj "
         "--report tube-blocks-split.obj.report --csv tube-blocks-split.obj.csv")
-    for name, new in HUGE_FACE_INDEX.items():
-        replace_face_index(outdir / "tube-blocks.obj", outdir / f"tube-blocks-{name}.obj", new)
-        run(outdir, f"analyze-obj-tube-blocks-{name}", f"analyze --in tube-blocks-{name}.obj")
+    for name, new in FACE_REWRITES.items():
+        rewrite_face(outdir / "tube-blocks.obj", outdir / f"tube-blocks-{name}.obj", new)
+        run(outdir, f"analyze-obj-tube-blocks-{name}", f"analyze --in tube-blocks-{name}.obj "
+            f"--report tube-blocks-{name}.obj.report --csv tube-blocks-{name}.obj.csv")
     for name, args in SWEEPS.items():
         run(outdir, f"sweep-{name}", f"sweep {args} --csv sweep-{name}.csv")
     for name, args in REFUSED.items():
