@@ -385,9 +385,9 @@ def _parse_blocks(path, data: bytes) -> tuple | None:
     # line i is data[ends[i] + 1:ends[i + 1]]; newlines are found _SCAN_BLOCK bytes at a time
     buf = np.frombuffer(data, dtype=np.uint8)
     dtype = np.int32 if len(data) < _INT32_OFFSETS else np.int64  # of line ends and numbers
-    ends = np.concatenate([[-1], *((np.flatnonzero(buf[s:s + _SCAN_BLOCK] == ord("\n")) + s)
-                                   .astype(dtype) for s in range(0, len(data), _SCAN_BLOCK)),
-                           [len(data)]], dtype=dtype)
+    ends = np.concatenate([[-1], *(np.flatnonzero(buf[s:s + _SCAN_BLOCK] == ord("\n")) + s
+                                   for s in range(0, len(data), _SCAN_BLOCK)), [len(data)]],
+                          dtype=dtype)
     first, second = (np.where(i < len(buf), buf[np.minimum(i, len(buf) - 1)], ord(" "))
                      for i in (ends[:-1] + 1, ends[:-1] + 2))  # a blank past the end
     block = ((first == ord("v")) | (first == ord("f"))) & ~_WORD[second] & (second < 128)
