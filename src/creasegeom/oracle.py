@@ -16,6 +16,7 @@ from .surfaces import _check_size
 from .trimesh import TriMesh
 
 GAUSS_MAP_STEP_FACTOR = 1e-5
+_BLOCK = 1 << 15  # Gauss map cells or exact-sum values at a time: temporaries stay in cache
 
 
 # ---------------------------------------------------------------------------
@@ -83,15 +84,16 @@ def _exact_sum(values: np.ndarray) -> float:
             shift = limbs * width - top_exp
             if shift < 0 or not np.ldexp(top, shift).is_integer():
                 continue  # top alone rules this window out
-            rest = np.ldexp(values, shift)  # |rest| < 2**(limbs * width)
             total = 0
-            for k in range(limbs - 1, 0, -1):
-                limb = (rest * 2.0 ** (-k * width)).astype(np.int64)
-                rest -= limb * 2.0 ** (k * width)  # exact: the bits of rest below limb
-                total += int(limb.sum()) << (k * width)
-            ints = rest.astype(np.int64)
-            if np.array_equal(ints, rest):
-                total += int(ints.sum())
+            for s in range(0, n, _BLOCK):
+                rest = np.ldexp(values[s:s + _BLOCK], shift)  # |rest| < 2**(limbs * width)
+                for k in range(limbs - 1, -1, -1):
+                    limb = (rest * 2.0 ** (-k * width)).astype(np.int64)
+                    rest -= limb * 2.0 ** (k * width)  # exact: the bits of rest below limb
+                    total += int(limb.sum()) << (k * width)
+                if rest.any():
+                    break  # a value has bits below the window
+            else:
                 return total / (1 << shift) if total else math.fsum(values)  # fsum signs a 0
     return math.fsum(values)
 
@@ -109,8 +111,7 @@ def angle_defect(mesh: TriMesh) -> DefectField:
     pointwise to K (Borrelli, Cazals & Morvan 2003).
     """
     angle_sum, lumped, boundary, num_edges = mesh.validate()
-    flat = np.where(boundary, math.pi, 2.0 * math.pi)
-    defect = flat - angle_sum
+    defect = np.where(boundary, math.pi, 2.0 * math.pi) - angle_sum
 
     out = DefectField(defect=defect, lumped_area=lumped, boundary_mask=boundary,
                       crease_mask=np.zeros(mesh.num_vertices, dtype=bool),
@@ -161,14 +162,8 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_blocks(rows: int, cols: int):  # ~2**15 elements: a block's temporaries stay in cache
-    step = max(1, (1 << 15) // cols)
-    return [slice(i, i + step) for i in range(0, rows, step)]
-
-
-def _grid_normals(fn, u, v, hu, hv) -> np.ndarray:
-    """Unit normals of fn at the grid of u and v as (3, ...) component planes,
-    from central differences; they overwrite the planes of su."""
+def _normals(fn, u, v, hu, hv) -> np.ndarray:
+    """Unit normals of fn at the grid of u and v as (3, ...) component planes."""
     def planes(u, v):  # fn's points as strided (3, ...) views
         out = np.asarray(fn(u, v), dtype=float)
         shape = np.broadcast_shapes(u.shape, v.shape) + (3,)
@@ -177,45 +172,49 @@ def _grid_normals(fn, u, v, hu, hv) -> np.ndarray:
         return np.moveaxis(out, -1, 0)
 
     su = np.subtract(planes(u + hu, v), planes(u - hu, v), order="C")
-    sv = np.subtract(planes(u, v + hv), planes(u, v - hv), order="C")
-    for rows in _row_blocks(su.shape[1], su.shape[2]):
-        n = _cross(su[:, rows], sv[:, rows])
-        norm = np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])  # np.linalg.norm's order
-        if np.any(norm < 1e-300) or not np.all(np.isfinite(norm)):
-            raise ParameterError("degenerate surface normal in the requested region")
-        np.divide(n, norm, out=su[:, rows])
-    return su
+    n = _cross(su, np.subtract(planes(u, v + hv), planes(u, v - hv), order="C"))
+    norm = np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])  # np.linalg.norm's order
+    if np.any(norm < 1e-300) or not np.all(np.isfinite(norm)):
+        raise ParameterError("degenerate surface normal in the requested region")
+    return np.divide(n, norm, out=su)
 
 
-def _swept_area(n: np.ndarray) -> float:
-    """Signed area of the quads of unit normal planes n, split into triangles
-    (n00, n10, n11) and (n00, n11, n01): 2 atan2(a . b x c, 1 + a.b + b.c + c.a)
-    each, with every a.b from one of three edge grids (vertical, horizontal,
-    diagonal) in einsum's order."""
-    cells = np.empty((n.shape[1] - 1, n.shape[2] - 1))
-    for rows in _row_blocks(*cells.shape):
-        m = n[:, rows.start:rows.stop + 1]
+def _swept_area(normals: Callable, rows: int, cols: int) -> tuple[float, np.ndarray]:
+    """Signed area of the rows x cols quads of unit normal planes, split into
+    triangles (n00, n10, n11) and (n00, n11, n01): 2 atan2(a . b x c,
+    1 + a.b + b.c + c.a) each, with every a.b from one of three edge grids
+    (vertical, horizontal, diagonal) in einsum's order, and the planes of the
+    grid's even rows and columns.  normals(i, j) gives the planes of grid
+    rows i to j inclusive, for about _BLOCK cells at a time."""
+    cells, even = np.empty((rows, cols)), np.empty((3, rows // 2 + 1, cols // 2 + 1))
+    step = max(1, _BLOCK // cols)
+    for i in range(0, rows, step):
+        j = min(i + step, rows)
+        m = normals(i, j)
+        even[:, (i + 1) // 2:j // 2 + 1] = m[:, i % 2::2, ::2]
         n00, n10, n11, n01 = m[:, :-1, :-1], m[:, 1:, :-1], m[:, 1:, 1:], m[:, :-1, 1:]
         vert = _dot(m[:, :-1], m[:, 1:])
         horiz = _dot(m[:, :, :-1], m[:, :, 1:])
         diag = _dot(n00, n11)
         lower = np.arctan2(_dot(n00, _cross(n10, n11)), 1.0 + vert[:, :-1] + horiz[1:] + diag)
         upper = np.arctan2(_dot(n00, _cross(n11, n01)), 1.0 + diag + vert[:, 1:] + horiz[:-1])
-        np.add(2.0 * lower, 2.0 * upper, out=cells[rows])
-    return _exact_sum(cells.ravel())
+        np.add(2.0 * lower, 2.0 * upper, out=cells[i:j])
+    return _exact_sum(cells.ravel()), even
 
 
 def gauss_map_integrate(fn: Callable, region: tuple[float, float, float, float],
                         nu: int = 128, nv: int = 128) -> GaussMapResult:
     """Signed area swept on the unit sphere by the normals of fn over region.
 
-    fn(u, v) takes a (nu+1, 1) column of u and a (1, nv+1) row of v and
-    returns the (nu+1, nv+1, 3) points of their broadcast grid, as elementwise
-    numpy code does.  Normals come from central differences with step 1e-5 of
-    the parameter span, as component planes.  The swept area is tiled with
-    spherical quads, and their cells are summed exactly.  The same sum on the
-    half- and quarter-resolution subgrids gives a Richardson error estimate
-    and an O(h^2) convergence check.  Before any array is built, an empty or
+    fn(u, v) takes a (k, 1) block of the grid's column of u and its (1, nv+1)
+    row of v and returns the (k, nv+1, 3) points of their broadcast grid, so
+    it must be elementwise.  Normals come from central differences with step
+    1e-5 of the parameter span, as component planes, about 2**15 cells at a
+    time: only the fine cells and the half grid's normals are held whole,
+    about 34 B per grid point.  The swept area is tiled with spherical quads,
+    and their cells are summed exactly.  The same sum on the half- and
+    quarter-resolution subgrids gives a Richardson error estimate and an
+    O(h^2) convergence check.  Before any array is built, an empty or
     non-finite region raises ParameterError, and nu or nv that is not an int
     or is below 4 (bools are), or a grid of more than surfaces.MAX_VERTICES
     points once both are rounded up to multiples of 4, raises ResolutionError."""
@@ -231,11 +230,9 @@ def gauss_map_integrate(fn: Callable, region: tuple[float, float, float, float],
     hu, hv = GAUSS_MAP_STEP_FACTOR * (u1 - u0), GAUSS_MAP_STEP_FACTOR * (v1 - v0)
     u = np.linspace(u0, u1, nu + 1)[:, None]
     v = np.linspace(v0, v1, nv + 1)[None, :]
-    normals = _grid_normals(fn, u, v, hu, hv)
-    fine = _swept_area(normals)
-    normals = np.ascontiguousarray(normals[:, ::2, ::2])  # subgrids read faster as copies
-    half = _swept_area(normals)
-    quarter = _swept_area(np.ascontiguousarray(normals[:, ::2, ::2]))
+    fine, halved = _swept_area(lambda i, j: _normals(fn, u[i:j + 1], v, hu, hv), nu, nv)
+    half, quartered = _swept_area(lambda i, j: halved[:, i:j + 1], nu // 2, nv // 2)
+    quarter = _swept_area(lambda i, j: quartered[:, i:j + 1], nu // 4, nv // 4)[0]
 
     d1, d2 = fine - half, half - quarter  # O(h^2) tiling: halving the grid quarters the error
     converged = abs(d1) < 1e-13 * max(1.0, abs(fine)) or 2.0 <= abs(d2) / abs(d1) <= 8.0

@@ -87,7 +87,8 @@ class TriMesh:
         for cid, chain in self.crease_polylines.items():
             if len(chain) < 2:
                 raise MeshError(f"crease {cid} polyline has fewer than 2 vertices")
-            if len(np.unique(chain)) != len(chain):
+            ordered = np.sort(chain)  # a repeated vertex sorts beside itself
+            if (ordered[1:] == ordered[:-1]).any():
                 raise MeshError(f"crease {cid} polyline is self-intersecting")
             if chain.min() < 0 or chain.max() >= self.num_vertices:
                 raise MeshError(f"crease {cid} polyline index out of range")
@@ -377,9 +378,9 @@ def _parse_blocks(path, data: bytes) -> tuple | None:
     of _LOAD_BLOCK lines into arrays of their final size, or None if the file
     needs the record scan.  Lines of "v" or "f" and an ASCII blank are block
     records; lines whose first word starts with "#" or two ASCII non-blanks
-    (vt, usemtl) are skipped.  The rest (g and l records) are scanned, and a
-    v or f record among them fails the blocks, as does a face index out of
-    range, which the record scan then reports in order."""
+    (vt, usemtl) are skipped.  The rest are scanned: with no block record
+    that is the record scan, else a v or f record among them fails the
+    blocks, as does a face index out of range, which the record scan reports."""
     if not data:
         return None  # the record scan finds no geometry
     # line i is data[ends[i] + 1:ends[i + 1]]; newlines are found _SCAN_BLOCK bytes at a time
@@ -395,9 +396,11 @@ def _parse_blocks(path, data: bytes) -> tuple | None:
     v, f = (np.flatnonzero(block & (first == ord(c))).astype(dtype) for c in "vf")
     other = np.flatnonzero(~(block | skip))
     del first, second, block, skip
+    scan = ((i, data[ends[i] + 1:ends[i + 1]].decode("utf-8")) for i in other.tolist())
+    if not len(v) and not len(f):  # the other lines are every line that is not skipped
+        return _parse_records(path, scan)
     try:
-        scanned = _parse_records(path, ((i, data[ends[i] + 1:ends[i + 1]].decode("utf-8"))
-                                        for i in other.tolist()))
+        scanned = _parse_records(path, scan)
     except InputFormatError:
         return None
     if len(scanned[0]) or len(scanned[2]) or not len(v) or not len(f):

@@ -435,6 +435,24 @@ def test_exact_sum_limb_columns_at_the_width_limit(n):
         assert got is not None and got.hex() == math.fsum(values).hex()
 
 
+def test_exact_sum_spans_slices():
+    # three full slices and a short one of multiples of 2**-40 below 1: one
+    # limb holds each while no slice has a value with lower bits
+    rng = np.random.default_rng(7)
+    n = 3 * oracle._BLOCK + 5
+    values = rng.integers(-(2 ** 40), 2 ** 40, n) * 2.0 ** -40
+    got = exact_sum_without_fsum(values)
+    assert got is not None and got.hex() == math.fsum(values).hex()
+    # 0.1 in the third slice fails one limb after two slices passed: two limbs
+    values[2 * oracle._BLOCK + 7] = 0.1
+    got = exact_sum_without_fsum(values)
+    assert got is not None and got.hex() == math.fsum(values).hex()
+    # 2**-200 in the last slice is past three limbs: math.fsum
+    values[-1] = 2.0 ** -200
+    assert exact_sum_without_fsum(values) is None
+    assert oracle._exact_sum(values).hex() == math.fsum(values).hex()
+
+
 SIX_SHAPES = {
     "cylinder": lambda: gen_cylinder(tube_spec_for_strips(1.0, math.pi / 4, 8), 32, 6),
     "tube": lambda: gen_twisted_prismatic_tube(1.0, math.pi / 4, 12, 48, 48),
@@ -554,10 +572,13 @@ def test_axis_normals_equal_meshgrid_normals(surface, region):
     u, v = np.linspace(u0, u1, 65), np.linspace(v0, v1, 33)
     hu, hv = 1e-5 * (u1 - u0), 1e-5 * (v1 - v0)
     U, V = np.meshgrid(u, v, indexing="ij")
-    grid = oracle._grid_normals(surface, U, V, hu, hv)
-    axes = oracle._grid_normals(surface, u[:, None], v[None, :], hu, hv)
+    grid = oracle._normals(surface, U, V, hu, hv)
+    axes = oracle._normals(surface, u[:, None], v[None, :], hu, hv)
     assert axes.shape == (3, 65, 33)
     assert np.array_equal(axes, grid)
+    for i, j in ((0, 1), (0, 7), (7, 8), (8, 30), (31, 65)):  # rows i..j - 1 as a block
+        assert np.array_equal(oracle._normals(surface, u[i:j, None], v[None, :], hu, hv),
+                              axes[:, i:j])
 
 
 def reference_gauss_map(fn, region, nu, nv):
@@ -610,7 +631,14 @@ GAUSS_MAP_SURFACES = {
 }
 
 
-@pytest.mark.parametrize("nu, nv", [(30, 21), (64, 36), (33, 128), (256, 256), (512, 512)])
+# Fine-grid blocks are _BLOCK // nv cell rows: 64 at nv = 512, so nu = 100
+# ends in a block of 36; 5 at nv = 6552, so nu = 16 has blocks starting at
+# odd rows and a last block of one row; 2 at nv = 2**14.
+BLOCK_EDGES = [(100, 512), (16, 6552), (8, 2 ** 14)]
+
+
+@pytest.mark.parametrize("nu, nv", [(30, 21), (64, 36), (33, 128), (256, 256), (512, 512),
+                                    *BLOCK_EDGES])
 @pytest.mark.parametrize("surface", sorted(GAUSS_MAP_SURFACES))
 def test_gauss_map_equals_the_vector_reference_bit_for_bit(surface, nu, nv, monkeypatch):
     # the exact sums round away a last-bit change in a few cells: compare
@@ -622,6 +650,33 @@ def test_gauss_map_equals_the_vector_reference_bit_for_bit(surface, nu, nv, monk
     want, want_cells = reference_gauss_map(fn, region, nu, nv)
     assert result_bits(got) == result_bits(want)
     assert [c.tobytes() for c in cells] == [c.tobytes() for c in want_cells]
+
+
+def test_block_edge_grids_split_as_described():
+    steps = [oracle._BLOCK // nv for _, nv in BLOCK_EDGES]
+    assert steps == [64, 5, 2]
+    assert [nu % step for (nu, _), step in zip(BLOCK_EDGES, steps)] == [36, 1, 0]
+
+
+# Traced peak of a 512^2 Gauss map of the canonical mudguard, per point of
+# its 513^2 grid: 34.3 B measured with numpy 2.4, where the fine grid's
+# normals are formed a block of rows at a time (96.0 B when the four point
+# grids, both tangent grids and all fine normals were held at once).  The
+# ceiling leaves 10%.
+GAUSS_MAP_PEAK_BYTES_PER_POINT = 38
+
+
+def test_gauss_map_peak_memory():
+    fn, region = GAUSS_MAP_SURFACES["mudguard"]
+    gauss_map_integrate(fn, region, 16, 16)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        swept = gauss_map_integrate(fn, region, 512, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert swept.converged
+    assert peak / 513 ** 2 < GAUSS_MAP_PEAK_BYTES_PER_POINT
 
 
 def test_canonical_mudguard_cell_sums_take_the_int64_path(monkeypatch):

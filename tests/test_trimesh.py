@@ -120,6 +120,22 @@ def test_validate_rejects_bad_polyline():
         mesh.validate()
 
 
+# A copy of vertex 1 first, in the middle and last in the chain 0 1 2 3, and
+# repeats of its smallest and largest vertex, which sort to the ends.
+REPEATED_CHAINS = {"first": [1, 0, 1, 2, 3], "middle": [0, 1, 2, 1, 3], "last": [0, 1, 2, 3, 1],
+                   "smallest": [0, 1, 2, 3, 0], "largest": [3, 0, 1, 2, 3]}
+
+
+@pytest.mark.parametrize("where", sorted(REPEATED_CHAINS))
+def test_validate_rejects_a_repeated_polyline_vertex_anywhere(where):
+    mesh = square_mesh()
+    mesh.crease_polylines[1] = np.array(REPEATED_CHAINS[where])
+    with pytest.raises(MeshError, match="^crease 1 polyline is self-intersecting$"):
+        mesh.validate()
+    mesh.crease_polylines[1] = np.array([0, 1, 2, 3])
+    mesh.validate()
+
+
 def test_obj_round_trip(tmp_path):
     mesh = square_mesh()
     path = tmp_path / "mesh.obj"
@@ -710,16 +726,38 @@ def test_load_obj_matches_reference_parser(tmp_path, name):
         loaded = load_obj(path)
         assert_same_mesh(loaded, reference_load_obj(path))
         assert_same_mesh(loaded, as_written)
-        # only indented records need the record-by-record scan
+        # an indented record among block records needs the record-by-record
+        # scan; with every record indented, the scan of the others is that scan
         data = path.read_bytes().replace(b"\r\n", b"\n")
         blocks = trimesh._parse_blocks(path, data)
-        assert (blocks is None) == (variant in ("indented", "one-indented-face"))
+        assert (blocks is None) == (variant == "one-indented-face")
         records = trimesh._parse_records(path, enumerate(data.decode().split("\n")))
         for parsed in (records,) if blocks is None else (blocks, records):
             assert parsed[2].dtype == np.int32
             assert np.array_equal(parsed[2], loaded.triangles)
             assert np.array_equal(parsed[0], loaded.vertices)
         assert loaded.triangles.dtype == np.int32
+
+
+@pytest.mark.parametrize("bad", [None, " v 1 2", " f 1 2 x"], ids=["valid", "short-v", "bad-f"])
+def test_indented_obj_is_scanned_record_by_record_once(tmp_path, monkeypatch, bad):
+    written = tmp_path / "mesh.obj"
+    export_obj(OBJ_MESHES["tube"](), written)
+    lines = ["  " + line for line in written.read_text().splitlines()]
+    if bad:
+        lines.insert(len(lines) // 2, bad)
+    path = tmp_path / "indented.obj"
+    path.write_text("\n".join(lines) + "\n")
+    calls, parse_records = [], trimesh._parse_records
+    monkeypatch.setattr(trimesh, "_parse_records",
+                        lambda *args: parse_records(*args) if not calls.append(1) else None)
+    got = _outcome(load_obj, path)
+    assert len(calls) == 1
+    want = _outcome(reference_load_obj, path)
+    if bad:
+        assert isinstance(got, InputFormatError) and str(got) == str(want)
+    else:
+        assert_same_mesh(got, want)
 
 
 @pytest.mark.parametrize("block", [5, trimesh._LOAD_BLOCK])

@@ -14,7 +14,8 @@ followed by `analyze` of the OBJ and of the JSON sidecar (report and CSV);
 lines around each OBJ load block boundary, of two copies with a face
 index that int32 cannot hold (refused with exit 3), and of a copy with one
 face record indented (which sends it to the record-by-record parser);
-`sweep` of every parameter, and of alpha in degrees; a few inputs that must
+`sweep` of every parameter, of alpha in degrees, and of mu and n over
+several quadrature blocks; a few inputs that must
 be refused, whose stderr and exit code are the output; and `--version` and
 every `--help`.
 Beside each command's files it writes NAME.stdout, NAME.stderr and NAME.exit.
@@ -71,6 +72,9 @@ SWEEPS = {
     "R": "--param R --range 2:50:20",
     "r": "--param r --range 0.01:0.5:20",
     "n": "--param n --range 3:200:30",
+    # 2,500 integrals: three quadrature blocks (quadrature._BLOCK = 1,024)
+    "mu-blocks": "--param mu --range 0.1:1.2:2500",
+    "n-blocks": "--param n --range 3:2502:2500",
 }
 
 # Inputs refused with exit 2 (parameter error) or 3 (input-format error).
