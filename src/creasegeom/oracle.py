@@ -210,14 +210,14 @@ def gauss_map_integrate(fn: Callable, region: tuple[float, float, float, float],
     row of v and returns the (k, nv+1, 3) points of their broadcast grid, so
     it must be elementwise.  Normals come from central differences with step
     1e-5 of the parameter span, as component planes, about 2**15 cells at a
-    time: only the fine cells and the half grid's normals are held whole,
-    about 34 B per grid point.  The swept area is tiled with spherical quads,
-    and their cells are summed exactly.  The same sum on the half- and
-    quarter-resolution subgrids gives a Richardson error estimate and an
-    O(h^2) convergence check.  Before any array is built, an empty or
-    non-finite region raises ParameterError, and nu or nv that is not an int
-    or is below 4 (bools are), or a grid of more than surfaces.MAX_VERTICES
-    points once both are rounded up to multiples of 4, raises ResolutionError."""
+    time, so only the fine cells and the half grid's normals are held whole.
+    The swept area is tiled with spherical quads, and their cells are summed
+    exactly; the same sum on the half- and quarter-resolution subgrids gives
+    a Richardson error estimate and an O(h^2) convergence check.  Before any
+    array is built, an empty or non-finite region raises ParameterError, and
+    nu or nv that is not an int or is below 4 (bools are), or a grid of more
+    than surfaces.MAX_VERTICES points once both are rounded up to multiples
+    of 4, raises ResolutionError."""
     u0, u1, v0, v1 = region
     if not (u1 > u0 and v1 > v0):
         raise ParameterError(f"empty parameter region {region}")
