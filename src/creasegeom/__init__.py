@@ -2,7 +2,7 @@
 
 Closed-form results (Mohr-circle strip curvature, the crease law,
 creased-tube balance, mudguard and gore-sphere totals) next to independent
-discrete oracles (mesh angle defects, numerical Gauss maps, adaptive
+discrete oracles (mesh angle defects, numerical Gauss maps, Gauss–Legendre
 quadrature) that verify them.
 """
 
@@ -30,7 +30,6 @@ from .errors import (
     MeshError,
     OrientationError,
     ParameterError,
-    QuadratureError,
     ResolutionError,
     ShallowRegimeWarning,
 )
@@ -86,6 +85,5 @@ __all__ = [
     "VerificationReport", "run_suite",
     # errors
     "ParameterError", "ResolutionError", "MeshError",
-    "OrientationError", "InputFormatError", "QuadratureError",
-    "ShallowRegimeWarning",
+    "OrientationError", "InputFormatError", "ShallowRegimeWarning",
 ]

@@ -22,8 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, creases, curvature, oracle, quadrature, surfaces, verify
-from .errors import (InputFormatError, MeshError, ParameterError, QuadratureError,
-                     ShallowRegimeWarning)
+from .errors import InputFormatError, MeshError, ParameterError, ShallowRegimeWarning
 from .trimesh import TriMesh, export_obj, load_obj
 
 EXIT_OK = 0
@@ -483,7 +482,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader left (`analyze ... | head`): not an input fault
         _to_devnull(sys.stdout)
         return EXIT_BROKEN_PIPE
-    except (ParameterError, MeshError, QuadratureError) as exc:
+    except (ParameterError, MeshError) as exc:
         return _error(exc, EXIT_USAGE)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         # only analyze decodes a file, and these messages do not name it

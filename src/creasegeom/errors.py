@@ -21,15 +21,5 @@ class InputFormatError(ValueError):
     """An input file is not in a format this tool produces."""
 
 
-class QuadratureError(ArithmeticError):
-    """Adaptive integration hit its evaluation cap; carries the best estimate."""
-
-    def __init__(self, message, best=None, error_estimate=None, evaluations=0):
-        super().__init__(message)
-        self.best = best
-        self.error_estimate = error_estimate
-        self.evaluations = evaluations
-
-
 class ShallowRegimeWarning(UserWarning):
     """Inputs are outside the small-angle regime the closed forms assume."""

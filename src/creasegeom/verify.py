@@ -125,9 +125,9 @@ def suite_mudguard() -> list[VerificationReport]:
     closed = quadrature.mudguard_closed_form(*(np.array([getattr(s, k) for s in specs])
                                                for k in ("R", "r", "mu")))
     reports = [_rel(f"mudguard quadrature R={R} r/R={ratio} mu={mu}", c, value, 1e-8,
-                    R=R, r=ratio * R, mu=mu, evaluations=evaluations)
-               for (R, ratio, mu), c, value, evaluations in zip(
-                   grid, closed, total.value, total.evaluations.tolist())]
+                    R=R, r=ratio * R, mu=mu, error_estimate=err)
+               for (R, ratio, mu), c, value, err in zip(
+                   grid, closed, total.value, total.error_estimate.tolist())]
     spec = surfaces.MudguardSpec(**CANONICAL_MUDGUARD)
     closed = quadrature.mudguard_closed_form(spec.R, spec.r, spec.mu)
     swept = oracle.gauss_map_integrate(

@@ -327,36 +327,52 @@ def test_sweep_step_cap_exit_2_before_any_value(tmp_path, capsys):
         assert peak < 400_000  # the cap's value list alone would take about 3 MB
 
 
+def gore_series(n):
+    """The seam model's total n * 2 pi H_0(pi/n), from the Struve series
+    H_0(z) = (2/pi) sum (-1)^k z^(2k+1) / ((2k+1)!!)^2."""
+    beta, double_factorial, terms = math.pi / n, 1.0, []
+    for k in range(40):
+        double_factorial *= 2 * k + 1
+        terms.append((-1) ** k * beta ** (2 * k + 1) / double_factorial**2)
+    return 4 * n * math.fsum(terms)
+
+
 def test_sweep_n_above_int64_keeps_exact_gore_counts(tmp_path, capsys):
     csv_path = tmp_path / "n.csv"
     assert run(["sweep", "--param", "n", "--range", "3:1e19:3", "--csv", csv_path]) == 0
-    assert csv_path.read_text().splitlines()[1:] == [
-        "3,11.100878286527239,1.4654923278319334",
-        "5000000000000000000,12.557390257554681,0.008980356804491052",
-        "10000000000000000000,12.557390257554681,0.008980356804491052",
+    rows = csv_path.read_text().splitlines()[1:]
+    # the large-n deficits are rounding of 4*pi: the exact ones are below 6e-37
+    assert rows == [
+        "3,11.100878286527172,1.465492327832001",
+        "5000000000000000000,12.566370614359158,1.4210854715202004e-14",
+        "10000000000000000000,12.566370614359158,1.4210854715202004e-14",
     ]
+    for row in rows:
+        n, total, deficit = row.split(",")
+        assert abs(float(total) - gore_series(int(n))) <= 1e-14 * float(total)
+        assert float(deficit) == 4 * math.pi - float(total)
 
 
 @pytest.mark.parametrize("param, text", [("n", "3:2002:2000"), ("mu", "0.05:1.05:2000")])
 def test_quadrature_sweep_batches_its_rows(tmp_path, capsys, monkeypatch, param, text):
-    # About 260k (n) and 130k (mu) integrand calls when each row runs its
-    # own quadrature; one batched call makes one per refinement level.
+    # 4,000 integrand calls when each row runs its own quadrature; one
+    # batched call makes one per Gauss-Legendre rule.
     from creasegeom import quadrature
 
     calls = 0
-    simpson = quadrature._simpson
+    integrate = quadrature.integrate
 
-    def counting(f, *args):
+    def counting(f, *args, **kwargs):
         def counted(*a):
             nonlocal calls
             calls += 1
             return f(*a)
-        return simpson(counted, *args)
+        return integrate(counted, *args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "_simpson", counting)
+    monkeypatch.setattr(quadrature, "integrate", counting)
     assert run(["sweep", "--param", param, "--range", text,
                 "--csv", tmp_path / "x.csv"]) == 0
-    assert 0 < calls <= 60
+    assert calls == 2
 
 
 def assert_one_line_error(capsys):
@@ -578,16 +594,25 @@ def test_spec_lengths_are_refused_alike_by_generate_sidecar_and_sweep(tmp_path, 
 
 @pytest.mark.parametrize("flags, message", [
     ("--R=1e-60 --r=1e-61", "crease radius R must be at least 1e-50, got 1e-60"),
-    # in range, but the absolute tolerance of 1e-10 is out of reach on an
-    # integrand of about 1e8
-    ("--R=1e-8 --r=1e-9", "evaluation cap 1000000 reached before tol 1e-10 in integrals [1]"),
-], ids=["spec", "quadrature-cap"])
+], ids=["spec"])
 def test_sweep_mu_at_tiny_radii_exits_2(tmp_path, capsys, flags, message):
     csv_path = tmp_path / "mu.csv"
     assert run(["sweep", "--param=mu", "--range=0.1:1.2:2", *flags.split(),
                 f"--csv={csv_path}"]) == 2
     assert assert_one_line_error(capsys) == f"error: {message}\n"
     assert not csv_path.exists()
+
+
+def test_sweep_mu_at_tiny_radii_writes_rows(tmp_path, capsys):
+    # in range, with an integrand of about 1e8: the quadrature's error is
+    # relative to it, so these rows match the closed form as R = 10 does
+    csv_path = tmp_path / "mu.csv"
+    assert run(["sweep", "--param=mu", "--range=0.1:1.2:2", "--R=1e-8", "--r=1e-9",
+                f"--csv={csv_path}"]) == 0
+    rows = [row.split(",") for row in csv_path.read_text().splitlines()[1:]]
+    assert len(rows) == 2
+    for _, _, closed, _, residual in rows:
+        assert abs(float(residual) / float(closed)) <= 1e-8
 
 
 def test_analyze_sidecar_mesh_error_stays_exit_2(tmp_path, capsys, monkeypatch):

@@ -14,8 +14,8 @@ followed by `analyze` of the OBJ and of the JSON sidecar (report and CSV);
 lines around each OBJ load block boundary, of two copies with a face
 index that int32 cannot hold (refused with exit 3), and of a copy with one
 face record indented (which sends it to the record-by-record parser);
-`sweep` of every parameter, of alpha in degrees, and of mu and n over
-several quadrature blocks; a few inputs that must
+`sweep` of every parameter, of alpha in degrees, of mu and n over 2,500
+values, of mu at tiny radii and of n near 1e9; a few inputs that must
 be refused, whose stderr and exit code are the output; and `--version` and
 every `--help`.
 Beside each command's files it writes NAME.stdout, NAME.stderr and NAME.exit.
@@ -72,9 +72,12 @@ SWEEPS = {
     "R": "--param R --range 2:50:20",
     "r": "--param r --range 0.01:0.5:20",
     "n": "--param n --range 3:200:30",
-    # 2,500 integrals: three quadrature blocks (quadrature._BLOCK = 1,024)
+    # 2,500 integrals in one batch, evaluated at 16 + 32 nodes each
     "mu-blocks": "--param mu --range 0.1:1.2:2500",
     "n-blocks": "--param n --range 3:2502:2500",
+    # an integrand of about 1e8 (R = 1e-8), and gore totals within rounding of 4*pi
+    "mu-tiny-radii": "--param mu --range 0.1:1.2:2 --R=1e-8 --r=1e-9",
+    "n-near-1e9": "--param n --range 999999999:1000000000:2",
 }
 
 # Inputs refused with exit 2 (parameter error) or 3 (input-format error).
