@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from creasegeom import quadrature
 from creasegeom import (
     GoreSphereSpec,
     MudguardSpec,
@@ -150,30 +151,65 @@ def test_spec_validation():
 
 # -- batches: each integral as if it were alone ---------------------------------
 
+def lifo_loop(f, lo, hi, k):
+    """integrate's two rules applied to one integral at a time, last in
+    first out, with a scalar integrand and scalar arithmetic in the order
+    integrate's batch uses: a (value, error estimate, evaluations) triple
+    per integral, in the batch's order."""
+    stack, out = list(enumerate(zip(lo, hi, k))), [None] * len(lo)
+    while stack:
+        i, (a, b, kk) = stack.pop()
+        mid, half = 0.5 * (b + a), 0.5 * (b - a)
+        sums, evals = [], 0
+        for nodes, weights in quadrature._RULES:
+            total = magnitude = 0.0
+            for x, w in zip(nodes.tolist(), weights.tolist()):
+                y = f(mid + half * x, kk)
+                total, magnitude, evals = total + w * y, magnitude + w * abs(y), evals + 1
+            sums.append((half * total, abs(half) * magnitude))
+        (coarse, _), (value, magnitude) = sums
+        out[i] = value, abs(value - coarse) + 8.0 * np.finfo(float).eps * magnitude, evals
+    return out
+
+
+# (array integrand, scalar integrand) pairs that agree bit for bit: numpy's
+# sin, cos and sqrt round as math's do, and + - * / are IEEE operations.
 INTEGRANDS = [
-    lambda x, k: np.sin(k * x),
-    lambda x, k: np.cos(x) / k,
-    lambda x, k: np.sqrt(np.abs(x - k)),
-    lambda x, k: x * x * x - k * x,
+    (lambda x, k: np.sin(k * x), lambda x, k: math.sin(k * x)),
+    (lambda x, k: np.cos(x) / k, lambda x, k: math.cos(x) / k),
+    (lambda x, k: np.sqrt(np.abs(x - k)), lambda x, k: math.sqrt(abs(x - k))),
+    (lambda x, k: x * x * x - k * x, lambda x, k: x * x * x - k * x),
 ]
 
 
-def batch(rows):
-    """lo, hi and k arrays of (lo, hi, k, empty) rows; empty sets hi = lo."""
-    lo, hi, k, empty = (np.array(x) for x in zip(*rows))
-    return lo, np.where(empty, lo, hi), k
+def batch(rows, size=None, scale=1.0):
+    """lo, hi and k lists of (lo, hi, k, empty) rows; empty sets hi = lo.
+    size repeats the rows to that many integrals, each repeat with its own
+    k; scale shrinks every interval about its midpoint."""
+    size = size or len(rows)
+    lo, hi, k = [], [], []
+    for i in range(size):
+        a, b, kk, empty = rows[i % len(rows)]
+        b = a if empty else b
+        mid, half = 0.5 * (a + b), 0.5 * scale * (b - a)
+        lo.append(mid - half), hi.append(mid + half), k.append(kk * (1.0 + i // len(rows) / size))
+    return lo, hi, k
 
 
-def check_batch_matches_singles(which, rows):
-    """The batch's value and error estimate are, bit for bit, those of
-    integrating one row at a time."""
-    f = INTEGRANDS[which]
-    lo, hi, k = batch(rows)
-    both = integrate(f, lo, hi, args=(k,))
-    ones = [integrate(f, a, b, args=(kk,)) for a, b, kk in zip(lo, hi, k)]
-    assert [(v.hex(), e.hex()) for v, e in zip(both.value.tolist(), both.error_estimate.tolist())] \
-        == [(one.value.hex(), one.error_estimate.hex()) for one in ones]
-    assert both.evaluations == sum(one.evaluations for one in ones)
+def check_bit_identical(which, rows, size=None, scale=1.0):
+    """The batch's values, error estimates and evaluations are, bit for
+    bit, those of the scalar loop and of integrating one row at a time."""
+    vector, scalar = INTEGRANDS[which]
+    lo, hi, k = batch(rows, size, scale)
+    want = [(v.hex(), e.hex(), n) for v, e, n in lifo_loop(scalar, lo, hi, k)]
+    both = integrate(vector, np.array(lo), np.array(hi), args=(np.array(k),))
+    assert [(v.hex(), e.hex()) for v, e in
+            zip(both.value.tolist(), both.error_estimate.tolist())] == [w[:2] for w in want]
+    assert both.evaluations == sum(n for _, _, n in want)
+    n = min(len(rows), len(lo))  # the rows once over, as scalars
+    ones = [integrate(vector, a, b, args=(kk,)) for a, b, kk in zip(lo[:n], hi[:n], k[:n])]
+    assert [(one.value.hex(), one.error_estimate.hex(), one.evaluations)
+            for one in ones] == want[:n]
 
 
 FIXED_ROWS = [(0.0, math.pi, 1.0, False), (2.0, -3.0, 2.5, False), (1.0, 1.0, 1.0, True),
@@ -181,8 +217,10 @@ FIXED_ROWS = [(0.0, math.pi, 1.0, False), (2.0, -3.0, 2.5, False), (1.0, 1.0, 1.
 
 
 @pytest.mark.parametrize("which", range(len(INTEGRANDS)))
-def test_batch_matches_one_integral_at_a_time(which):
-    check_batch_matches_singles(which, FIXED_ROWS)
+@pytest.mark.parametrize("scale", [1e-10, 1e-4, 1.0])
+@pytest.mark.parametrize("size", [2, 1024, 2048])  # any batch size: the same bits
+def test_batch_is_bit_identical_to_the_lifo_loop(which, scale, size):
+    check_bit_identical(which, FIXED_ROWS, size, scale)
 
 
 if HAVE_HYPOTHESIS:  # batches mixing reversed and empty intervals
@@ -191,9 +229,10 @@ if HAVE_HYPOTHESIS:  # batches mixing reversed and empty intervals
                     min_size=1, max_size=8)
 
     @settings(max_examples=60, deadline=None)
-    @given(which=st.integers(0, len(INTEGRANDS) - 1), rows=ROWS)
-    def test_random_batches_match_one_integral_at_a_time(which, rows):
-        check_batch_matches_singles(which, rows)
+    @given(which=st.integers(0, len(INTEGRANDS) - 1), rows=ROWS,
+           scale=st.sampled_from([1e-10, 1e-4, 1.0]))
+    def test_random_batches_are_bit_identical_to_the_lifo_loop(which, rows, scale):
+        check_bit_identical(which, rows, scale=scale)
 
 
 def test_batch_shapes_and_scalars():
