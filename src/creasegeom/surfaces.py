@@ -25,9 +25,9 @@ CREASE_ARC_SPAN = math.pi / 2
 
 # Largest mesh, in vertices, that a generator builds: 13 times the
 # strip-curvature suite's tube, and below 2**31, so generators index their
-# triangles in int32.  Analysing a generated mesh peaks at about 156 bytes
+# triangles in int32.  Analysing a generated mesh peaks at about 124 bytes
 # per vertex from its sidecar and 173 from its OBJ (945k-vertex tube, RSS
-# above the interpreter): 1.6 and 1.7 GB at the limit.
+# above the interpreter): 1.2 and 1.7 GB at the limit.
 MAX_VERTICES = 10_000_000
 
 # Cells per block in which each thread fills a helical band's strips, so the

@@ -176,16 +176,18 @@ def _vertex_sums(vertices: np.ndarray, triangles: np.ndarray) -> tuple:
 
     With e_k = p_{k+1} - p_k, corner k lies between e_k and -e_{k-1}, so its
     dot is -e_k . e_{k-1}; |e_0 x e_1| = 2A is common to the three corners,
-    and corner k's angle is atan2(2A, dot_k).  np.add.at adds each corner
-    slot k into its own sums in triangle order, as np.bincount(triangles[:, k])
-    would, and the slots are then added in the order 0, 1, 2.
+    and corner k's angle is atan2(2A, dot_k).  np.add.at adds the corners in
+    triangle order (triangle t's corners 0, 1, 2, then triangle t + 1's), so
+    each sum equals np.bincount(triangles.ravel(), weights=...) bit for bit,
+    whatever _BLOCK is.
     """
-    sums = [[np.zeros(len(vertices)) for _ in range(3)] for _ in range(2)]
+    angle_sum, lumped = np.zeros(len(vertices)), np.zeros(len(vertices))
     worst = (np.inf, 0, np.inf)  # (rank, triangle, twice its area)
     with np.errstate(over="ignore", invalid="ignore"):  # validate reports the overflow
         diag = float(np.linalg.norm([np.ptp(column) for column in vertices.T]))
         for s in range(0, len(triangles), _BLOCK):
-            idx = triangles[s:s + _BLOCK].T.astype(np.intp, order="C")  # cast once, not per gather
+            corners = triangles[s:s + _BLOCK].astype(np.intp).ravel()  # cast once, not per gather
+            idx = corners.reshape(-1, 3).T
             # x, y, z are (3, block): one coordinate of e_0, e_1, e_2 per row
             x, y, z = (p[[1, 2, 0]] - p for p in (vertices[:, c][idx] for c in range(3)))
             nx = y[0] * z[1] - z[0] * y[1]
@@ -193,19 +195,15 @@ def _vertex_sums(vertices: np.ndarray, triangles: np.ndarray) -> tuple:
             nz = x[0] * y[1] - y[0] * x[1]
             twice_area = np.sqrt(nx * nx + ny * ny + nz * nz)
             prev = [2, 0, 1]
-            angles = np.arctan2(twice_area, -(x * x[prev] + y * y[prev] + z * z[prev]))
-            third = twice_area / 6.0
-            for k in range(3):
-                np.add.at(sums[0][k], idx[k], angles[k])
-                np.add.at(sums[1][k], idx[k], third)
+            angles = np.empty((len(twice_area), 3))  # np.add.at is fast on contiguous 1-D values
+            np.arctan2(twice_area, -(x * x[prev] + y * y[prev] + z * z[prev]), out=angles.T)
+            np.add.at(angle_sum, corners, angles.ravel())
+            np.add.at(lumped, corners, np.repeat(twice_area / 6.0, 3))
             rank = np.where(np.isfinite(twice_area), twice_area, -1.0)  # non-finite first
             low = int(np.argmin(rank))
             if rank[low] < worst[0]:  # of equal ranks, the earlier triangle stays
                 worst = (rank[low], s + low, twice_area[low])
-    for total, slot1, slot2 in sums:
-        total += slot1
-        total += slot2
-    return sums[0][0], sums[1][0], diag, worst[1:]
+    return angle_sum, lumped, diag, worst[1:]
 
 
 def export_obj(mesh: TriMesh, path) -> None:

@@ -186,9 +186,9 @@ def test_angle_defect_matches_per_corner_reference():
 
 
 def reference_kernel(mesh):
-    """angle_defect's figures as the kernel computed them when validate
-    returned per-triangle arrays: twice-areas and corner angles a block at a
-    time, summed per vertex by six np.bincounts; boundary and edge count from
+    """angle_defect's figures from per-triangle arrays: twice-areas and
+    corner angles a block at a time, summed per vertex by one np.bincount per
+    quantity over the corners in triangle order; boundary and edge count from
     np.unique of the undirected edges; exact sums by math.fsum."""
     nv, block = mesh.num_vertices, trimesh._BLOCK
     twice_area = np.empty(mesh.num_triangles)
@@ -203,11 +203,9 @@ def reference_kernel(mesh):
         prev = [2, 0, 1]
         dots[:, s:s + block] = -(x * x[prev] + y * y[prev] + z * z[prev])
     angles = np.arctan2(twice_area, dots)
-    third = twice_area / 6.0
-    angle_sum, lumped = np.zeros(nv), np.zeros(nv)
-    for k in range(3):
-        angle_sum += np.bincount(mesh.triangles[:, k], weights=angles[k], minlength=nv)
-        lumped += np.bincount(mesh.triangles[:, k], weights=third, minlength=nv)
+    corners = mesh.triangles.ravel()  # triangle order: t's corners 0, 1, 2, then t + 1's
+    angle_sum = np.bincount(corners, weights=angles.T.ravel(), minlength=nv)
+    lumped = np.bincount(corners, weights=np.repeat(twice_area / 6.0, 3), minlength=nv)
 
     t = mesh.triangles
     edges = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
@@ -261,12 +259,12 @@ def test_angle_defect_equals_the_per_triangle_kernel_bit_for_bit(shape, variant)
         assert field.defect[-1] == 2 * math.pi and field.lumped_area[-1] == 0
 
 # Traced peak of generating a 12-strip 128x128 tube (190,016 vertices) and
-# taking its angle defect, per vertex: 164.1 B measured with numpy 2.4, where
-# the generator indexes triangles in int32 (187.9 B with int64 triangles,
-# 206.8 B when validate also kept per-triangle areas and corner angles for
-# six np.bincounts).  The ceiling leaves 10% for allocator and numpy-version
-# differences.
-PEAK_BYTES_PER_VERTEX = 181
+# taking its angle defect, per vertex: 131.8 B measured with numpy 2.4, where
+# the generator indexes triangles in int32 and validate keeps two per-vertex
+# sums (164.1 B with six per-slot sums, 187.9 B with int64 triangles as well,
+# 206.8 B when validate also kept per-triangle areas and corner angles).  The
+# ceiling leaves 10% for allocator and numpy-version differences.
+PEAK_BYTES_PER_VERTEX = 145
 
 
 def test_tube_generate_and_angle_defect_peak_memory():
@@ -280,27 +278,49 @@ def test_tube_generate_and_angle_defect_peak_memory():
     assert mesh.num_vertices == 190_016
     assert peak / mesh.num_vertices < PEAK_BYTES_PER_VERTEX
 
-# Growth of ru_maxrss over its post-import value when a fresh interpreter
-# generates the 12-strip 256x256 tube (756,864 vertices) and takes its
-# density, per vertex: 111.0-111.2 B in 7 runs with numpy 2.4 and glibc
-# malloc, with int32 triangles (128.7-130.3 B with int64 ones, 155.2-157.2 B
-# with per-triangle areas and corner angles as well).  The ceiling leaves
-# 10%.  tracemalloc does not see memory that a thread's glibc arena keeps
-# after numpy frees it; ru_maxrss does.
-PEAK_RSS_BYTES_PER_VERTEX = 123
+# Traced peak of _vertex_sums' block pass on the same tube beyond its two
+# per-vertex float64 sums: 2.30 MB of _BLOCK-sized temporaries measured with
+# numpy 2.4 (8.44 MB with six per-slot sums, 6.08 MB of it the other four).
+# The ceiling leaves 10%.
+VERTEX_SUMS_BLOCK_BYTES = int(1.1 * 2.30e6)
+
+
+def test_vertex_sums_hold_two_per_vertex_arrays():
+    mesh = gen_twisted_prismatic_tube(1.0, math.pi / 4, 12, 128, 128)
+    tracemalloc.start()
+    try:
+        angle_sum, lumped, _, _ = trimesh._vertex_sums(mesh.vertices, mesh.triangles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert angle_sum.nbytes + lumped.nbytes == 16 * mesh.num_vertices
+    assert peak < 16 * mesh.num_vertices + VERTEX_SUMS_BLOCK_BYTES
+
+# Growth of the peak resident set (VmHWM) over its post-import value when a
+# fresh interpreter generates the 12-strip 256x256 tube (756,864 vertices)
+# and takes its density, per vertex: 123.6-124.1 B in 7 runs with numpy 2.4
+# and glibc malloc, with int32 triangles and two per-vertex sums (155.9-156.3
+# B with six per-slot sums).  The ceiling leaves 10%.  tracemalloc does not
+# see memory that a thread's glibc arena keeps after numpy frees it; VmHWM
+# does.  ru_maxrss would not do: the child starts with its parent's, so under
+# the whole test suite its growth read 0.
+PEAK_RSS_BYTES_PER_VERTEX = 136
 
 RSS_PROBE = """
-import math, resource
+import math
 from creasegeom import angle_defect, gen_twisted_prismatic_tube
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+def peak_rss():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+before = peak_rss()
 mesh = gen_twisted_prismatic_tube(1.0, math.pi / 4, 12, 256, 256)
 angle_defect(mesh).interior_defect_density()
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+after = peak_rss()
 print(mesh.num_vertices, (after - before) * 1024)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is Linux's, in KiB")
 def test_tube_generate_and_density_peak_rss_in_a_fresh_interpreter():
     env = dict(os.environ, PYTHONPATH=str(Path(oracle.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", RSS_PROBE], env=env, capture_output=True,

@@ -12,8 +12,10 @@ mesh-kernel blocks and of two meshes with exponent-form coordinates, each
 followed by `analyze` of the OBJ and of the JSON sidecar (report and CSV);
 `analyze` of that tube's OBJ with comments breaking its runs of `v` and `f`
 lines around each OBJ load block boundary, of two copies with a face
-index that int32 cannot hold (refused with exit 3), and of a copy with one
-face record indented (which sends it to the record-by-record parser);
+index that int32 cannot hold (refused with exit 3), of a copy with one
+face record indented (which sends it to the record-by-record parser), and of
+a copy with its face records in a seeded random order (no generator writes
+such a mesh, and the kernel's per-vertex sums depend on triangle order);
 `sweep` of every parameter, of alpha in degrees, of mu and n over 2,500
 values, of mu at tiny radii and of n near 1e9; a few inputs that must
 be refused, whose stderr and exit code are the output; and `--version` and
@@ -24,6 +26,7 @@ Beside each command's files it writes NAME.stdout, NAME.stderr and NAME.exit.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -125,6 +128,17 @@ def rewrite_face(source: Path, target: Path, new) -> None:
     target.write_bytes(b"".join(lines))
 
 
+def shuffle_faces(source: Path, target: Path) -> None:
+    """Copy an OBJ with its face records permuted in a seeded random order."""
+    lines = source.read_bytes().splitlines(keepends=True)
+    at = [i for i, line in enumerate(lines) if line.startswith(b"f ")]
+    faces = [lines[i] for i in at]
+    random.Random(17).shuffle(faces)
+    for i, face in zip(at, faces):
+        lines[i] = face
+    target.write_bytes(b"".join(lines))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -148,6 +162,9 @@ def main(argv: list[str]) -> int:
         rewrite_face(outdir / "tube-blocks.obj", outdir / f"tube-blocks-{name}.obj", new)
         run(outdir, f"analyze-obj-tube-blocks-{name}", f"analyze --in tube-blocks-{name}.obj "
             f"--report tube-blocks-{name}.obj.report --csv tube-blocks-{name}.obj.csv")
+    shuffle_faces(outdir / "tube-blocks.obj", outdir / "tube-blocks-shuffled.obj")
+    run(outdir, "analyze-obj-tube-blocks-shuffled", "analyze --in tube-blocks-shuffled.obj "
+        "--report tube-blocks-shuffled.obj.report --csv tube-blocks-shuffled.obj.csv")
     for name, args in SWEEPS.items():
         run(outdir, f"sweep-{name}", f"sweep {args} --csv sweep-{name}.csv")
     for name, args in REFUSED.items():
