@@ -12,8 +12,24 @@ import numpy as np
 
 from .errors import ParameterError
 
-# (nodes, weights) on [-1, 1]: the 16-node rule checks the 32-node one
-_RULES = tuple(np.polynomial.legendre.leggauss(n) for n in (16, 32))
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights (scaled to sum to 2) of the n-node Gauss–Legendre
+    rule on [-1, 1]: Newton's method on P_n from k P_k = (2k - 1) x P_(k-1) - (k - 1) P_(k-2)."""
+    x = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(10):  # 5 steps at n = 16 and 32
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        slope = n * (x * p1 - p0) / (x * x - 1.0)  # P_n'(x)
+        x = x - p1 / slope
+        if np.abs(p1 / slope).max() <= 1e-16:
+            break
+    w = 2.0 / ((1.0 - x * x) * slope * slope)
+    return (x - x[::-1]) / 2, (w + w[::-1]) / w.sum()
+
+
+_RULES = tuple(_gauss_legendre(n) for n in (16, 32))  # the 16-node rule checks the 32-node one
 
 
 @dataclass(frozen=True)

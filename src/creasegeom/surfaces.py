@@ -14,7 +14,7 @@ import numpy as np
 from .creases import CreaseSpec
 from .curvature import TubeSpec, _check_length, tube_spec_for_strips
 from .errors import ParameterError, ResolutionError, ShallowRegimeWarning
-from .trimesh import TriMesh, _run_beside
+from .trimesh import TriMesh
 
 TWO_PI = 2.0 * math.pi
 
@@ -23,16 +23,14 @@ DEFAULT_EXPORT_RES = 32
 # Azimuthal span of the open-arc crease produced by gen_curved_crease.
 CREASE_ARC_SPAN = math.pi / 2
 
-# Largest mesh, in vertices, that a generator builds: 13 times the
-# strip-curvature suite's tube, and below 2**31, so generators index their
-# triangles in int32.  Analysing a generated mesh peaks at about 124 bytes
-# per vertex from its sidecar and 173 from its OBJ (945k-vertex tube, RSS
-# above the interpreter): 1.2 and 1.7 GB at the limit.
+# Largest mesh, in vertices, that a generator builds: below 2**31, so
+# generators index their triangles in int32.  Analysing a generated mesh
+# peaks at about 124 bytes per vertex from its sidecar and 173 from its OBJ
+# (945k-vertex tube, RSS above the interpreter): 1.2 and 1.7 GB at the limit.
 MAX_VERTICES = 10_000_000
 
-# Cells per block in which each thread fills a helical band's strips, so the
-# second thread's temporaries, which stay resident in its glibc arena, remain
-# small: filling whole strips peaked 5 MB higher on the 757k-vertex tube.
+# Cells per block in which a helical band's strips are filled, so that its
+# temporaries stay a fixed size however long a strip is.
 _STRIP_CELLS = 1 << 14
 
 
@@ -128,21 +126,17 @@ def _helical_band(a, alpha, n_strips, nu, nv, flatten):
     """Build the band of n_strips helical strips; flatten=True replaces each
     strip by straight rulings (the prismatic tube), False keeps points on the
     cylinder.  Each strip fills its own slices of the vertex and triangle
-    arrays, so the band is filled on two threads, alternate strips each."""
+    arrays, a block of rows at a time."""
     _check_resolution(nu, nv)
     nu += nu % 2  # the helical seam shift below needs an even count
     h = TWO_PI * a * math.cos(alpha) / n_strips
     l_shift = TWO_PI * a * math.sin(alpha)
-    if l_shift == 0.0:
-        length, m = TWO_PI * a, 0
-    else:
-        length, m = 2.0 * l_shift, nu // 2
+    length, m = (TWO_PI * a, 0) if l_shift == 0.0 else (2.0 * l_shift, nu // 2)
     # n_strips lines of nu + 1, the last strip's interior m columns short
     n_line = nu + 1
     num_vertices = n_strips * n_line * nv - m * (nv - 1)
     _check_size(num_vertices)
-    xhat = np.array([math.sin(alpha), math.cos(alpha)])
-    yhat = np.array([math.cos(alpha), -math.sin(alpha)])
+    xhat, yhat = np.array([[math.sin(alpha), math.cos(alpha)], [math.cos(alpha), -math.sin(alpha)]])
     x = np.linspace(0.0, length, nu + 1)
     t = np.arange(1, nv) / nv
 
@@ -154,37 +148,31 @@ def _helical_band(a, alpha, n_strips, nu, nv, flatten):
     triangles = np.empty((2 * nv * (n_strips * nu - m), 3), dtype=np.int32)
     # crease-line vertices first, line j at developed offset j*h*yhat
     line_pts = vertices[:n_strips * n_line].reshape(n_strips, n_line, 3)
-    for j in range(n_strips):
-        dev = j * h * yhat[None, :] + x[:, None] * xhat[None, :]
-        line_pts[j] = wrap(dev)
+    line_pts[:] = wrap(np.arange(n_strips)[:, None, None] * h * yhat + x[:, None] * xhat)
 
     step = max(2, _STRIP_CELLS // nv)  # vertex rows per block
-
-    def fill(strips):
-        for j in strips:  # the strips before j are all nu + 1 rows long
-            jn, shift = (j + 1) % n_strips, (m if j == n_strips - 1 else 0)
-            rows, offset = nu + 1 - shift, (n_strips + j * (nv - 1)) * n_line
-            interior = vertices[offset:offset + rows * (nv - 1)].reshape(rows, nv - 1, 3)
-            cells = triangles[2 * j * nu * nv:][:2 * (rows - 1) * nv].reshape(2, rows - 1, nv, 3)
-            for lo in range(0, rows, step):  # fill rows lo..hi-1, then the cells above lo-1
-                hi = min(lo + step, rows)
-                if flatten:  # (1 - t)*p0 + t*p1, a coordinate plane at a time
-                    p0, p1 = line_pts[j, shift + lo:shift + hi], line_pts[jn, lo:hi]
-                    for c in range(3):
-                        plane = interior[lo:hi, :, c]
-                        np.multiply(p0[:, c, None], 1.0 - t, out=plane)
-                        plane += p1[:, c, None] * t
-                else:
-                    interior[lo:hi] = wrap((j * h + t * h)[None, :, None] * yhat
-                                           + x[shift + lo:shift + hi, None, None] * xhat)
-                r = np.arange(max(lo - 1, 0), hi)
-                ids = np.empty((len(r), nv + 1), dtype=np.int32)
-                ids[:, 0], ids[:, nv] = j * n_line + shift + r, jn * n_line + r
-                ids[:, 1:nv] = offset + (nv - 1) * r[:, None] + np.arange(nv - 1)
-                cells[:, r[0]:hi - 1] = _grid_triangles(ids, vertices[ids], flip=True).reshape(
-                    2, -1, nv, 3)
-
-    _run_beside(lambda: fill(range(1, n_strips, 2)), lambda: fill(range(0, n_strips, 2)))
+    for j in range(n_strips):  # the strips before j are all nu + 1 rows long
+        jn, shift = (j + 1) % n_strips, (m if j == n_strips - 1 else 0)
+        rows, offset = nu + 1 - shift, (n_strips + j * (nv - 1)) * n_line
+        interior = vertices[offset:offset + rows * (nv - 1)].reshape(rows, nv - 1, 3)
+        cells = triangles[2 * j * nu * nv:][:2 * (rows - 1) * nv].reshape(2, rows - 1, nv, 3)
+        for lo in range(0, rows, step):  # fill rows lo..hi-1, then the cells above lo-1
+            hi = min(lo + step, rows)
+            if flatten:  # (1 - t)*p0 + t*p1, a coordinate plane at a time
+                p0, p1 = line_pts[j, shift + lo:shift + hi], line_pts[jn, lo:hi]
+                for c in range(3):
+                    plane = interior[lo:hi, :, c]
+                    np.multiply(p0[:, c, None], 1.0 - t, out=plane)
+                    plane += p1[:, c, None] * t
+            else:
+                interior[lo:hi] = wrap((j * h + t * h)[None, :, None] * yhat
+                                       + x[shift + lo:shift + hi, None, None] * xhat)
+            r = np.arange(max(lo - 1, 0), hi)
+            ids = np.empty((len(r), nv + 1), dtype=np.int32)
+            ids[:, 0], ids[:, nv] = j * n_line + shift + r, jn * n_line + r
+            ids[:, 1:nv] = offset + (nv - 1) * r[:, None] + np.arange(nv - 1)
+            cells[:, r[0]:hi - 1] = _grid_triangles(ids, vertices[ids], flip=True).reshape(
+                2, -1, nv, 3)
     polylines = {
         j + 1: np.arange(j * n_line, (j + 1) * n_line) for j in range(n_strips)
     }

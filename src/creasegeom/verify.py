@@ -198,19 +198,15 @@ def suite_twist_independence() -> list[VerificationReport]:
 
 
 def suite_strip_curvature() -> list[VerificationReport]:
-    """Interior angle-defect density of the twisted-prismatic tube against the
-    closed-form strip Gaussian curvature."""
-    a, alpha, n_strips, res = 1.0, math.pi / 4, 12, 256
+    """Interior angle-defect density of the 12-strip tube at 64x32 (23,968
+    vertices) against the closed-form strip Gaussian curvature."""
+    a, alpha, n_strips, nu, nv = 1.0, math.pi / 4, 12, 64, 32
     spec = curvature.tube_spec_for_strips(a, alpha, n_strips)
     expected = curvature.gaussian_curvature(curvature.prismatic_curvatures(spec))
-    mesh = surfaces.gen_twisted_prismatic_tube(a, alpha, n_strips, res, res)
+    mesh = surfaces.gen_twisted_prismatic_tube(a, alpha, n_strips, nu, nv)
     density = oracle.angle_defect(mesh).interior_defect_density()
-    return [
-        _rel(
-            "strip-curvature tube density", expected, density, 0.02,
-            a=a, alpha=alpha, n_strips=n_strips, nu=res, nv=res,
-        )
-    ]
+    return [_rel("strip-curvature tube density", expected, density, 0.02,
+                 a=a, alpha=alpha, n_strips=n_strips, nu=nu, nv=nv)]
 
 
 def suite_mohr() -> list[VerificationReport]:

@@ -13,6 +13,7 @@ from creasegeom import (
     angle_defect,
     gen_gore_sphere,
     mudguard_closed_form,
+    oracle,
     run_suite,
 )
 
@@ -107,6 +108,23 @@ def test_criterion_6_strip_curvature_oracle(capsys):
     check_suite(capsys, 6, "strip curvature oracle", "strip-curvature", 1, by_prefix({
         "strip-curvature tube density": 0.02,
     }))
+
+
+def test_strip_curvature_fails_interior_defects_scaled_by_3_percent(monkeypatch):
+    # the 64x32 tube reads the closed form to +2.8e-5, so the 2% tolerance
+    # still catches a kernel whose interior defects are 3% large
+    kernel = oracle.angle_defect
+
+    def scaled(mesh):
+        field = kernel(mesh)
+        field.defect[~(field.boundary_mask | field.crease_mask)] *= 1.03
+        return field
+
+    monkeypatch.setattr(oracle, "angle_defect", scaled)
+    [r] = run_suite("strip-curvature")
+    assert (r.metadata["nu"], r.metadata["nv"]) == (64, 32)
+    assert r.residual == pytest.approx(-0.03 / 1.03, abs=1e-4)  # density of K < 0
+    assert not r.passed
 
 
 def test_criterion_7_mohr_property_suite(capsys):

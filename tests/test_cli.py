@@ -341,11 +341,12 @@ def test_sweep_n_above_int64_keeps_exact_gore_counts(tmp_path, capsys):
     csv_path = tmp_path / "n.csv"
     assert run(["sweep", "--param", "n", "--range", "3:1e19:3", "--csv", csv_path]) == 0
     rows = csv_path.read_text().splitlines()[1:]
-    # the large-n deficits are rounding of 4*pi: the exact ones are below 6e-37
+    # the large-n deficits are rounding of 4*pi, one ulp: the exact ones are
+    # below 6e-37
     assert rows == [
-        "3,11.100878286527172,1.465492327832001",
-        "5000000000000000000,12.566370614359158,1.4210854715202004e-14",
-        "10000000000000000000,12.566370614359158,1.4210854715202004e-14",
+        "3,11.100878286527182,1.4654923278319902",
+        "5000000000000000000,12.56637061435917,1.7763568394002505e-15",
+        "10000000000000000000,12.56637061435917,1.7763568394002505e-15",
     ]
     for row in rows:
         n, total, deficit = row.split(",")

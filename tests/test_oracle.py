@@ -34,6 +34,7 @@ from creasegeom import (
     trimesh,
     tube_spec_for_strips,
 )
+from creasegeom import verify
 from creasegeom.verify import CANONICAL_MUDGUARD
 
 try:
@@ -328,6 +329,23 @@ def test_tube_generate_and_density_peak_rss_in_a_fresh_interpreter():
     vertices, grown = map(int, proc.stdout.split())
     assert vertices == 756_864
     assert grown / vertices < PEAK_RSS_BYTES_PER_VERTEX
+
+# Traced peak of run_suite("all"): 8.94-9.07 MB in 3 runs with numpy 2.4, set
+# by twist-independence's 128x32 tubes (47,552 vertices each); the
+# strip-curvature suite's 64x32 tube peaks at 5.2 MB, and at 256x256 it set
+# the whole run's peak at 92.4 MB.  The ceiling leaves 10%.
+VERIFY_ALL_PEAK_BYTES = int(1.1 * 9.07e6)
+
+
+def test_verify_all_peak_memory():
+    tracemalloc.start()
+    try:
+        reports = verify.run_suite("all")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 66 and all(r.passed for r in reports)
+    assert peak < VERIFY_ALL_PEAK_BYTES
 
 
 # -- exact defect sums -------------------------------------------------------

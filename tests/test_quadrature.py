@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +151,30 @@ def test_spec_validation():
         GoreSphereSpec(R=1.0, n=2)
     with pytest.raises(ParameterError):
         GoreSphereSpec(R=0.0, n=8)
+
+
+# -- the rules ------------------------------------------------------------------
+
+@pytest.mark.parametrize("rule", [0, 1])
+def test_rules_match_numpy_leggauss(rule):
+    # nodes bit for bit; weights to 5.3e-14 relative at 32 nodes: they are
+    # 2.1e-15 and 5.1e-15 from a 40-digit reference at 16 and 32 nodes, and
+    # leggauss's 7.0e-15 and 5.8e-14
+    nodes, weights = quadrature._RULES[rule]
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(len(nodes))
+    assert len(nodes) == (16, 32)[rule]
+    for x, w, ref_x, ref_w in zip(nodes, weights, ref_nodes, ref_weights):
+        assert x == ref_x
+        assert w == pytest.approx(ref_w, rel=1e-13, abs=0)
+    assert weights.sum() == pytest.approx(2.0, rel=2 * np.finfo(float).eps, abs=0)
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    code = "import sys, creasegeom.cli; print('numpy.polynomial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(quadrature.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["False"]
 
 
 # -- batches: each integral as if it were alone ---------------------------------

@@ -1,5 +1,4 @@
 import math
-import sys
 import threading
 import warnings
 
@@ -563,18 +562,13 @@ def test_grid_triangles_matches_reference_on_ties(flip):
     assert got == ([t[::-1] for t in main] if flip else main)
 
 
-# -- the band's strips on two threads ----------------------------------------
+# -- the band's strips in blocks ---------------------------------------------
 
 @pytest.mark.parametrize("strip_cells", [1, 5 * 64, 1 << 14])
 @pytest.mark.parametrize("shape", ["cylinder-8-lines", "tube-12-strips-64"])
 def test_threaded_band_in_blocks_matches_stacking_reference(shape, strip_cells, monkeypatch):
     monkeypatch.setattr(surfaces, "_STRIP_CELLS", strip_cells)  # 2, 5 or all rows a block
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # the two threads trade the GIL as often as they can
-    try:
-        mesh = BUILT[shape]()
-    finally:
-        sys.setswitchinterval(interval)
+    mesh = BUILT[shape]()
     monkeypatch.setattr(surfaces, "_grid_triangles", reference_grid_triangles)
     monkeypatch.setattr(surfaces, "_helical_band", reference_helical_band)
     ref = BUILT[shape]()
@@ -585,33 +579,24 @@ def test_threaded_band_in_blocks_matches_stacking_reference(shape, strip_cells, 
         assert np.array_equal(mesh.crease_polylines[cid], chain)
 
 
-def band_threads(monkeypatch, build):
-    """The threads that triangulate the strips of build()."""
-    seen = set()
+def test_every_band_fills_its_strips_on_the_calling_thread(monkeypatch):
     triangulate = surfaces._grid_triangles
+    seen = set()
 
     def recorded(*args, **kwargs):
         seen.add(threading.current_thread())
         return triangulate(*args, **kwargs)
 
     monkeypatch.setattr(surfaces, "_grid_triangles", recorded)
-    build()
-    return seen
-
-
-def test_every_band_fills_its_strips_on_two_threads(monkeypatch):
     for shape in ("tube-12-strips-64", "cylinder-8-lines"):
-        threads = band_threads(monkeypatch, BUILT[shape])
-        assert len(threads) == 2 and threading.current_thread() in threads, shape
+        seen.clear()
+        BUILT[shape]()
+        assert seen == {threading.current_thread()}, shape
 
 
 def test_strip_worker_exception_propagates_and_the_thread_is_joined(monkeypatch):
-    triangulate = surfaces._grid_triangles
-
     def failing(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            raise MemoryError("no room for a strip")
-        return triangulate(*args, **kwargs)
+        raise MemoryError("no room for a strip")
 
     monkeypatch.setattr(surfaces, "_grid_triangles", failing)
     before = threading.active_count()

@@ -245,7 +245,7 @@ def test_edge_topology_runs_on_the_calling_thread_and_raises_its_faults(monkeypa
     def no_thread(*args, **kwargs):
         raise AssertionError("a second thread was started")
 
-    meshes = (square_mesh(), GENERATED["tube"]())  # the tube's strips fill on two threads
+    meshes = (square_mesh(), GENERATED["tube"]())  # built before the patch
     monkeypatch.setattr(trimesh, "threading", types.SimpleNamespace(Thread=no_thread))
     for mesh in meshes:
         mask, euler = unique_topology(mesh)
@@ -395,7 +395,7 @@ def test_validate_joins_its_sort_thread_on_every_path(monkeypatch):
             joined.append(self)
             super().join(timeout)
 
-    mesh = GENERATED["tube"]()  # before the patch: the tube's strips fill on two threads
+    mesh = GENERATED["tube"]()  # built before the patch
     monkeypatch.setattr(trimesh, "threading", types.SimpleNamespace(Thread=Recorded))
     before = threading.active_count()
     mesh.validate()
