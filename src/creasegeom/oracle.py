@@ -16,7 +16,7 @@ from .surfaces import _check_size
 from .trimesh import TriMesh
 
 GAUSS_MAP_STEP_FACTOR = 1e-5
-_BLOCK = 1 << 15  # Gauss map cells or exact-sum values at a time: temporaries stay in cache
+_BLOCK = 1 << 14  # Gauss map cells or exact-sum values at a time: temporaries stay in cache
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +154,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b over (3, ...) component planes, a1*b2 - a2*b1 etc. as np.cross."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.subtract(a[i] * b[j], a[j] * b[i], out=out[k])
-    return out
+def _cross(a, b) -> list:
+    """The three planes of a x b over (3, ...) planes, a1*b2 - a2*b1 etc. as np.cross."""
+    return [a[i] * b[j] - a[j] * b[i] for i, j in ((1, 2), (2, 0), (0, 1))]
 
 
 def _normals(fn, u, v, hu, hv) -> np.ndarray:
     """Unit normals of fn at the grid of u and v as (3, ...) component planes."""
-    def planes(u, v):  # fn's points as strided (3, ...) views
+    def planes(u, v):  # fn's points as (3, ...) views
         out = np.asarray(fn(u, v), dtype=float)
         shape = np.broadcast_shapes(u.shape, v.shape) + (3,)
         if out.shape != shape:
@@ -174,9 +171,11 @@ def _normals(fn, u, v, hu, hv) -> np.ndarray:
     su = np.subtract(planes(u + hu, v), planes(u - hu, v), order="C")
     n = _cross(su, np.subtract(planes(u, v + hv), planes(u, v - hv), order="C"))
     norm = np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])  # np.linalg.norm's order
-    if np.any(norm < 1e-300) or not np.all(np.isfinite(norm)):
+    if not (norm.min() >= 1e-300 and norm.max() < np.inf):  # a nan fails both
         raise ParameterError("degenerate surface normal in the requested region")
-    return np.divide(n, norm, out=su)
+    for k in range(3):
+        np.divide(n[k], norm, out=su[k])
+    return su
 
 
 def _swept_area(normals: Callable, rows: int, cols: int) -> tuple[float, np.ndarray]:
@@ -184,21 +183,25 @@ def _swept_area(normals: Callable, rows: int, cols: int) -> tuple[float, np.ndar
     triangles (n00, n10, n11) and (n00, n11, n01): 2 atan2(a . b x c,
     1 + a.b + b.c + c.a) each, with every a.b from one of three edge grids
     (vertical, horizontal, diagonal) in einsum's order, and the planes of the
-    grid's even rows and columns.  normals(i, j) gives the planes of grid
-    rows i to j inclusive, for about _BLOCK cells at a time."""
+    grid's even rows and columns.  normals(i, j) gives the C-ordered planes of
+    grid rows i to j inclusive, about _BLOCK cells at a time.  Flat, with w =
+    cols + 1, cell t's n00, n10, n11 and n01 are t, t + w, t + w + 1 and t + 1,
+    so each dot grid is a slice; each row's wrap cell (the last padded) is cut."""
     cells, even = np.empty((rows, cols)), np.empty((3, rows // 2 + 1, cols // 2 + 1))
-    step = max(1, _BLOCK // cols)
+    step, w = max(1, _BLOCK // cols), cols + 1
     for i in range(0, rows, step):
         j = min(i + step, rows)
         m = normals(i, j)
         even[:, (i + 1) // 2:j // 2 + 1] = m[:, i % 2::2, ::2]
-        n00, n10, n11, n01 = m[:, :-1, :-1], m[:, 1:, :-1], m[:, 1:, 1:], m[:, :-1, 1:]
-        vert = _dot(m[:, :-1], m[:, 1:])
-        horiz = _dot(m[:, :, :-1], m[:, :, 1:])
+        p, n = [plane.reshape(-1) for plane in m], (j - i) * w
+        n00, n10, n11, n01 = ([q[k:k + n - 1] for q in p] for k in (0, w, w + 1, 1))
+        vert = _dot([q[:n] for q in p], [q[w:] for q in p])
+        horiz = _dot([q[:-1] for q in p], [q[1:] for q in p])
         diag = _dot(n00, n11)
-        lower = np.arctan2(_dot(n00, _cross(n10, n11)), 1.0 + vert[:, :-1] + horiz[1:] + diag)
-        upper = np.arctan2(_dot(n00, _cross(n11, n01)), 1.0 + diag + vert[:, 1:] + horiz[:-1])
-        np.add(2.0 * lower, 2.0 * upper, out=cells[i:j])
+        lower = np.arctan2(_dot(n00, _cross(n10, n11)), 1.0 + vert[:-1] + horiz[w:] + diag)
+        upper = np.arctan2(_dot(n00, _cross(n11, n01)), 1.0 + diag + vert[1:] + horiz[:n - 1])
+        cells[i:j] = np.append(2.0 * lower + 2.0 * upper, 0.0).reshape(j - i, w)[:, :cols]
+        del m, p, n00, n10, n11, n01, vert, horiz, diag, lower, upper  # before the next block
     return _exact_sum(cells.ravel()), even
 
 
@@ -209,7 +212,7 @@ def gauss_map_integrate(fn: Callable, region: tuple[float, float, float, float],
     fn(u, v) takes a (k, 1) block of the grid's column of u and its (1, nv+1)
     row of v and returns the (k, nv+1, 3) points of their broadcast grid, so
     it must be elementwise.  Normals come from central differences with step
-    1e-5 of the parameter span, as component planes, about 2**15 cells at a
+    1e-5 of the parameter span, as component planes, about 2**14 cells at a
     time, so only the fine cells and the half grid's normals are held whole.
     The swept area is tiled with spherical quads, and their cells are summed
     exactly; the same sum on the half- and quarter-resolution subgrids gives

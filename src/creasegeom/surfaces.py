@@ -309,11 +309,11 @@ def mudguard_surface(spec: MudguardSpec):
         phi = np.asarray(phi, dtype=float)
         eps = np.asarray(eps, dtype=float)
         d = c + spec.r * np.cos(eps)
-        out = np.empty(np.broadcast_shapes(phi.shape, eps.shape) + (3,))
-        np.multiply(d, np.cos(phi), out=out[..., 0])
-        np.multiply(d, np.sin(phi), out=out[..., 1])
-        np.multiply(spec.r, np.sin(eps), out=out[..., 2])
-        return out
+        out = np.empty((3,) + np.broadcast_shapes(phi.shape, eps.shape))  # x, y, z planes
+        np.multiply(d, np.cos(phi), out=out[0, ...])
+        np.multiply(d, np.sin(phi), out=out[1, ...])
+        np.multiply(spec.r, np.sin(eps), out=out[2, ...])
+        return np.moveaxis(out, 0, -1)
 
     return fn
 
@@ -325,8 +325,8 @@ def gen_mudguard(spec: MudguardSpec, nu: int, nv: int) -> TriMesh:
     fn = mudguard_surface(spec)
     phi = np.linspace(0.0, TWO_PI, nu + 1)[:-1]
     eps = np.linspace(-spec.mu, spec.mu, nv + 1)
-    grid = fn(phi[:, None], eps[None, :])
-    verts = grid.reshape(-1, 3)
+    verts = fn(phi[:, None], eps[None, :]).reshape(-1, 3)  # a copy: fn's planes are freed
+    grid = verts.reshape(nu, nv + 1, 3)
     ids = np.arange(nu * (nv + 1), dtype=np.int32).reshape(nu, nv + 1)
     wrapped = np.vstack([ids, ids[:1]])  # close the hoop
     tris = _grid_triangles(wrapped, np.concatenate([grid, grid[:1]], axis=0))

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -78,6 +79,55 @@ def test_sweep_degrees_flag(tmp_path, capsys, degrees, radians):
     assert run(["sweep", *degrees.split(), "--degrees", "--csv", csv_deg]) == 0
     assert run(["sweep", *radians.split(), "--csv", csv_rad]) == 0
     assert csv_deg.read_bytes() == csv_rad.read_bytes()
+
+
+@pytest.fixture
+def csv_rows(monkeypatch):
+    """The rows of each CSV the CLI writes, as it passes them to _write_csv."""
+    written, write = [], cli._write_csv
+
+    def spy(path, rows):
+        written.append(list(rows))
+        write(path, written[-1])
+
+    monkeypatch.setattr(cli, "_write_csv", spy)
+    return written
+
+
+def csv_writer_bytes(rows):
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(rows)
+    return text.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("argv, shows", [
+    ("--param alpha --range 0:1.5:7", ""),
+    ("--param alpha --range 10:80:5 --degrees", ""),
+    ("--param h --range 0.001:0.3:6 --alpha 30 --degrees", ""),
+    ("--param mu --range 0.1:1.2:4 --R 1e-8 --r 1e-9", "e-"),
+    ("--param R --range 1:10:4", ""),
+    ("--param r --range 0.001:0.4:4", ""),
+    ("--param n --range 3:1e19:3", "\n10000000000000000000,"),
+], ids=["alpha", "alpha-degrees", "h-degrees", "mu-exponents", "R", "r", "n-above-int64"])
+def test_sweep_csv_bytes_equal_csv_writers(tmp_path, capsys, csv_rows, argv, shows):
+    path = tmp_path / "s.csv"
+    assert run(["sweep", *argv.split(), "--csv", path]) == 0
+    [rows] = csv_rows
+    assert path.read_bytes() == csv_writer_bytes(rows)
+    assert shows in path.read_text()
+
+
+def test_analyze_csv_bytes_equal_csv_writers(tmp_path, capsys, csv_rows):
+    out = tmp_path / "t.obj"
+    assert run(["generate", "tube", "--a", 1, "--alpha", 0.7, "--strips", 8,
+                "--nu", 40, "--nv", 6, "--out", out]) == 0
+    for source in (out, f"{out}.json"):
+        path = tmp_path / "rates.csv"
+        assert run(["analyze", "--in", source, "--report", tmp_path / "r.json",
+                    "--csv", path]) == 0
+        assert path.read_bytes() == csv_writer_bytes(csv_rows[-1])
+        assert len(csv_rows[-1]) == 9  # the header and 8 creases
+    assert len(csv_rows) == 2
 
 
 ROUNDTRIP_ARGS = {

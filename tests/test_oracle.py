@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import re
@@ -589,6 +590,31 @@ def test_gauss_map_error_estimate_brackets_truth():
     assert abs(swept.extrapolated - exact) <= abs(swept.value - exact)
 
 
+def nan_at_one_point(u, v):  # one point of the first block's u - hu plane
+    return np.where(((u < 0.0) & (v == 0.0))[..., None], np.nan, sphere_surface(1.0)(u, v))
+
+
+def huge_in_the_last_block(u, v):  # its tangents' cross products overflow to inf
+    return sphere_surface(1.0)(u, v) * np.where(u > 0.9, 1e200, 1.0)[..., None]
+
+
+@pytest.mark.parametrize("fn, blocks", [(nan_at_one_point, 1), (huge_in_the_last_block, 4)],
+                         ids=["nan-first-block", "inf-later-block"])
+def test_gauss_map_refuses_non_finite_normals(fn, blocks):
+    calls = []
+
+    def surface(u, v):
+        calls.append(u)
+        return fn(u, v)
+
+    nv = oracle._BLOCK // 4  # blocks of 4 cell rows: 16 rows make 4
+    overflow = (pytest.warns(RuntimeWarning, match="overflow") if blocks > 1
+                else contextlib.nullcontext())
+    with pytest.raises(ParameterError, match="degenerate surface normal"), overflow:
+        gauss_map_integrate(surface, (0.0, 1.0, 0.0, 1.0), 16, nv)
+    assert len(calls) == 4 * blocks  # four shifted point grids per block
+
+
 def test_gauss_map_rejects_degenerate_and_bad_region():
     with pytest.raises(ParameterError):
         gauss_map_integrate(sphere_surface(1.0), (0.0, 1.0, 1.0, 0.5), 16, 16)
@@ -669,10 +695,11 @@ GAUSS_MAP_SURFACES = {
 }
 
 
-# Fine-grid blocks are _BLOCK // nv cell rows: 64 at nv = 512, so nu = 100
-# ends in a block of 36; 5 at nv = 6552, so nu = 16 has blocks starting at
-# odd rows and a last block of one row; 2 at nv = 2**14.
-BLOCK_EDGES = [(100, 512), (16, 6552), (8, 2 ** 14)]
+# Fine-grid blocks are _BLOCK // nv cell rows: 32 at nv = 512, so nu = 100
+# ends in a block of 4; 2 at nv = 6552, every block full; 1 at nv = 2**14;
+# 5 at nv = 3276, so nu = 16 has blocks starting at odd rows and a last block
+# of one row.
+BLOCK_EDGES = [(100, 512), (16, 6552), (8, 2 ** 14), (16, 3276)]
 
 
 @pytest.mark.parametrize("nu, nv", [(30, 21), (64, 36), (33, 128), (256, 256), (512, 512),
@@ -692,16 +719,16 @@ def test_gauss_map_equals_the_vector_reference_bit_for_bit(surface, nu, nv, monk
 
 def test_block_edge_grids_split_as_described():
     steps = [oracle._BLOCK // nv for _, nv in BLOCK_EDGES]
-    assert steps == [64, 5, 2]
-    assert [nu % step for (nu, _), step in zip(BLOCK_EDGES, steps)] == [36, 1, 0]
+    assert steps == [32, 2, 1, 5]
+    assert [nu % step for (nu, _), step in zip(BLOCK_EDGES, steps)] == [4, 0, 0, 1]
 
 
 # Traced peak of a 512^2 Gauss map of the canonical mudguard, per point of
-# its 513^2 grid: 34.3 B measured with numpy 2.4, where the fine grid's
-# normals are formed a block of rows at a time (96.0 B when the four point
-# grids, both tangent grids and all fine normals were held at once).  The
-# ceiling leaves 10%.
-GAUSS_MAP_PEAK_BYTES_PER_POINT = 38
+# its 513^2 grid: 20.6 B measured with numpy 2.4, where the fine grid's
+# normals and cells are formed about 2**14 cells at a time (26.2 B in blocks
+# of 2**15; 96.0 B when the four point grids, both tangent grids and all fine
+# normals were held at once).  The ceiling leaves 10%.
+GAUSS_MAP_PEAK_BYTES_PER_POINT = 1.1 * 20.6
 
 
 def test_gauss_map_peak_memory():
