@@ -114,9 +114,9 @@ class TubeSpec:
     a      cylinder radius, in [MIN_LENGTH, MAX_LENGTH]
     alpha  inclination of the crease lines to the tube axis, in [0, pi/2];
            alpha = 0 means axial lines, alpha = pi/2 means hoop lines
-    h      strip width measured normal to the creases, in (0, MAX_LENGTH];
-           no lower limit, since a tube of radius MIN_LENGTH closes with
-           narrower strips and h enters no mesh coordinate
+    h      strip width measured normal to the creases, in [MIN_LENGTH * a,
+           MAX_LENGTH]: its lower limit is relative, since a tube of radius
+           MIN_LENGTH closes with narrower strips
     """
 
     a: float
@@ -126,8 +126,9 @@ class TubeSpec:
     def __post_init__(self):
         _check_length("tube radius a", self.a)
         _check_length("strip width h", self.h, positive=False)  # keeps h/a^2 finite
-        if not self.h > 0:
-            raise ParameterError(f"strip width h must be positive, got {self.h}")
+        if not self.h >= MIN_LENGTH * self.a:  # a / h at most 1e50: a line count stays finite
+            raise ParameterError(f"strip width h must be at least {MIN_LENGTH:g} a = "
+                                 f"{MIN_LENGTH * self.a:g}, got {self.h}")
         if not (0 <= self.alpha <= math.pi / 2):
             raise ParameterError(
                 f"line angle alpha must lie in [0, pi/2], got {self.alpha}"

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MeshError, ParameterError, ResolutionError
 from .surfaces import _check_size
@@ -138,7 +139,9 @@ def angle_defect(mesh: TriMesh) -> DefectField:
 
 @dataclass(frozen=True)
 class GaussMapResult:
-    """Signed solid angle swept by the unit normals over a parameter region."""
+    """Signed solid angle swept by the unit normals over a parameter region;
+    anchor_stride is 4 where the finer grids extend the quarter tiling by
+    boundary strips, 1 where every grid was tiled whole."""
 
     value: float
     extrapolated: float
@@ -146,6 +149,7 @@ class GaussMapResult:
     converged: bool
     nu: int
     nv: int
+    anchor_stride: int = 1
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -178,22 +182,20 @@ def _normals(fn, u, v, hu, hv) -> np.ndarray:
     return su
 
 
-def _swept_area(normals: Callable, rows: int, cols: int) -> tuple[float, np.ndarray]:
-    """Signed area of the rows x cols quads of unit normal planes, split into
-    triangles (n00, n10, n11) and (n00, n11, n01): 2 atan2(a . b x c,
-    1 + a.b + b.c + c.a) each, with every a.b from one of three edge grids
-    (vertical, horizontal, diagonal) in einsum's order, and the planes of the
-    grid's even rows and columns.  normals(i, j) gives the C-ordered planes of
+def _swept_area(normals: Callable, rows: int, cols: int) -> float:
+    """Exactly summed signed area of the rows x cols quads of unit normal
+    planes, split into triangles (n00, n10, n11) and (n00, n11, n01):
+    2 atan2(a . b x c, 1 + a.b + b.c + c.a) each (Van Oosterom & Strackee
+    1983), with every a.b from one of three edge grids (vertical, horizontal,
+    diagonal) in einsum's order.  normals(i, j) gives the C-ordered planes of
     grid rows i to j inclusive, about _BLOCK cells at a time.  Flat, with w =
     cols + 1, cell t's n00, n10, n11 and n01 are t, t + w, t + w + 1 and t + 1,
     so each dot grid is a slice; each row's wrap cell (the last padded) is cut."""
-    cells, even = np.empty((rows, cols)), np.empty((3, rows // 2 + 1, cols // 2 + 1))
+    cells = np.empty((rows, cols))
     step, w = max(1, _BLOCK // cols), cols + 1
     for i in range(0, rows, step):
         j = min(i + step, rows)
-        m = normals(i, j)
-        even[:, (i + 1) // 2:j // 2 + 1] = m[:, i % 2::2, ::2]
-        p, n = [plane.reshape(-1) for plane in m], (j - i) * w
+        p, n = [plane.reshape(-1) for plane in normals(i, j)], (j - i) * w
         n00, n10, n11, n01 = ([q[k:k + n - 1] for q in p] for k in (0, w, w + 1, 1))
         vert = _dot([q[:n] for q in p], [q[w:] for q in p])
         horiz = _dot([q[:-1] for q in p], [q[1:] for q in p])
@@ -201,8 +203,46 @@ def _swept_area(normals: Callable, rows: int, cols: int) -> tuple[float, np.ndar
         lower = np.arctan2(_dot(n00, _cross(n10, n11)), 1.0 + vert[:-1] + horiz[w:] + diag)
         upper = np.arctan2(_dot(n00, _cross(n11, n01)), 1.0 + diag + vert[1:] + horiz[:n - 1])
         cells[i:j] = np.append(2.0 * lower + 2.0 * upper, 0.0).reshape(j - i, w)[:, :cols]
-        del m, p, n00, n10, n11, n01, vert, horiz, diag, lower, upper  # before the next block
-    return _exact_sum(cells.ravel()), even
+        del p, n00, n10, n11, n01, vert, horiz, diag, lower, upper  # before the next block
+    return _exact_sum(cells.ravel())
+
+
+def _ring_and_grid(normals: Callable, rows: int, cols: int):
+    """One pass over the normals(i, j) blocks of a rows x cols grid, as in
+    _swept_area: the ring of boundary normals, turning as its quads do from
+    (0, 0), and every 4th row and column; or (None, None) as soon as a 4 x 4
+    cell's normals, rim included, do not all have positive dots with the sum
+    of its four corners, which puts them in one open hemisphere (a copy of a
+    cell split between blocks waits for the next)."""
+    grid, sides = np.empty((3, rows // 4 + 1, cols // 4 + 1)), np.empty((3, rows + 1, 2))
+    step, band = max(1, _BLOCK // cols), None
+    for i in range(0, rows, step):
+        j = min(i + step, rows)
+        m = normals(i, j)
+        grid[:, -(-i // 4):j // 4 + 1] = m[:, -i % 4::4, ::4]
+        sides[:, i:j + 1] = m[:, :, ::cols]
+        top = m[:, 0].copy() if i == 0 else top
+        band = m if band is None else np.concatenate([band, m[:, 1:]], axis=1)  # from row 4 k
+        done = (band.shape[1] - 1) // 4 * 4
+        if done:  # each row of cells, rims included, against each cell's corner sum
+            q = band[:, :done + 1:4, ::4]
+            c = (q[:, :-1, :-1] + q[:, 1:, :-1]) + (q[:, 1:, 1:] + q[:, :-1, 1:])
+            cells = sliding_window_view(band[:, :done + 1], 5, axis=1)[:, ::4].swapaxes(2, 3)
+            if not (np.einsum("ijab,ijb->jab", cells[..., :-1], np.repeat(c, 4, axis=2)).min() > 0.0
+                    and np.einsum("ijab,ijb->jab", cells[..., 4::4], c).min() > 0.0):  # right rims
+                return None, None
+        band = band[:, done:].copy() if j % 4 else None
+    ring = [sides[:, :-1, 0], m[:, -1, :-1], sides[:, :0:-1, 1], top[:, :0:-1]]
+    return np.concatenate(ring, axis=1), grid
+
+
+def _strips(ring: np.ndarray, t: int) -> np.ndarray:
+    """Signed solid angles of the strips between the closed ring and its
+    every t-th point p, each a fan of triangles (p, p + k, p + k + 1)."""
+    k = np.arange(ring.shape[1])
+    k = k[k % t != 0]
+    a, b, c = (ring[:, i % ring.shape[1]] for i in (k - k % t, k, k + 1))
+    return 2.0 * np.arctan2(_dot(a, _cross(b, c)), 1.0 + _dot(a, b) + _dot(b, c) + _dot(c, a))
 
 
 def gauss_map_integrate(fn: Callable, region: tuple[float, float, float, float],
@@ -212,11 +252,17 @@ def gauss_map_integrate(fn: Callable, region: tuple[float, float, float, float],
     fn(u, v) takes a (k, 1) block of the grid's column of u and its (1, nv+1)
     row of v and returns the (k, nv+1, 3) points of their broadcast grid, so
     it must be elementwise.  Normals come from central differences with step
-    1e-5 of the parameter span, as component planes, about 2**14 cells at a
-    time, so only the fine cells and the half grid's normals are held whole.
-    The swept area is tiled with spherical quads, and their cells are summed
-    exactly; the same sum on the half- and quarter-resolution subgrids gives
-    a Richardson error estimate and an O(h^2) convergence check.  Before any
+    1e-5 of the parameter span, about 2**14 cells at a time, in one pass that
+    keeps the boundary ring and the quarter grid (every 4th row and column).
+    A tiling of normals encloses the area of its boundary loop up to a
+    multiple of 4 pi, and exactly when each quarter cell's normals lie in
+    one open hemisphere, which the pass checks.  Then only the quarter grid
+    is tiled, with spherical quads whose cells are summed exactly, and the
+    fine and half values add the exactly summed strips between the quarter
+    ring and theirs.  Else, from the first cell that fails, every grid is
+    tiled whole, its normals formed again (fn is elementwise, so they are
+    the fine normals' bits).  The three values give a Richardson error
+    estimate and an O(h^2) convergence check.  Before any
     array is built, an empty or non-finite region raises ParameterError, and
     nu or nv that is not an int or is below 4 (bools are), or a grid of more
     than surfaces.MAX_VERTICES points once both are rounded up to multiples
@@ -233,11 +279,16 @@ def gauss_map_integrate(fn: Callable, region: tuple[float, float, float, float],
     hu, hv = GAUSS_MAP_STEP_FACTOR * (u1 - u0), GAUSS_MAP_STEP_FACTOR * (v1 - v0)
     u = np.linspace(u0, u1, nu + 1)[:, None]
     v = np.linspace(v0, v1, nv + 1)[None, :]
-    fine, halved = _swept_area(lambda i, j: _normals(fn, u[i:j + 1], v, hu, hv), nu, nv)
-    half, quartered = _swept_area(lambda i, j: halved[:, i:j + 1], nu // 2, nv // 2)
-    quarter = _swept_area(lambda i, j: quartered[:, i:j + 1], nu // 4, nv // 4)[0]
-
+    def normals(t):  # rows i to j of the grid of every t-th row and column
+        return lambda i, j: _normals(fn, u[t * i:t * j + 1:t], v[:, ::t], hu, hv)
+    ring, grid = _ring_and_grid(normals(1), nu, nv)
+    if ring is None:  # a quarter cell failed: each stride's grid tiled whole
+        quarter, half, fine = (_swept_area(normals(t), nu // t, nv // t) for t in (4, 2, 1))
+    else:
+        quarter = _swept_area(lambda i, j: grid[:, i:j + 1], nu // 4, nv // 4)
+        half, fine = (quarter + _exact_sum(np.append(_strips(ring, 4), -_strips(ring, t)))
+                      for t in (2, 1))  # strips(1) is empty
     d1, d2 = fine - half, half - quarter  # O(h^2) tiling: halving the grid quarters the error
     converged = abs(d1) < 1e-13 * max(1.0, abs(fine)) or 2.0 <= abs(d2) / abs(d1) <= 8.0
     return GaussMapResult(value=fine, extrapolated=fine + d1 / 3.0, error_estimate=abs(d1) / 3.0,
-                          converged=converged, nu=nu, nv=nv)
+                          converged=converged, nu=nu, nv=nv, anchor_stride=1 if ring is None else 4)

@@ -136,7 +136,8 @@ def suite_mudguard() -> list[VerificationReport]:
         nu=gauss_res, nv=gauss_res,
     )
     reports.append(_rel("mudguard gauss map canonical", closed, swept.value, 1e-3,
-                        converged=swept.converged, error_estimate=swept.error_estimate,
+                        converged=swept.converged, anchor_stride=swept.anchor_stride,
+                        error_estimate=swept.error_estimate,
                         extrapolated=swept.extrapolated, **CANONICAL_MUDGUARD))
     # r -> 0: the closed form approaches 4*pi*sin(mu) with O(r/R) deficit
     mu = 0.3

@@ -611,15 +611,14 @@ SPEC_LENGTHS = {
 }
 
 
-# h has no lower limit: a tube of radius 1e-50 closes with narrower strips
 @pytest.mark.parametrize("field, value", [
     (field, value) for field in SPEC_LENGTHS for value in (1e-60, 1e60)
-    if (field, value) != ("TubeSpec.h", 1e-60)
 ])
 def test_spec_lengths_are_refused_alike_by_generate_sidecar_and_sweep(tmp_path, capsys,
                                                                       field, value):
     gen_flags, sweep_args, name = SPEC_LENGTHS[field]
-    message = (f"{name} must be at least 1e-50, got {value}" if value < 1
+    limit = "1e-50 a = 1e-50" if field == "TubeSpec.h" else "1e-50"  # h's is relative to a = 1
+    message = (f"{name} must be at least {limit}, got {value}" if value < 1
                else f"{name} must be finite and at most 1e+50, got {value}")
     shape, *flags = gen_flags.format(L=value).split()
     out = tmp_path / "x.obj"
@@ -641,6 +640,25 @@ def test_spec_lengths_are_refused_alike_by_generate_sidecar_and_sweep(tmp_path, 
                 f"--csv={csv_path}"]) == 2
     assert assert_one_line_error(capsys) == f"error: {message}\n"
     assert not csv_path.exists()
+
+
+# h's lower limit is 1e-50 a, not MIN_LENGTH: a tube of radius 1e-50 closes
+# with narrower strips, and a / h at most 1e50 keeps a cylinder's line count
+# finite.  An h sweep that starts below it is refused before any row.
+def test_sweep_refuses_h_below_its_limit_relative_to_a(tmp_path, capsys):
+    csv_path = tmp_path / "x.csv"
+    assert run(["sweep", "--param", "h", "--range=1e-60:1e-3:2", f"--csv={csv_path}"]) == 2
+    assert assert_one_line_error(capsys) == (
+        "error: strip width h must be at least 1e-50 a = 1e-50, got 1e-60\n")
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("args", ["alpha --range=0.1:0.2:2 --h=1e-100",
+                                  "h --range=1e-100:1e-51:2"])
+def test_sweep_takes_h_down_to_its_limit_at_the_smallest_radius(tmp_path, args):
+    csv_path = tmp_path / "x.csv"
+    assert run(["sweep", "--param", *args.split(), "--a=1e-50", f"--csv={csv_path}"]) == 0
+    assert len(csv_path.read_text().splitlines()) == 3
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -687,10 +705,11 @@ def test_resolution_cap_exit_codes(tmp_path, capsys, monkeypatch):
                 "--nu", 8, "--nv", 4, "--out", out]) == 2
     assert "over the limit of 100" in assert_one_line_error(capsys)
     assert not out.exists()
-    # a / h overflows to an infinite line count, which never reaches round()
-    assert run(["generate", "cylinder", "--a=1e50", "--alpha=0.7", "--h=1e-300",
+    # the narrowest strips TubeSpec takes, h = 1e-50 a, give 4.81e50 lines,
+    # refused before round() sees them
+    assert run(["generate", "cylinder", "--a=1e50", "--alpha=0.7", "--h=1",
                 "--out", out]) == 2
-    assert "inf lines, over the limit of 100" in assert_one_line_error(capsys)
+    assert "4.81e+50 lines, over the limit of 100" in assert_one_line_error(capsys)
     assert run(["analyze", "--in", sidecar]) == 3
     err = assert_one_line_error(capsys)
     assert "t.obj.json" in err and "over the limit of 100" in err

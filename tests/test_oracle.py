@@ -698,37 +698,121 @@ GAUSS_MAP_SURFACES = {
 # Fine-grid blocks are _BLOCK // nv cell rows: 32 at nv = 512, so nu = 100
 # ends in a block of 4; 2 at nv = 6552, every block full; 1 at nv = 2**14;
 # 5 at nv = 3276, so nu = 16 has blocks starting at odd rows and a last block
-# of one row.
+# of one row.  The last three start blocks between quarter rows, so their
+# quarter cells are checked across two blocks.
 BLOCK_EDGES = [(100, 512), (16, 6552), (8, 2 ** 14), (16, 3276)]
+
+# The sphere's and the mudguard's rows go once round a circle.  With 4 or 8
+# rows a quarter cell turns through 360 or 180 degrees, so the hemisphere
+# check fails and every grid is tiled whole; with 12 the quarter grid anchors.
+COARSE_FULL_CIRCLES = [(4, 4), (8, 8), (12, 12)]
+FULL_CIRCLE_ANCHOR = {4: 1, 8: 1}
+
+
+def rounding_bound(nu, nv):
+    """How far a value built from the quarter tiling and the boundary strips
+    may lie from the reference's full tiling.  Both round the exact sum of
+    the same stored normals' triangles: the tilings' cells and the strips
+    cancel exactly, since every cell of the anchor grid passed the
+    hemisphere check.
+    A triangle's 2 atan2(y, x) has x >= 3/4 on these grids (the smallest,
+    0.77, is the 12^2 sphere band's quarter tiling), and rounding, with the
+    normals' norms within 2u of 1 (u = 2**-53), moves y = a . b x c by at
+    most (2/sqrt(3) + 4 + 6) u and x by at most 18 u + 24 u, so the triangle
+    by at most 2 (|dy| + |y| |dx| / x) / x + 2 u |T| < 256 u.  So the bound
+    is 128 eps for every triangle of the three tilings and the strips, plus
+    4 ulp of 4 pi for the final roundings, doubled for extrapolated = fine
+    + (fine - half) / 3.  (40-digit mpmath measured at most 0.23 u per
+    triangle on 12^2 to 64^2 grids of these surfaces, and from 12^2 to
+    512^2 value moved by at most 5.6e-15 and extrapolated by 6.7e-15.)"""
+    triangles = 2 * (nu * nv + nu * nv // 4 + nu * nv // 16) + 8 * (nu + nv)
+    return 2.0 * (128 * triangles * np.finfo(float).eps + 4.0 * np.spacing(4.0 * math.pi))
 
 
 @pytest.mark.parametrize("nu, nv", [(30, 21), (64, 36), (33, 128), (256, 256), (512, 512),
-                                    *BLOCK_EDGES])
+                                    *BLOCK_EDGES, *COARSE_FULL_CIRCLES])
 @pytest.mark.parametrize("surface", sorted(GAUSS_MAP_SURFACES))
 def test_gauss_map_equals_the_vector_reference_bit_for_bit(surface, nu, nv, monkeypatch):
-    # the exact sums round away a last-bit change in a few cells: compare
-    # the cells that reach them as well
+    # the tiled cells (the anchor stride's and every coarser stride's) reach
+    # the exact sums bit for bit, and so do their values; the finer strides'
+    # values add exactly summed strips to the anchor, and they and the
+    # results agree with the reference within rounding_bound
     fn, region = GAUSS_MAP_SURFACES[surface]
-    cells, exact_sum = [], oracle._exact_sum
-    monkeypatch.setattr(oracle, "_exact_sum", lambda values: exact_sum(cells.append(values) or values))
+    sums, exact_sum = [], oracle._exact_sum
+    monkeypatch.setattr(oracle, "_exact_sum",
+                        lambda values: sums.append((values, exact_sum(values))) or sums[-1][1])
     got = gauss_map_integrate(fn, region, nu, nv)
     want, want_cells = reference_gauss_map(fn, region, nu, nv)
-    assert result_bits(got) == result_bits(want)
-    assert [c.tobytes() for c in cells] == [c.tobytes() for c in want_cells]
+    value, want_value = {}, dict(zip((1, 2, 4), want_cells))
+    for t, (cells, total) in zip((4, 2, 1), sums, strict=True):
+        if t >= got.anchor_stride:
+            assert cells.tobytes() == want_value[t].tobytes()
+            value[t] = total
+        else:
+            value[t] = value[got.anchor_stride] + total
+        want_value[t] = math.fsum(want_value[t])
+    bound = rounding_bound(want.nu, want.nv)
+    for t in (1, 2, 4):
+        if t >= got.anchor_stride:
+            assert value[t].hex() == want_value[t].hex()
+        assert abs(value[t] - want_value[t]) <= bound / 2
+    assert value[1] == got.value
+    for key in ("value", "extrapolated", "error_estimate"):
+        assert abs(getattr(got, key) - getattr(want, key)) <= bound, key
+    assert (got.converged, got.nu, got.nv) == (want.converged, want.nu, want.nv)
+    full_circle = surface != "twisted-patch"
+    assert got.anchor_stride == (FULL_CIRCLE_ANCHOR.get(nu, 4) if full_circle else 4)
+
+
+@pytest.mark.parametrize("step", [1, 3, 5])
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_gauss_map_checks_cells_split_between_blocks(n, step, monkeypatch):
+    # n rows by n + 8 columns in blocks of `step` rows: quarter cells straddle
+    # blocks (and fail the check at n = 4 and 8, so every grid is tiled whole
+    # in blocks too), and the results equal those of one block
+    fn, region = GAUSS_MAP_SURFACES["sphere"]
+    whole = gauss_map_integrate(fn, region, n, n + 8)
+    monkeypatch.setattr(oracle, "_BLOCK", step * (n + 8))
+    split = gauss_map_integrate(fn, region, n, n + 8)
+    assert result_bits(split) == result_bits(whole)
+    assert split.anchor_stride == FULL_CIRCLE_ANCHOR.get(n, 4)
+
+
+@pytest.mark.parametrize("failing", ["left", "right", None])
+@pytest.mark.parametrize("transpose", [False, True], ids=["column-rim", "row-rim"])
+def test_hemisphere_check_reads_a_shared_rim_against_both_cells(transpose, failing):
+    # two 4 x 4 cells side by side (or stacked) whose corner sums are
+    # (2, 0, 2) and (0, 0, 4); one point of their shared rim has a negative
+    # dot with the left cell's sum only, or the right cell's only
+    def unit(*v):
+        return np.array(v) / np.linalg.norm(v)
+
+    n = np.empty((5, 9, 3))
+    n[:, :4], n[:, 4:], n[:, 0] = unit(1, 0, 1), unit(0, 0, 1), unit(1, 0, 0)
+    if failing:
+        n[2, 4] = unit(-3, 0, 1) if failing == "left" else unit(3, 0, -1)
+    planes = np.ascontiguousarray(np.moveaxis(n.transpose(1, 0, 2) if transpose else n, -1, 0))
+    rows, cols = planes.shape[1] - 1, planes.shape[2] - 1
+    ring, grid = oracle._ring_and_grid(lambda i, j: planes[:, i:j + 1], rows, cols)
+    assert (ring is None, grid is None) == (bool(failing), bool(failing))
 
 
 def test_block_edge_grids_split_as_described():
     steps = [oracle._BLOCK // nv for _, nv in BLOCK_EDGES]
     assert steps == [32, 2, 1, 5]
     assert [nu % step for (nu, _), step in zip(BLOCK_EDGES, steps)] == [4, 0, 0, 1]
+    between = [any(i % 4 for i in range(0, nu, step)) for (nu, _), step in zip(BLOCK_EDGES, steps)]
+    assert between == [False, True, True, True]
 
 
 # Traced peak of a 512^2 Gauss map of the canonical mudguard, per point of
-# its 513^2 grid: 20.6 B measured with numpy 2.4, where the fine grid's
-# normals and cells are formed about 2**14 cells at a time (26.2 B in blocks
-# of 2**15; 96.0 B when the four point grids, both tangent grids and all fine
-# normals were held at once).  The ceiling leaves 10%.
-GAUSS_MAP_PEAK_BYTES_PER_POINT = 1.1 * 20.6
+# its 513^2 grid: 9.59 B measured with numpy 2.4, where one pass forms the
+# fine normals about 2**14 cells at a time and keeps only the boundary ring
+# and the quarter grid, so block temporaries make most of it (20.6 B when
+# the fine cells and the half grid were held; 26.2 B in blocks of 2**15;
+# 96.0 B when the four point grids, both tangent grids and all fine normals
+# were held at once).  The ceiling leaves 10%.
+GAUSS_MAP_PEAK_BYTES_PER_POINT = 1.1 * 9.59
 
 
 def test_gauss_map_peak_memory():
