@@ -25,8 +25,8 @@ CREASE_ARC_SPAN = math.pi / 2
 
 # Largest mesh, in vertices, that a generator builds: below 2**31, so
 # generators index their triangles in int32.  Analysing a generated mesh
-# peaks at about 124 bytes per vertex from its sidecar and 173 from its OBJ
-# (945k-vertex tube, RSS above the interpreter): 1.2 and 1.7 GB at the limit.
+# peaks at about 104 bytes per vertex from its sidecar and 173 from its OBJ
+# (945k-vertex tube, RSS above the interpreter): 1.0 and 1.7 GB at the limit.
 MAX_VERTICES = 10_000_000
 
 # Cells per block in which a helical band's strips are filled, so that its

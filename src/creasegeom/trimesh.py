@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import re
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -57,10 +56,11 @@ class TriMesh:
 
     def validate(self) -> tuple:
         """Raise MeshError on any structural invariant violation: topology faults
-        first, then a triangle whose area is not finite (the coordinates
-        overflow the kernel), then a degenerate one.  Returns each vertex's
-        corner-angle sum and lumped area (V,), the boundary mask (V,) and the
-        edge count it computed, so angle_defect measures without a second pass."""
+        first, before any corner is summed, then a triangle whose area is not
+        finite (the coordinates overflow the kernel), then a degenerate one.
+        Returns each vertex's corner-angle sum and lumped area (V,), the
+        boundary mask (V,) and the edge count it computed, so angle_defect
+        measures without a second pass."""
         if self.num_vertices == 0 or self.num_triangles == 0:
             raise MeshError("mesh has no geometry")
         nonfinite = np.flatnonzero(~np.isfinite(self.vertices))
@@ -69,13 +69,8 @@ class TriMesh:
         triangles, num_vertices = self.triangles, self.num_vertices
         if triangles.min() < 0 or triangles.max() >= num_vertices:
             raise MeshError("triangle index out of range")  # keys would alias
-        # allocated on this thread: what the second one allocates stays in its arena
-        keys = np.empty(triangles.size, dtype=np.int64)
-        starts = np.ones(len(keys) + 1, dtype=bool)  # starts[i]: edge[i] opens a run
-        mask = np.zeros(num_vertices, dtype=bool)
-        (num_edges, boundary), (angle_sum, lumped, diag, (bad, twice_area)) = _run_beside(
-            lambda: _edge_topology(triangles, keys, starts, mask),
-            lambda: _vertex_sums(self.vertices, triangles))
+        num_edges, boundary = _edge_topology(triangles, num_vertices)  # frees its keys
+        angle_sum, lumped, diag, (bad, twice_area) = _vertex_sums(self.vertices, triangles)
         if not np.isfinite(twice_area):
             raise MeshError(f"triangle {bad} has a non-finite area ({twice_area / 2})")
         limit = DEGENERATE_AREA_FACTOR * diag * diag
@@ -95,12 +90,9 @@ class TriMesh:
         return angle_sum, lumped, boundary, num_edges
 
 
-def _edge_topology(triangles: np.ndarray, keys: np.ndarray, starts: np.ndarray,
-                   mask: np.ndarray) -> tuple:
-    """(edge count, boundary vertex mask) from one in-place sort of packed
-    edge keys.  The caller allocates keys (3T,), starts (3T + 1,) of ones and
-    mask (V,) of zeros, which this fills: run on a second thread, it then
-    allocates no array of the mesh's size until it finds a fault.
+def _edge_topology(triangles: np.ndarray, num_vertices: int) -> tuple:
+    """(edge count, boundary vertex mask (V,)) from one in-place sort of
+    packed edge keys (3T,), which are freed when this returns.
 
     Directed edge a->b packs into the int64 key 2*(min*V + max) + (a > b),
     exact while V <= 2**31.  Equal keys are a directed edge used twice, which
@@ -108,9 +100,10 @@ def _edge_topology(triangles: np.ndarray, keys: np.ndarray, starts: np.ndarray,
     Otherwise key >> 1, shifted in place, is an undirected edge id, a run of
     1 a rim edge.
     """
-    num_vertices = len(mask)
+    keys = np.empty(triangles.size, dtype=np.int64)
     _pack_edge_keys(triangles, num_vertices, keys.reshape(triangles.shape))
     keys.sort()
+    starts = np.ones(len(keys) + 1, dtype=bool)  # starts[i]: edge[i] opens a run
     if np.equal(keys[1:], keys[:-1], out=starts[1:-1]).any():
         if np.any(keys[2:] >> 1 == keys[:-2] >> 1):
             raise MeshError("non-manifold edge shared by more than 2 triangles")
@@ -123,34 +116,9 @@ def _edge_topology(triangles: np.ndarray, keys: np.ndarray, starts: np.ndarray,
     for s in range(0, len(edge), _BLOCK):
         e = min(s + _BLOCK, len(edge))
         np.logical_and(starts[s:e], starts[s + 1:e + 1], out=starts[s:e])
+    mask = np.zeros(num_vertices, dtype=bool)
     mask[np.concatenate(np.divmod(edge[starts[:-1]], num_vertices))] = True
     return num_edges, mask
-
-
-def _run_beside(worker, meanwhile) -> tuple:
-    """(worker(), meanwhile()), with meanwhile() on this thread while worker()
-    runs on a second one (numpy releases the GIL in its loops).  The second
-    thread is joined before this returns or raises, and an exception raised
-    on it is raised here unless meanwhile raised one first.  A worker
-    allocates only block-sized temporaries: what a thread allocates stays
-    resident in its glibc arena."""
-    done, failed = [], []
-
-    def run():
-        try:
-            done.append(worker())
-        except BaseException as exc:
-            failed.append(exc)
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    try:
-        during = meanwhile()
-    finally:
-        thread.join()
-    if failed:
-        raise failed[0]
-    return done[0], during
 
 
 def _pack_edge_keys(triangles: np.ndarray, num_vertices: int, out: np.ndarray) -> None:

@@ -261,12 +261,13 @@ def test_angle_defect_equals_the_per_triangle_kernel_bit_for_bit(shape, variant)
         assert field.defect[-1] == 2 * math.pi and field.lumped_area[-1] == 0
 
 # Traced peak of generating a 12-strip 128x128 tube (190,016 vertices) and
-# taking its angle defect, per vertex: 131.8 B measured with numpy 2.4, where
-# the generator indexes triangles in int32 and validate keeps two per-vertex
-# sums (164.1 B with six per-slot sums, 187.9 B with int64 triangles as well,
-# 206.8 B when validate also kept per-triangle areas and corner angles).  The
+# taking its angle defect, per vertex: 103.0 B measured with numpy 2.4, where
+# validate frees its edge keys before it allocates its two per-vertex sums
+# (131.8 B, ceiling 145, when a second thread sorted the keys beside the sums;
+# 164.1 B with six per-slot sums, 187.9 B with int64 triangles as well, 206.8
+# B when validate also kept per-triangle areas and corner angles).  The
 # ceiling leaves 10% for allocator and numpy-version differences.
-PEAK_BYTES_PER_VERTEX = 145
+PEAK_BYTES_PER_VERTEX = 114
 
 
 def test_tube_generate_and_angle_defect_peak_memory():
@@ -300,13 +301,15 @@ def test_vertex_sums_hold_two_per_vertex_arrays():
 
 # Growth of the peak resident set (VmHWM) over its post-import value when a
 # fresh interpreter generates the 12-strip 256x256 tube (756,864 vertices)
-# and takes its density, per vertex: 123.6-124.1 B in 7 runs with numpy 2.4
-# and glibc malloc, with int32 triangles and two per-vertex sums (155.9-156.3
-# B with six per-slot sums).  The ceiling leaves 10%.  tracemalloc does not
-# see memory that a thread's glibc arena keeps after numpy frees it; VmHWM
-# does.  ru_maxrss would not do: the child starts with its parent's, so under
-# the whole test suite its growth read 0.
-PEAK_RSS_BYTES_PER_VERTEX = 136
+# and takes its density, per vertex: 104.4 B in 3 runs with numpy 2.4 and
+# glibc malloc, with validate on one thread, its edge keys freed before its
+# two per-vertex sums (123.6-124.1 B, ceiling 136, with the keys sorted on a
+# second thread; 155.9-156.3 B with six per-slot sums as well).  The ceiling
+# leaves 10%.  VmHWM sees what tracemalloc does not, such as memory a
+# thread's glibc arena keeps after numpy frees it.  ru_maxrss would not do:
+# the child starts with its parent's, so under the whole test suite its
+# growth read 0.
+PEAK_RSS_BYTES_PER_VERTEX = 115
 
 RSS_PROBE = """
 import math
@@ -331,11 +334,13 @@ def test_tube_generate_and_density_peak_rss_in_a_fresh_interpreter():
     assert vertices == 756_864
     assert grown / vertices < PEAK_RSS_BYTES_PER_VERTEX
 
-# Traced peak of run_suite("all"): 8.94-9.07 MB in 3 runs with numpy 2.4, set
-# by twist-independence's 128x32 tubes (47,552 vertices each); the
-# strip-curvature suite's 64x32 tube peaks at 5.2 MB, and at 256x256 it set
-# the whole run's peak at 92.4 MB.  The ceiling leaves 10%.
-VERIFY_ALL_PEAK_BYTES = int(1.1 * 9.07e6)
+# Traced peak of run_suite("all"): 6.29-6.30 MB in 3 runs with numpy 2.4, set
+# by twist-independence's 128x32 tubes (47,552 vertices each), with
+# validate's edge keys freed before its sums (8.94-9.07 MB, ceiling 9.98 MB,
+# with the keys sorted on a second thread beside them).  The strip-curvature
+# suite's 64x32 tube peaks at 3.9 MB, and at 256x256 it set the whole run's
+# peak at 92.4 MB.  The ceiling leaves 10%.
+VERIFY_ALL_PEAK_BYTES = int(1.1 * 6.30e6)
 
 
 def test_verify_all_peak_memory():

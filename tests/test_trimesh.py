@@ -1,7 +1,6 @@
 import math
 import threading
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -233,21 +232,16 @@ def test_topology_matches_unique_reference(shape):
 
 
 def edge_topology(mesh):
-    """_edge_topology of mesh on this thread, into arrays allocated as validate
-    allocates them."""
-    t = mesh.triangles
-    return trimesh._edge_topology(t, np.empty(t.size, dtype=np.int64),
-                                  np.ones(t.size + 1, dtype=bool),
-                                  np.zeros(mesh.num_vertices, dtype=bool))
+    """_edge_topology of mesh, called as validate calls it."""
+    return trimesh._edge_topology(mesh.triangles, mesh.num_vertices)
 
 
 def test_edge_topology_runs_on_the_calling_thread_and_raises_its_faults(monkeypatch):
-    def no_thread(*args, **kwargs):
+    def no_thread(self):
         raise AssertionError("a second thread was started")
 
-    meshes = (square_mesh(), GENERATED["tube"]())  # built before the patch
-    monkeypatch.setattr(trimesh, "threading", types.SimpleNamespace(Thread=no_thread))
-    for mesh in meshes:
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    for mesh in (square_mesh(), GENERATED["tube"]()):
         mask, euler = unique_topology(mesh)
         num_edges, boundary = edge_topology(mesh)
         assert num_edges == mesh.num_vertices + mesh.num_triangles - euler
@@ -297,7 +291,7 @@ def test_in_place_edit_after_topology_query_is_seen():
         mesh.validate()
 
 
-# -- validate's sort thread and the order of its faults ----------------------
+# -- validate on one thread and the order of its faults ---------------------
 
 def test_topology_faults_are_raised_before_degenerate_triangles():
     wound = square_mesh()
@@ -383,58 +377,34 @@ def test_index_range_is_checked_before_any_gather(monkeypatch):
             mesh.validate()
 
 
-def test_validate_joins_its_sort_thread_on_every_path(monkeypatch):
-    started, joined = [], []
-
-    class Recorded(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-        def join(self, timeout=None):
-            joined.append(self)
-            super().join(timeout)
+def test_validate_starts_no_thread(monkeypatch):
+    def no_thread(self):
+        raise AssertionError("a second thread was started")
 
     mesh = GENERATED["tube"]()  # built before the patch
-    monkeypatch.setattr(trimesh, "threading", types.SimpleNamespace(Thread=Recorded))
-    before = threading.active_count()
-    mesh.validate()
-    during = []
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    angle_sum, _, _, num_edges = mesh.validate()
+    assert len(angle_sum) == mesh.num_vertices and num_edges > 0
 
-    def failing(*args):
-        during.append(threading.active_count())
-        raise RuntimeError("vertex sums failed")
 
-    monkeypatch.setattr(trimesh, "_vertex_sums", failing)
-    with pytest.raises(RuntimeError, match="vertex sums failed"):
+def test_winding_fault_is_raised_before_any_corner_is_summed(monkeypatch):
+    def summed(*args):
+        raise AssertionError("corners summed before the topology check")
+
+    mesh = GENERATED["tube"]()
+    mesh.triangles[-1] = mesh.triangles[-1][::-1]
+    monkeypatch.setattr(trimesh, "_vertex_sums", summed)
+    with pytest.raises(OrientationError, match="repeated directed edge"):
         mesh.validate()
-    assert before <= during[0] <= before + 1  # at most the one sort thread
-    assert len(started) == 2 and joined == started
-    assert threading.active_count() == before
 
 
-def test_packing_thread_exception_propagates_and_the_thread_is_joined(monkeypatch):
+def test_packing_exception_propagates_out_of_validate(monkeypatch):
     def failing(triangles, num_vertices, out):
         raise MemoryError("no room for the edge keys")
 
     monkeypatch.setattr(trimesh, "_pack_edge_keys", failing)
-    before = threading.enumerate()
     with pytest.raises(MemoryError, match="no room for the edge keys"):
         GENERATED["tube"]().validate()
-    assert threading.enumerate() == before
-
-
-def test_edge_keys_are_packed_off_the_calling_thread(monkeypatch):
-    packers = []
-    pack = trimesh._pack_edge_keys
-
-    def recorded(*args):
-        packers.append(threading.current_thread())
-        pack(*args)
-
-    monkeypatch.setattr(trimesh, "_pack_edge_keys", recorded)
-    GENERATED["tube"]().validate()
-    assert len(packers) == 1 and packers[0] is not threading.current_thread()
 
 
 @pytest.mark.parametrize("scale", [1e100, 1e160, 1e300])
