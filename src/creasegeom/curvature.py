@@ -4,13 +4,6 @@ Conventions used throughout the library: angles are in radians, lengths are
 dimensionless but must be mutually consistent, and the twist curvature ``kxy``
 is left-handed positive (a surface ``z = kxy * x * y`` has positive twist).
 Principal curvatures are always returned in descending order.
-
-CurvatureState (with rotated), MohrCircle, mohr_circle, principal_curvatures
-and gaussian_curvature accept numpy arrays as well as floats: the same
-formulas run on ufuncs, element by element, and the finiteness and radius
-checks hold for every element.  Scalars keep the math-module path and its
-Python floats.  numpy's hypot may round a Mohr radius one ulp away from
-math.hypot; every other result agrees bit for bit.
 """
 
 from __future__ import annotations
@@ -18,8 +11,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ParameterError, ShallowRegimeWarning
 
@@ -44,32 +35,6 @@ def _check_length(name: str, value: float, positive: bool = True) -> None:
         raise ParameterError(f"{name} must be at least {MIN_LENGTH:g}, got {value}")
 
 
-# The math module takes scalars only: a TypeError sends an array of several
-# elements to numpy.  Trying math first keeps the scalar path at its old cost.
-def _math(name: str, *args):
-    """math.<name>(*args) on scalars, numpy's ufunc of that name on arrays."""
-    try:
-        return getattr(math, name)(*args)
-    except TypeError:
-        return getattr(np, name)(*args)
-
-
-def _finite(value) -> bool:
-    """Whether value, or every element of an array value, is finite."""
-    try:
-        return math.isfinite(value)
-    except TypeError:
-        return bool(np.isfinite(value).all())
-
-
-def _any(flags) -> bool:
-    """The truth of a scalar test, or whether an array test holds anywhere."""
-    try:
-        return bool(flags)
-    except ValueError:  # an array of several elements has no single truth
-        return bool(flags.any())
-
-
 @dataclass(frozen=True)
 class CurvatureState:
     """Components of the symmetric 2x2 curvature/twist tensor at a point."""
@@ -80,12 +45,12 @@ class CurvatureState:
 
     def __post_init__(self):
         for name in ("kxx", "kyy", "kxy"):
-            if not _finite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"curvature component {name} must be finite")
 
     def rotated(self, phi: float) -> "CurvatureState":
-        """The same tensor expressed in axes rotated by phi (a float or an array)."""
-        c, s = _math("cos", phi), _math("sin", phi)
+        """The same tensor expressed in axes rotated by phi."""
+        c, s = math.cos(phi), math.sin(phi)
         return CurvatureState(
             kxx=self.kxx * c * c + 2.0 * self.kxy * s * c + self.kyy * s * s,
             kyy=self.kxx * s * s - 2.0 * self.kxy * s * c + self.kyy * c * c,
@@ -101,9 +66,9 @@ class MohrCircle:
     radius: float
 
     def __post_init__(self):
-        if not (_finite(self.center) and _finite(self.radius)):
+        if not (math.isfinite(self.center) and math.isfinite(self.radius)):
             raise ParameterError("Mohr circle parameters must be finite")
-        if _any(self.radius < 0):
+        if self.radius < 0:
             raise ParameterError("Mohr circle radius must be >= 0")
 
 
@@ -181,7 +146,7 @@ def mohr_circle(state: CurvatureState) -> MohrCircle:
     """Mohr's circle of a curvature state: C = (kxx+kyy)/2, B = sqrt(kxy^2 + ((kxx-kyy)/2)^2)."""
     center = 0.5 * (state.kxx + state.kyy)
     half_diff = 0.5 * (state.kxx - state.kyy)
-    radius = _math("hypot", state.kxy, half_diff)
+    radius = math.hypot(state.kxy, half_diff)
     return MohrCircle(center=center, radius=radius)
 
 

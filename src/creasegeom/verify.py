@@ -212,25 +212,22 @@ def suite_strip_curvature() -> list[VerificationReport]:
 
 def suite_mohr() -> list[VerificationReport]:
     """Random-state property checks: Gaussian curvature by product rule vs by
-    Mohr circle, and rotation invariance of the principal values.  The states
-    and angles are drawn in turn (kxx, kyy, kxy, phi per state), as
-    random.uniform draws them, lo + (hi - lo) * random(); then each
-    curvature function runs once on the arrays."""
-    count, seed = 10_000, 20260824
+    Mohr circle, and rotation invariance of the principal values, over 512
+    seeded states.  Each state draws kxx, kyy, kxy and then its angle phi."""
+    count, seed = 512, 20260824
     rng = random.Random(seed)
-    lo = np.array([[-10.0], [-10.0], [-10.0], [0.0]])
-    hi = np.array([[10.0], [10.0], [10.0], [math.pi]])
-    unit = np.fromiter(iter(rng.random, None), dtype=float, count=4 * count)
-    draws = lo + (hi - lo) * unit.reshape(count, 4).T
-    state = curvature.CurvatureState(kxx=draws[0], kyy=draws[1], kxy=draws[2])
-    scale = np.maximum(1.0, (draws[:3] ** 2).max(axis=0))
-    circle = curvature.mohr_circle(state)
-    by_circle = circle.center**2 - circle.radius**2
-    worst_k = np.max(np.abs(curvature.gaussian_curvature(state) - by_circle) / scale)
-    p = curvature.principal_curvatures(state)
-    q = curvature.principal_curvatures(state.rotated(draws[3]))
-    pscale = np.maximum(1.0, np.abs(p).max(axis=0))
-    worst_p = np.max(np.abs(np.subtract(p, q)) / pscale)
+    worst_k = worst_p = 0.0
+    for _ in range(count):
+        state = curvature.CurvatureState(*(rng.uniform(-10.0, 10.0) for _ in range(3)))
+        phi = rng.uniform(0.0, math.pi)
+        scale = max(1.0, state.kxx**2, state.kyy**2, state.kxy**2)
+        circle = curvature.mohr_circle(state)
+        by_circle = circle.center**2 - circle.radius**2
+        worst_k = max(worst_k, abs(curvature.gaussian_curvature(state) - by_circle) / scale)
+        p = curvature.principal_curvatures(state)
+        q = curvature.principal_curvatures(state.rotated(phi))
+        pscale = max(1.0, abs(p[0]), abs(p[1]))
+        worst_p = max(worst_p, abs(p[0] - q[0]) / pscale, abs(p[1] - q[1]) / pscale)
     return [
         _report(
             "mohr gaussian-curvature identity", 0.0, worst_k, worst_k, 1e-12,

@@ -290,6 +290,24 @@ def test_analyze_missing_file_exit_3(tmp_path, capsys):
     assert run(["analyze", "--in", tmp_path / "nope.obj"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "tube", "--a", 1, "--alpha", 0.7, "--strips", 6, "--nu", 8, "--nv", 4, "--out"],
+    ["analyze", "--in", "t.obj.json", "--report"],
+    ["analyze", "--in", "t.obj", "--csv"],
+    ["sweep", "--param", "alpha", "--range", "0.1:1:5", "--csv"],
+    ["verify", "--suite", "mohr", "--json"],
+], ids=["generate-out", "analyze-report", "analyze-csv", "sweep-csv", "verify-json"])
+def test_unwritable_output_path_exit_3(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(["generate", "tube", "--a", 1, "--alpha", 0.7, "--strips", 6,
+                "--nu", 8, "--nv", 4, "--out", "t.obj"]) == 0
+    capsys.readouterr()
+    assert run(argv + [os.path.join("missing", "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert os.path.join("missing", "out") in err
+
+
 @pytest.mark.parametrize("face", ["f 1 2 9", "f -3 -2 -1", "f 0 1 2"])
 def test_analyze_out_of_range_obj_index_exit_3(tmp_path, capsys, face):
     path = tmp_path / "x.obj"

@@ -566,7 +566,7 @@ def test_grid_triangles_matches_reference_on_ties(flip):
 
 @pytest.mark.parametrize("strip_cells", [1, 5 * 64, 1 << 14])
 @pytest.mark.parametrize("shape", ["cylinder-8-lines", "tube-12-strips-64"])
-def test_threaded_band_in_blocks_matches_stacking_reference(shape, strip_cells, monkeypatch):
+def test_band_in_blocks_matches_stacking_reference(shape, strip_cells, monkeypatch):
     monkeypatch.setattr(surfaces, "_STRIP_CELLS", strip_cells)  # 2, 5 or all rows a block
     mesh = BUILT[shape]()
     monkeypatch.setattr(surfaces, "_grid_triangles", reference_grid_triangles)
@@ -579,7 +579,7 @@ def test_threaded_band_in_blocks_matches_stacking_reference(shape, strip_cells, 
         assert np.array_equal(mesh.crease_polylines[cid], chain)
 
 
-def test_every_band_fills_its_strips_on_the_calling_thread(monkeypatch):
+def test_every_band_fills_its_strips_in_the_caller(monkeypatch):
     triangulate = surfaces._grid_triangles
     seen = set()
 
@@ -594,7 +594,7 @@ def test_every_band_fills_its_strips_on_the_calling_thread(monkeypatch):
         assert seen == {threading.current_thread()}, shape
 
 
-def test_strip_worker_exception_propagates_and_the_thread_is_joined(monkeypatch):
+def test_strip_exception_propagates_and_leaves_no_thread(monkeypatch):
     def failing(*args, **kwargs):
         raise MemoryError("no room for a strip")
 
