@@ -4,7 +4,8 @@ A circular cylinder of radius a is developable: its curvature tensor in axes
 aligned with helical lines at angle alpha has kxx*kyy - kxy^2 = 0.  Replace
 each strip between adjacent lines by a flat ruled strip and the across-line
 curvature kyy drops to zero, leaving K = -kxy^2 < 0 in every strip.  This
-script prints that story for a range of line angles.
+script prints that story for a range of line angles, and the balance of each
+strip's total against the curvature of its crease.
 """
 
 import math
@@ -16,32 +17,39 @@ from creasegeom import (
     mohr_circle,
     principal_curvatures,
     prismatic_curvatures,
-    strip_specific_curvature,
+    tube_half_fold_angle,
+    tube_strip_total,
 )
 
 A, H = 1.0, 0.05
 
 print(f"cylinder radius a = {A}, strip width h = {H}\n")
-header = (
-    f"{'alpha':>7} {'kxx':>8} {'kyy':>8} {'kxy':>8} "
-    f"{'K(cyl)':>9} {'K(strip)':>9} {'hK(strip)':>10}"
-)
-print(header)
-for deg in (0, 15, 30, 45, 60, 75):
-    alpha = math.radians(deg)
-    spec = TubeSpec(a=A, alpha=alpha, h=H)
+print(f"{'alpha':>7} {'kxx':>8} {'kyy':>8} {'kxy':>8} {'K(cyl)':>9} {'K(strip)':>9}")
+specs = [TubeSpec(a=A, alpha=math.radians(deg), h=H) for deg in (0, 15, 30, 45, 60, 75)]
+for spec in specs:
     cyl = cylinder_curvatures(spec)
     strip = prismatic_curvatures(spec)
     print(
-        f"{deg:>6}d {cyl.kxx:8.4f} {cyl.kyy:8.4f} {cyl.kxy:8.4f} "
-        f"{gaussian_curvature(cyl):9.5f} {gaussian_curvature(strip):9.5f} "
-        f"{strip_specific_curvature(spec):10.6f}"
+        f"{math.degrees(spec.alpha):>6.0f}d {cyl.kxx:8.4f} {cyl.kyy:8.4f} {cyl.kxy:8.4f} "
+        f"{gaussian_curvature(cyl):9.5f} {gaussian_curvature(strip):9.5f}"
     )
 
 print(
-    "\nThe specific curvature -(h/a^2) sin^2(alpha) cos^2(alpha) peaks at "
-    "alpha = 45 degrees\nwith magnitude h/(4 a^2) = "
-    f"{H / (4 * A * A):.6f}."
+    "\nPer unit crease length, each ruled strip carries the total curvature below\n"
+    "(its second fundamental form, by quadrature), and each crease 2 kappa sin(mu),\n"
+    "kappa = sin^2(alpha)/a, at the exact fold mu: the two cancel to rounding."
+)
+print(f"{'alpha':>7} {'strip total':>12} {'crease term':>12} {'rel resid':>10} {'area/h':>9}")
+total, area = tube_strip_total(specs)
+for spec, strip, width in zip(specs, total.value, area.value):
+    crease = 2.0 * math.sin(spec.alpha) ** 2 / A * math.sin(tube_half_fold_angle(spec))
+    print(
+        f"{math.degrees(spec.alpha):>6.0f}d {strip:12.8f} {crease:12.8f} "
+        f"{abs(strip + crease) / crease if crease else 0.0:10.1e} {width / H:9.6f}"
+    )
+print(
+    f"\nTo first order in h the strip total is h K(strip) = -(h/a^2) sin^2 cos^2,\n"
+    f"which peaks at alpha = 45 degrees with magnitude h/(4 a^2) = {H / (4 * A * A):.6f}."
 )
 
 spec = TubeSpec(a=A, alpha=math.pi / 4, h=H)

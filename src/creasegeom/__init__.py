@@ -7,10 +7,8 @@ quadrature) that verify them.
 """
 
 from .creases import (
-    BalanceReport,
     CreaseSpec,
     crease_specific_curvature,
-    tube_balance,
     tube_half_fold_angle,
 )
 from .curvature import (
@@ -22,7 +20,6 @@ from .curvature import (
     mohr_circle,
     principal_curvatures,
     prismatic_curvatures,
-    strip_specific_curvature,
     tube_spec_for_strips,
 )
 from .errors import (
@@ -45,6 +42,7 @@ from .quadrature import (
     integrate,
     mudguard_closed_form,
     mudguard_total,
+    tube_strip_total,
 )
 from .surfaces import (
     GoreSphereSpec,
@@ -67,13 +65,12 @@ __all__ = [
     # curvature
     "CurvatureState", "MohrCircle", "TubeSpec", "cylinder_curvatures",
     "prismatic_curvatures", "mohr_circle", "principal_curvatures",
-    "gaussian_curvature", "strip_specific_curvature", "tube_spec_for_strips",
+    "gaussian_curvature", "tube_spec_for_strips",
     # creases
-    "CreaseSpec", "BalanceReport", "crease_specific_curvature",
-    "tube_half_fold_angle", "tube_balance",
+    "CreaseSpec", "crease_specific_curvature", "tube_half_fold_angle",
     # quadrature
     "QuadratureResult", "integrate",
-    "mudguard_closed_form", "mudguard_total", "gore_sphere_total",
+    "mudguard_closed_form", "mudguard_total", "gore_sphere_total", "tube_strip_total",
     # meshes and generators
     "TriMesh", "export_obj", "load_obj",
     "MudguardSpec", "GoreSphereSpec", "gen_cylinder",

@@ -88,14 +88,23 @@ class Shape:
     summary: Callable[[object, dict], dict]
 
 
-def _tube_summary(spec, state) -> dict:
-    balance = creases.tube_balance(spec)
-    return {
-        "strip_gaussian_curvature": curvature.gaussian_curvature(state),
-        "strip_specific_curvature": balance.strip_term,
-        "crease_specific_curvature": balance.crease_term,
-        "balance_residual": balance.residual,
-    }
+def _balance_rows(specs: list):
+    """Per TubeSpec: the ruled strip's total curvature per unit crease length,
+    the crease's 2*kappa*sin(mu) (kappa = sin^2(alpha)/a, mu the exact fold),
+    their sum, and its size relative to the larger term."""
+    for spec, x in zip(specs, quadrature.tube_strip_total(specs)[0].value.tolist()):
+        mu = creases.tube_half_fold_angle(spec)
+        y = 2.0 * (math.sin(spec.alpha) ** 2 / spec.a) * math.sin(mu)
+        scale = max(abs(x), abs(y))
+        yield x, y, x + y, abs(x + y) / scale if scale > 0 else 0.0
+
+
+def _tube_summary(spec) -> dict:
+    strip, crease, residual, _ = next(_balance_rows([spec]))
+    state = curvature.prismatic_curvatures(spec)
+    return {"strip_gaussian_curvature": curvature.gaussian_curvature(state),
+            "strip_specific_curvature": strip, "crease_specific_curvature": crease,
+            "balance_residual": residual}
 
 
 SHAPES = {
@@ -103,7 +112,8 @@ SHAPES = {
         ("a", "alpha", "h"),
         lambda p: curvature.TubeSpec(a=p["a"], alpha=p["alpha"], h=p["h"]),
         lambda s, p: surfaces.gen_cylinder(s, p["nu"], p["nv"]),
-        lambda s, p: _tube_summary(s, curvature.cylinder_curvatures(s)),
+        lambda s, p: {"strip_gaussian_curvature":
+                      curvature.gaussian_curvature(curvature.cylinder_curvatures(s))},
     ),
     "tube": Shape(
         ("a", "alpha", "strips"),
@@ -111,7 +121,7 @@ SHAPES = {
         lambda s, p: surfaces.gen_twisted_prismatic_tube(
             p["a"], p["alpha"], p["strips"], p["nu"], p["nv"]
         ),
-        lambda s, p: _tube_summary(s, curvature.prismatic_curvatures(s)),
+        lambda s, p: _tube_summary(s),
     ),
     "twisted-patch": Shape(
         ("kxy", "a_len", "b_len", "mu"),
@@ -334,17 +344,16 @@ def _mudguard_columns(specs: list):
     return [x.tolist() for x in (closed, value, value - closed)]
 
 
-def _alpha_row(c: dict):
-    spec = curvature.TubeSpec(a=c["a"], alpha=c["alpha"], h=c["h"])
-    state = curvature.prismatic_curvatures(spec)
-    circle = curvature.mohr_circle(state)
-    return (curvature.strip_specific_curvature(spec), curvature.gaussian_curvature(state),
-            circle.center, circle.radius)
+def _tube_specs(cs) -> list:
+    return [curvature.TubeSpec(a=c["a"], alpha=c["alpha"], h=c["h"]) for c in cs]
 
 
-def _h_row(c: dict):
-    rep = creases.tube_balance(curvature.TubeSpec(a=c["a"], alpha=c["alpha"], h=c["h"]))
-    return rep.strip_term, rep.crease_term, rep.residual, rep.relative_residual
+def _alpha_rows(cs):
+    specs = _tube_specs(cs)
+    for strip, spec in zip(quadrature.tube_strip_total(specs)[0].value.tolist(), specs):
+        state = curvature.prismatic_curvatures(spec)
+        circle = curvature.mohr_circle(state)
+        yield strip, curvature.gaussian_curvature(state), circle.center, circle.radius
 
 
 def _crease_mudguard_rows(cs):
@@ -372,9 +381,9 @@ _CREASE_MUDGUARD = ("crease_specific_curvature", "mudguard_closed_form",
 # function maps the sweep contexts, one per value, to rows, in one batch.
 SWEEPS = {
     "alpha": (("strip_specific_curvature", "gaussian_curvature", "mohr_center",
-               "mohr_radius"), lambda cs: map(_alpha_row, cs)),
+               "mohr_radius"), _alpha_rows),
     "h": (("strip_term", "crease_term", "residual", "relative_residual"),
-          lambda cs: map(_h_row, cs)),
+          lambda cs: _balance_rows(_tube_specs(cs))),
     "mu": (_CREASE_MUDGUARD, _crease_mudguard_rows),
     "R": (_CREASE_MUDGUARD, _crease_mudguard_rows),
     "r": (("mudguard_closed_form", "mudguard_quadrature", "residual",

@@ -1,6 +1,6 @@
 """Closed-form crease laws: the specific curvature 2*sin(mu)/R of a curved
-crease, the exact fold angle of the creased tube, and its strip-vs-crease
-balance.
+crease, and the exact fold angle of the creased tube, at which the law
+balances the total of the tube's ruled strips (quadrature.tube_strip_total).
 
 A crease is characterised by its half fold angle mu (the surface normal turns
 by 2*mu across it) and the radius of curvature R along it.  Its torsion does
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curvature import TubeSpec, _check_length, strip_specific_curvature
+from .curvature import TubeSpec, _check_length
 from .errors import ParameterError
 
 
@@ -39,16 +39,6 @@ class CreaseSpec:
     @property
     def is_straight(self) -> bool:
         return math.isinf(self.R)
-
-
-@dataclass(frozen=True)
-class BalanceReport:
-    """Strip vs crease specific-curvature balance for a creased tube."""
-
-    strip_term: float
-    crease_term: float
-    residual: float
-    relative_residual: float
 
 
 def crease_specific_curvature(spec: CreaseSpec) -> float:
@@ -76,25 +66,3 @@ def tube_half_fold_angle(spec: TubeSpec) -> float:
     return math.atan2(2.0 * a * math.sin(h * c / (2.0 * a)) ** 2,
                       h * s * s + a * c * math.sin(h * c / a))
 
-
-def tube_balance(spec: TubeSpec) -> BalanceReport:
-    """Balance of specific Gaussian curvature between strips and creases.
-
-    strip_term is the (negative) strip value, crease_term the crease law
-    2*(sin^2(alpha)/a)*sin(mu) with mu at the h -> 0 limit of
-    tube_half_fold_angle, (h/2a)*cos^2(alpha); their sum is the residual, of
-    order (h/a)^3.
-    """
-    strip_term = strip_specific_curvature(spec)
-    s, c = math.sin(spec.alpha), math.cos(spec.alpha)
-    mu = 0.5 * ((spec.h / spec.a) * c * c)
-    crease_term = 2.0 * (s * s / spec.a) * math.sin(mu)
-    residual = strip_term + crease_term
-    scale = max(abs(strip_term), abs(crease_term))
-    relative_residual = abs(residual) / scale if scale > 0 else 0.0
-    return BalanceReport(
-        strip_term=strip_term,
-        crease_term=crease_term,
-        residual=residual,
-        relative_residual=relative_residual,
-    )

@@ -160,12 +160,3 @@ def gaussian_curvature(state: CurvatureState) -> float:
     """Gaussian curvature kxx*kyy - kxy^2 (equals C^2 - B^2 of the Mohr circle)."""
     return state.kxx * state.kyy - state.kxy * state.kxy
 
-
-def strip_specific_curvature(spec: TubeSpec) -> float:
-    """Specific Gaussian curvature of one prismatic strip.
-
-    Gaussian curvature of the strip times its normal width h:
-    -(h/a^2) * sin^2(alpha) * cos^2(alpha). Negative for all alpha.
-    """
-    s, c = math.sin(spec.alpha), math.cos(spec.alpha)
-    return -(spec.h / (spec.a * spec.a)) * s * s * c * c

@@ -1,6 +1,6 @@
 """Deterministic 1-D Gauss–Legendre quadrature over many integrals at once,
-and the two closed-form totals it verifies: the mudguard hoop integral and
-the gore-sphere seam total."""
+the two closed-form totals it verifies, the mudguard hoop integral and the
+gore-sphere seam total, and the creased tube's ruled-strip total."""
 
 from __future__ import annotations
 
@@ -52,9 +52,8 @@ def integrate(f: Callable[..., np.ndarray], lo, hi, args: tuple = ()) -> Quadrat
     points belong to, to an ndarray of x's shape; each rule is one call.
     The value is the 32-node rule's; the error estimate is its distance
     from the 16-node rule plus 8 eps times the integral of |f|, a bound for
-    smooth integrands such as the totals' below (both entire), and only a
-    warning for others.  Raises ParameterError if f is not finite or not
-    of x's shape.
+    smooth integrands such as the totals' below, and only a warning for
+    others.  Raises ParameterError if f is not finite or not of x's shape.
     """
     shape = np.broadcast_shapes(*map(np.shape, (lo, hi, *args)))
     lo, hi, *args = (np.ravel(np.broadcast_to(x, shape)) for x in (lo, hi, *args))
@@ -100,6 +99,40 @@ def mudguard_total(specs) -> QuadratureResult:
     hoop = 2.0 * np.pi * R
     return QuadratureResult(_out(hoop * quad.value), _out(hoop * quad.error_estimate),
                             quad.evaluations)
+
+
+def tube_strip_total(specs) -> tuple[QuadratureResult, QuadratureResult]:
+    """Total Gaussian curvature and area of one strip of the twisted-prismatic
+    tube per unit crease length, the integrals over t in [0, 1] of K W and W.
+
+    The strip is the ruled surface X(x, t) = (1 - t) P0(x) + t P1(x) between
+    adjacent unit-speed helices, the same at every x by the screw symmetry.
+    At x = 0, in units of a, with s = sin(alpha), c = cos(alpha), w = h/a,
+    theta = w c and g = 1 - cos(theta): D = P1 - P0 = (-g, sin(theta), -w s),
+    d0 = P0' = (0, s, c) and e = P1' - P0' = -s (sin(theta), g, 0).  So
+    X_x x X_t = d0 x D + t e x D has squared length W^2 = p - r t (1 - t),
+    p = (w s^2 + c sin(theta))^2 + g^2, r = 2 s^2 g (w^2 s^2 + 2 g), and
+    X_xt . (X_x x X_t) = e . (d0 x D) = s (w s^2 sin(theta) + 2 c g) for
+    every t.  As X_tt = 0, the second fundamental form gives
+    K W = -(e . (d0 x D))^2 / W^3.  It peaks sharply, and the error estimate
+    grows with it, only where theta nears pi, beyond every tube that closes
+    (theta = 2 pi / N, N >= 3).  Takes a TubeSpec or a list of them, as
+    mudguard_total does; returns (curvature, area), whose values and errors
+    are integrate's divided and multiplied by a, evaluations its total."""
+    a, alpha, h = (np.vectorize(attrgetter(k), otypes=[float])(specs) for k in ("a", "alpha", "h"))
+    s, c, w = np.sin(alpha), np.cos(alpha), h / a
+    theta = w * c  # the turn about the axis from P0 to P1
+    g = 2.0 * np.sin(0.5 * theta) ** 2  # 1 - cos(theta) without its cancellation at small theta
+    p = (w * s * s + c * np.sin(theta)) ** 2 + g * g
+    r = 2.0 * s * s * g * ((w * s) ** 2 + 2.0 * g)
+    m2 = (s * (w * s * s * np.sin(theta) + 2.0 * c * g)) ** 2
+    total = integrate(lambda t, p, r, m2: -m2 / (p - r * t * (1.0 - t)) ** 1.5, 0.0, 1.0,
+                      args=(p, r, m2))
+    area = integrate(lambda t, p, r: np.sqrt(p - r * t * (1.0 - t)), 0.0, 1.0, args=(p, r))
+    return (QuadratureResult(_out(total.value / a), _out(total.error_estimate / a),
+                             total.evaluations),
+            QuadratureResult(_out(area.value * a), _out(area.error_estimate * a),
+                             area.evaluations))
 
 
 def gore_sphere_total(specs) -> QuadratureResult:

@@ -1,12 +1,13 @@
 """Verification suites; a suite passes iff each of its VerificationReports
 does.  Closed forms are compared with an oracle (the angle defects of a mesh
 in crease-law, twist-independence and strip-curvature, the Gauss map in one
-mudguard report), with another closed form (tube-balance), with their own
-model by quadrature (27 mudguard reports), with a limit (mudguard r -> 0,
-gore n -> infinity and its 1/n^2 deficit scaling), or with identities:
-algebraic ones (mohr) and one that holds by construction (Gauss-Bonnet on a
-closed gore mesh).  So 9 of the 66 reports of run_suite("all") test a closed
-form against an independent oracle."""
+mudguard report), with their own model by quadrature (27 mudguard reports),
+with a limit (mudguard r -> 0, gore n -> infinity and its 1/n^2 deficit
+scaling), or with identities: algebraic ones (mohr) and one that holds by
+construction (Gauss-Bonnet on a closed gore mesh).  In tube-balance the
+ruled strip's second fundamental form, integrated by quadrature, is compared
+with the crease law at the exact fold.  So 9 of the 66 reports of
+run_suite("all") test a closed form against an independent oracle."""
 
 from __future__ import annotations
 
@@ -69,28 +70,25 @@ def _rel(case, closed, oracle_value, tol, **meta):
 # ---------------------------------------------------------------------------
 
 def suite_tube_balance() -> list[VerificationReport]:
-    """Strip vs crease specific curvature across a parameter grid, plus the
-    cubic scaling of the residual in the strip width."""
+    """The tube carries no Gaussian curvature overall: its ruled strip's
+    total per unit crease length, by quadrature, against the crease law
+    2*kappa*sin(mu), kappa = sin^2(alpha)/a, at the exact fold mu.  Over a
+    parameter grid, and on the tubes that close with 6 and 48 strips."""
+    cases = [(f"a={a} alpha={alpha:.4f} h/a={ratio}", curvature.TubeSpec(a, alpha, ratio * a))
+             for a in (1.0, 2.0) for alpha in (math.pi / 6, math.pi / 4, math.pi / 3)
+             for ratio in (0.01, 0.02, 0.05)]
+    cases += [(f"closing N={n} alpha={math.pi / 4:.4f}",
+               curvature.tube_spec_for_strips(1.0, math.pi / 4, n)) for n in (6, 48)]
+    names, specs = zip(*cases)
+    total, area = quadrature.tube_strip_total(list(specs))
     reports = []
-    for a in (1.0, 2.0):
-        for alpha in (math.pi / 6, math.pi / 4, math.pi / 3):
-            for ratio in (0.01, 0.02, 0.05):
-                spec = curvature.TubeSpec(a=a, alpha=alpha, h=ratio * a)
-                rep = creases.tube_balance(spec)
-                bound = ((ratio * math.cos(alpha) ** 2) ** 2) / 24.0
-                reports.append(_report(
-                    f"tube-balance a={a} alpha={alpha:.4f} h/a={ratio}", -rep.strip_term,
-                    rep.crease_term, rep.relative_residual, bound, "relative",
-                    a=a, alpha=alpha, h=spec.h,
-                ))
-    # residual(h) / residual(h/2) should be ~8 (cubic in h)
-    a, alpha = 1.0, math.pi / 4
-    for ratio in (0.02, 0.05):
-        r1 = creases.tube_balance(curvature.TubeSpec(a, alpha, ratio * a)).residual
-        r2 = creases.tube_balance(curvature.TubeSpec(a, alpha, ratio * a / 2)).residual
-        scaling = r1 / r2
-        reports.append(_report(f"tube-balance cubic scaling h/a={ratio}",
-                               8.0, scaling, scaling - 8.0, 0.4, "ratio", a=a, alpha=alpha))
+    for name, spec, strip, err, width in zip(names, specs, total.value.tolist(),
+                                             total.error_estimate.tolist(), area.value.tolist()):
+        mu = creases.tube_half_fold_angle(spec)
+        crease = 2.0 * (math.sin(spec.alpha) ** 2 / spec.a) * math.sin(mu)
+        reports.append(_rel(f"tube-balance {name}", crease, -strip, 1e-13, a=spec.a,
+                            alpha=spec.alpha, h=spec.h, mu=mu, error_estimate=err,
+                            area_over_h=width / spec.h))
     return reports
 
 

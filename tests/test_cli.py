@@ -262,6 +262,24 @@ def test_analyze_sidecar_of_a_wide_strip_cylinder_lets_no_warning_escape(tmp_pat
     assert "closed_forms" in json.loads((tmp_path / "r.json").read_text())
 
 
+def test_cylinder_sidecar_reports_no_crease_balance(tmp_path, capsys):
+    # the cylinder's lines are not folds: its closed form is its Gaussian
+    # curvature alone, and the tube's keeps the balance of strips and creases
+    for shape, flags in (("cylinder", ["--h", 0.1]), ("tube", ["--strips", 8])):
+        out = tmp_path / f"{shape}.obj"
+        assert run(["generate", shape, "--a", 1, "--alpha", 0.7, *flags, "--nu", 64,
+                    "--nv", 16, "--out", out]) == 0
+        assert run(["analyze", "--in", f"{out}.json", "--report", tmp_path / "r.json"]) == 0
+        closed = json.loads((tmp_path / "r.json").read_text())["closed_forms"]
+        if shape == "cylinder":
+            assert list(closed) == ["strip_gaussian_curvature"]
+            assert abs(closed["strip_gaussian_curvature"]) <= 1e-15
+        else:
+            assert sorted(closed) == ["balance_residual", "crease_specific_curvature",
+                                      "strip_gaussian_curvature", "strip_specific_curvature"]
+            assert abs(closed["balance_residual"]) <= 1e-13 * closed["crease_specific_curvature"]
+
+
 def test_analyze_gore_sphere_gauss_bonnet(tmp_path, capsys):
     out = tmp_path / "g.obj"
     run(["generate", "gore-sphere", "--n", 8, "--radius", 1,
@@ -340,17 +358,17 @@ def test_sweep_alpha_extremum(tmp_path, capsys):
     assert values[best] == pytest.approx(0.05 / 4, rel=1e-2)
 
 
-def test_sweep_h_cubic_residual(tmp_path, capsys):
+def test_sweep_h_balances_exactly(tmp_path, capsys):
     csv_path = tmp_path / "h.csv"
-    assert run(["sweep", "--param", "h", "--range", "0.01:0.08:8",
+    assert run(["sweep", "--param", "h", "--range", "0.01:0.3:30",
                 "--csv", csv_path]) == 0
-    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
-    h, res = zip(*((float(r[0]), float(r[3])) for r in rows))
-    # log-log slope of |residual| vs h is ~3
-    slope = (math.log(abs(res[-1])) - math.log(abs(res[0]))) / (
-        math.log(h[-1]) - math.log(h[0])
-    )
-    assert slope == pytest.approx(3.0, abs=0.05)
+    header, *lines = csv_path.read_text().splitlines()
+    assert header == "h,strip_term,crease_term,residual,relative_residual"
+    rows = [[float(x) for x in line.split(",")] for line in lines]
+    assert len(rows) == 30 and rows[-1][0] == 0.3
+    for h, strip, crease, residual, relative in rows:
+        assert strip < 0.0 < crease and residual == strip + crease
+        assert abs(relative) <= 1e-13
 
 
 def test_sweep_n_monotone(tmp_path, capsys):

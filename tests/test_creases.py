@@ -9,9 +9,9 @@ from creasegeom import (
     TubeSpec,
     crease_specific_curvature,
     gen_twisted_prismatic_tube,
-    tube_balance,
     tube_half_fold_angle,
     tube_spec_for_strips,
+    tube_strip_total,
 )
 
 
@@ -76,29 +76,43 @@ def test_tube_half_fold_angle_tends_to_shallow_limit():
         assert coarse / fine == pytest.approx(4.0, rel=0.01)
 
 
+def crease_term(spec):
+    """2 kappa sin(mu) with kappa = sin^2(alpha)/a and the exact fold mu."""
+    return 2.0 * math.sin(spec.alpha) ** 2 / spec.a * math.sin(tube_half_fold_angle(spec))
+
+
 def test_tube_balance_canonical():
     spec = TubeSpec(a=1.0, alpha=math.pi / 4, h=0.05)
-    rep = tube_balance(spec)
-    assert rep.strip_term == pytest.approx(-0.0125)
-    assert rep.crease_term == pytest.approx(2 * 0.5 * math.sin(0.0125), rel=1e-15)
-    assert rep.residual == pytest.approx(rep.strip_term + rep.crease_term)
-    bound = ((spec.h / spec.a) * math.cos(spec.alpha) ** 2) ** 2 / 24.0
-    assert rep.relative_residual <= bound
+    total, area = tube_strip_total(spec)
+    assert total.value == pytest.approx(-crease_term(spec), rel=1e-13)
+    assert total.error_estimate <= 1e-15
+    # the shallow strip term -(h/a^2) sin^2 cos^2 = -h/4, off at O((h/a)^2)
+    assert total.value == pytest.approx(-0.0125, rel=1e-4)
+    assert area.value == pytest.approx(spec.h, rel=1e-4)
 
 
-def test_tube_balance_residual_is_sine_gap():
-    # residual = 2 (sin^2 a / a)(sin x - x), x = (h/2a) cos^2(alpha), exactly
-    spec = TubeSpec(a=2.0, alpha=math.pi / 3, h=0.08)
-    rep = tube_balance(spec)
-    x = (spec.h / (2 * spec.a)) * math.cos(spec.alpha) ** 2
-    s = math.sin(spec.alpha)
-    expected = 2.0 * (s * s / spec.a) * (math.sin(x) - x)
-    assert rep.residual == pytest.approx(expected, rel=1e-12)
+def test_tube_strip_total_of_a_batch_is_each_specs_single_call():
+    specs = [TubeSpec(1.0, math.pi / 4, 0.05), TubeSpec(2.0, 0.3, 0.01),
+             tube_spec_for_strips(1.5, 1.2, 7), TubeSpec(0.5, 0.0, 0.1)]
+    total, area = tube_strip_total(specs)
+    for i, spec in enumerate(specs):
+        one_total, one_area = tube_strip_total(spec)
+        assert (one_total.value, one_total.error_estimate) == (total.value[i],
+                                                               total.error_estimate[i])
+        assert (one_area.value, one_area.error_estimate) == (area.value[i],
+                                                             area.error_estimate[i])
+    assert total.evaluations == area.evaluations == len(specs) * one_total.evaluations
 
 
-def test_tube_balance_residual_cubic_in_h():
-    a, alpha = 1.0, math.pi / 4
-    r1 = tube_balance(TubeSpec(a, alpha, 0.04)).residual
-    r2 = tube_balance(TubeSpec(a, alpha, 0.02)).residual
-    assert r1 / r2 == pytest.approx(8.0, rel=0.05)
+def test_tube_strip_area_at_twelve_strips():
+    # the ruled strip is narrower than the developed one: the trap for a
+    # mesh-measured balance that divides by h
+    spec = tube_spec_for_strips(1.0, math.pi / 4, 12)
+    assert round(tube_strip_total(spec)[1].value / spec.h, 6) == 0.995718
 
+
+def test_tube_strip_total_at_axial_and_hoop_lines():
+    total, area = tube_strip_total(TubeSpec(1.0, 0.0, 0.05))
+    assert total.value == 0.0 and area.value > 0.0
+    spec = TubeSpec(1.0, math.pi / 2, 0.05)
+    assert tube_strip_total(spec)[0].value == pytest.approx(-crease_term(spec), rel=1e-15)

@@ -14,7 +14,6 @@ from creasegeom import (
     mohr_circle,
     principal_curvatures,
     prismatic_curvatures,
-    strip_specific_curvature,
     tube_spec_for_strips,
 )
 from creasegeom.verify import suite_mohr
@@ -89,24 +88,6 @@ def test_swapped_preserves_circle():
     state = CurvatureState(kxx=0.8, kyy=-0.3, kxy=0.6)
     swapped = CurvatureState(kxx=state.kyy, kyy=state.kxx, kxy=state.kxy)
     assert mohr_circle(swapped) == mohr_circle(state)
-
-
-def test_strip_specific_curvature_closed_form():
-    spec = TubeSpec(a=1.0, alpha=math.pi / 4, h=0.05)
-    # -(h/a^2) sin^2 cos^2 = -h/4 at alpha = pi/4
-    assert strip_specific_curvature(spec) == pytest.approx(-0.0125)
-    # and equals Gaussian curvature of the strip times its width
-    assert strip_specific_curvature(spec) == pytest.approx(
-        gaussian_curvature(prismatic_curvatures(spec)) * spec.h
-    )
-
-
-def test_strip_specific_curvature_extremal_at_quarter_pi():
-    a, h = 1.0, 0.05
-    at_peak = abs(strip_specific_curvature(TubeSpec(a, math.pi / 4, h)))
-    assert at_peak == pytest.approx(h / (4 * a * a))
-    for alpha in (0.1, 0.5, 1.0, 1.4):
-        assert abs(strip_specific_curvature(TubeSpec(a, alpha, h))) <= at_peak + 1e-15
 
 
 def test_tube_spec_for_strips_closure():
