@@ -36,12 +36,12 @@ for spec in specs:
 
 print(
     "\nPer unit crease length, each ruled strip carries the total curvature below\n"
-    "(its second fundamental form, by quadrature), and each crease 2 kappa sin(mu),\n"
+    "(its second fundamental form, in closed form), and each crease 2 kappa sin(mu),\n"
     "kappa = sin^2(alpha)/a, at the exact fold mu: the two cancel to rounding."
 )
 print(f"{'alpha':>7} {'strip total':>12} {'crease term':>12} {'rel resid':>10} {'area/h':>9}")
 total, area = tube_strip_total(specs)
-for spec, strip, width in zip(specs, total.value, area.value):
+for spec, strip, width in zip(specs, total, area.value):
     crease = 2.0 * math.sin(spec.alpha) ** 2 / A * math.sin(tube_half_fold_angle(spec))
     print(
         f"{math.degrees(spec.alpha):>6.0f}d {strip:12.8f} {crease:12.8f} "

@@ -38,7 +38,7 @@ print("\ncreased-tube balance per unit crease length (a = 1, alpha = 45 degrees)
 print(f"{'h':>6} {'strip total':>12} {'crease term':>12} {'rel resid':>10} {'area/h':>9}")
 specs = [TubeSpec(a=1.0, alpha=math.pi / 4, h=h) for h in (0.1, 0.05, 0.025, 0.0125)]
 total, area = tube_strip_total(specs)
-for spec, strip, width in zip(specs, total.value, area.value):
+for spec, strip, width in zip(specs, total, area.value):
     crease = 2.0 * math.sin(spec.alpha) ** 2 / spec.a * math.sin(tube_half_fold_angle(spec))
     print(
         f"{spec.h:6.4f} {strip:12.8f} {crease:12.8f} "

@@ -19,6 +19,7 @@ from creasegeom import (
     gen_twisted_prismatic_tube,
     prismatic_curvatures,
     tube_spec_for_strips,
+    tube_strip_total,
 )
 
 print("curved crease: R = 2, mu = 30 degrees, law says 2 sin(mu)/R = 0.5")
@@ -32,11 +33,14 @@ for nu in (32, 64, 128, 256):
 
 print("\ntwisted-prismatic tube: a = 1, alpha = 45 degrees, 12 strips")
 tube_spec = tube_spec_for_strips(1.0, math.pi / 4, 12)
-expected = gaussian_curvature(prismatic_curvatures(tube_spec))
+total, area = tube_strip_total(tube_spec)
+mean = total / area.value  # the strip's total over its area
 mesh = gen_twisted_prismatic_tube(1.0, math.pi / 4, 12, 128, 128)
 field = angle_defect(mesh)
-print(f"  strip K from closed form:      {expected:.6f}")
-print(f"  defect density on the mesh:    {field.interior_defect_density():.6f}")
+density = field.interior_defect_density()
+print(f"  Mohr-circle strip K, -kxy^2:   {gaussian_curvature(prismatic_curvatures(tube_spec)):.7f}")
+print(f"  ruled strip's exact mean K:    {mean:.7f}")
+print(f"  defect density on the mesh:    {density:.7f} ({abs(density / mean - 1):.1e} from the mean)")
 print(f"  mean crease rate on the mesh:  "
       f"{sum(field.crease_rates.values()) / len(field.crease_rates):.6f}")
 

@@ -28,7 +28,6 @@ from .errors import (
     OrientationError,
     ParameterError,
     ResolutionError,
-    ShallowRegimeWarning,
 )
 from .oracle import (
     DefectField,
@@ -82,5 +81,5 @@ __all__ = [
     "VerificationReport", "run_suite",
     # errors
     "ParameterError", "ResolutionError", "MeshError",
-    "OrientationError", "InputFormatError", "ShallowRegimeWarning",
+    "OrientationError", "InputFormatError",
 ]

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -21,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, creases, curvature, oracle, quadrature, surfaces, verify
-from .errors import InputFormatError, MeshError, ParameterError, ShallowRegimeWarning
+from .errors import InputFormatError, MeshError, ParameterError
 from .trimesh import TriMesh, export_obj, load_obj
 
 EXIT_OK = 0
@@ -92,7 +91,7 @@ def _balance_rows(specs: list):
     """Per TubeSpec: the ruled strip's total curvature per unit crease length,
     the crease's 2*kappa*sin(mu) (kappa = sin^2(alpha)/a, mu the exact fold),
     their sum, and its size relative to the larger term."""
-    for spec, x in zip(specs, quadrature.tube_strip_total(specs)[0].value.tolist()):
+    for spec, x in zip(specs, quadrature.tube_strip_total(specs)[0].tolist()):
         mu = creases.tube_half_fold_angle(spec)
         y = 2.0 * (math.sin(spec.alpha) ** 2 / spec.a) * math.sin(mu)
         scale = max(abs(x), abs(y))
@@ -100,9 +99,9 @@ def _balance_rows(specs: list):
 
 
 def _tube_summary(spec) -> dict:
+    """The balance, and the ruled strip's exact mean K: its total over its area."""
     strip, crease, residual, _ = next(_balance_rows([spec]))
-    state = curvature.prismatic_curvatures(spec)
-    return {"strip_gaussian_curvature": curvature.gaussian_curvature(state),
+    return {"strip_gaussian_curvature": strip / quadrature.tube_strip_total(spec)[1].value,
             "strip_specific_curvature": strip, "crease_specific_curvature": crease,
             "balance_residual": residual}
 
@@ -232,13 +231,11 @@ def cmd_analyze(args) -> int:
     shape, params = None, None
     if path.suffix == ".json":
         shape, params = _read_sidecar(path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ShallowRegimeWarning)
-            try:
-                spec = SHAPES[shape].spec(params)
-                mesh = SHAPES[shape].mesh(spec, params)
-            except ParameterError as exc:  # a value no generator accepts
-                raise InputFormatError(f"{path}: {exc}") from None
+        try:
+            spec = SHAPES[shape].spec(params)
+            mesh = SHAPES[shape].mesh(spec, params)
+        except ParameterError as exc:  # a value no generator accepts
+            raise InputFormatError(f"{path}: {exc}") from None
     else:
         mesh = load_obj(path)
         if not mesh.crease_polylines:
@@ -350,7 +347,7 @@ def _tube_specs(cs) -> list:
 
 def _alpha_rows(cs):
     specs = _tube_specs(cs)
-    for strip, spec in zip(quadrature.tube_strip_total(specs)[0].value.tolist(), specs):
+    for strip, spec in zip(quadrature.tube_strip_total(specs)[0].tolist(), specs):
         state = curvature.prismatic_curvatures(spec)
         circle = curvature.mohr_circle(state)
         yield strip, curvature.gaussian_curvature(state), circle.center, circle.radius
@@ -406,10 +403,8 @@ def cmd_sweep(args) -> int:
         for name in SWEEP_CONTEXT
     }
     columns, rows_of = SWEEPS[args.param]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ShallowRegimeWarning)
-        rows = [(value, *row) for value, row in
-                zip(values, rows_of({**ctx, args.param: value} for value in values))]
+    rows = [(value, *row) for value, row in
+            zip(values, rows_of({**ctx, args.param: value} for value in values))]
     _write_csv(args.csv, [(args.param, *columns), *rows])
     print(f"wrote {len(rows)} rows to {args.csv}")
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Pointwise curvature algebra for shallow creased shells.
+"""Pointwise curvature algebra for creased and twisted shells.
 
 Conventions used throughout the library: angles are in radians, lengths are
 dimensionless but must be mutually consistent, and the twist curvature ``kxy``
@@ -9,14 +9,9 @@ Principal curvatures are always returned in descending order.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .errors import ParameterError, ShallowRegimeWarning
-
-# Strip width to tube radius ratio beyond which the small-fold-angle closed
-# forms degrade; gates a warning only, never an error.
-SHALLOW_WIDTH_RATIO = 0.2
+from .errors import ParameterError
 
 # Largest and smallest lengths that a spec accepts.  The mesh kernel squares
 # the cross products of edge vectors, fourth powers of lengths, which
@@ -98,13 +93,6 @@ class TubeSpec:
             raise ParameterError(
                 f"line angle alpha must lie in [0, pi/2], got {self.alpha}"
             )
-        if self.h / self.a > SHALLOW_WIDTH_RATIO:
-            warnings.warn(
-                f"h/a = {self.h / self.a:.3g} exceeds {SHALLOW_WIDTH_RATIO}; "
-                "small-fold-angle results degrade for wide strips",
-                ShallowRegimeWarning,
-                stacklevel=3,  # past the dataclass-generated __init__ to its caller
-            )
 
 
 def tube_spec_for_strips(a: float, alpha: float, n_strips: int) -> TubeSpec:
@@ -119,11 +107,7 @@ def tube_spec_for_strips(a: float, alpha: float, n_strips: int) -> TubeSpec:
         raise ParameterError(f"line angle alpha must lie in [0, pi/2], got {alpha}")
     if math.cos(alpha) < 1e-12:
         raise ParameterError("hoop-aligned creases (alpha = pi/2) give zero-width strips")
-    h = 2 * math.pi * a * math.cos(alpha) / n_strips
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ShallowRegimeWarning)
-        spec = TubeSpec(a=a, alpha=alpha, h=h)
-    return spec
+    return TubeSpec(a=a, alpha=alpha, h=2 * math.pi * a * math.cos(alpha) / n_strips)
 
 
 def cylinder_curvatures(spec: TubeSpec) -> CurvatureState:

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the library."""
+"""Exception types shared across the library."""
 
 
 class ParameterError(ValueError):
@@ -19,7 +19,3 @@ class OrientationError(MeshError):
 
 class InputFormatError(ValueError):
     """An input file is not in a format this tool produces."""
-
-
-class ShallowRegimeWarning(UserWarning):
-    """Inputs are outside the small-angle regime the closed forms assume."""

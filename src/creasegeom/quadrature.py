@@ -101,7 +101,7 @@ def mudguard_total(specs) -> QuadratureResult:
                             quad.evaluations)
 
 
-def tube_strip_total(specs) -> tuple[QuadratureResult, QuadratureResult]:
+def tube_strip_total(specs):
     """Total Gaussian curvature and area of one strip of the twisted-prismatic
     tube per unit crease length, the integrals over t in [0, 1] of K W and W.
 
@@ -112,13 +112,15 @@ def tube_strip_total(specs) -> tuple[QuadratureResult, QuadratureResult]:
     d0 = P0' = (0, s, c) and e = P1' - P0' = -s (sin(theta), g, 0).  So
     X_x x X_t = d0 x D + t e x D has squared length W^2 = p - r t (1 - t),
     p = (w s^2 + c sin(theta))^2 + g^2, r = 2 s^2 g (w^2 s^2 + 2 g), and
-    X_xt . (X_x x X_t) = e . (d0 x D) = s (w s^2 sin(theta) + 2 c g) for
+    X_xt . (X_x x X_t) = e . (d0 x D) = m = s (w s^2 sin(theta) + 2 c g) for
     every t.  As X_tt = 0, the second fundamental form gives
-    K W = -(e . (d0 x D))^2 / W^3.  It peaks sharply, and the error estimate
-    grows with it, only where theta nears pi, beyond every tube that closes
-    (theta = 2 pi / N, N >= 3).  Takes a TubeSpec or a list of them, as
-    mudguard_total does; returns (curvature, area), whose values and errors
-    are integrate's divided and multiplied by a, evaluations its total."""
+    K W = -m^2 / W^3, whose integral over [0, 1] is -4 m^2 / ((4p - r) sqrt(p))
+    (with u = t - 1/2 and q = p - r/4, W^2 = q + r u^2, and u / (q W) is an
+    antiderivative of W^-3): exact even where theta nears pi and K W peaks
+    sharply, which 32 quadrature nodes would miss.  Takes a TubeSpec or a list of them, as mudguard_total does;
+    returns (curvature, area): the curvature a float or an array, as
+    mudguard_closed_form returns, divided by a; the area integrate's
+    QuadratureResult, value and error multiplied by a."""
     a, alpha, h = (np.vectorize(attrgetter(k), otypes=[float])(specs) for k in ("a", "alpha", "h"))
     s, c, w = np.sin(alpha), np.cos(alpha), h / a
     theta = w * c  # the turn about the axis from P0 to P1
@@ -126,11 +128,9 @@ def tube_strip_total(specs) -> tuple[QuadratureResult, QuadratureResult]:
     p = (w * s * s + c * np.sin(theta)) ** 2 + g * g
     r = 2.0 * s * s * g * ((w * s) ** 2 + 2.0 * g)
     m2 = (s * (w * s * s * np.sin(theta) + 2.0 * c * g)) ** 2
-    total = integrate(lambda t, p, r, m2: -m2 / (p - r * t * (1.0 - t)) ** 1.5, 0.0, 1.0,
-                      args=(p, r, m2))
+    total = -4.0 * m2 / ((4.0 * p - r) * np.sqrt(p)) / a
     area = integrate(lambda t, p, r: np.sqrt(p - r * t * (1.0 - t)), 0.0, 1.0, args=(p, r))
-    return (QuadratureResult(_out(total.value / a), _out(total.error_estimate / a),
-                             total.evaluations),
+    return (_out(total),
             QuadratureResult(_out(area.value * a), _out(area.error_estimate * a),
                              area.evaluations))
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .creases import CreaseSpec
 from .curvature import TubeSpec, _check_length, tube_spec_for_strips
-from .errors import ParameterError, ResolutionError, ShallowRegimeWarning
+from .errors import ParameterError, ResolutionError
 from .trimesh import TriMesh
 
 TWO_PI = 2.0 * math.pi
@@ -194,7 +194,6 @@ def gen_cylinder(spec: TubeSpec, nu: int, nv: int) -> TriMesh:
     if abs(h_eff - spec.h) > 0.05 * spec.h:
         warnings.warn(
             f"line spacing adjusted from {spec.h:.6g} to {h_eff:.6g} to close the hoop",
-            ShallowRegimeWarning,
             stacklevel=2,
         )
     return _helical_band(spec.a, spec.alpha, n_lines, nu, nv, flatten=False)
@@ -223,7 +222,12 @@ def gen_twisted_patch(
     """Graph mesh of z = kxy*x*y over a centred a_len x b_len rectangle.
 
     For mu > 0 each half-plane (y > 0, y < 0) is rigidly rotated about the
-    x-axis so the fold opens by 2*mu; the x-axis row is the crease.
+    x-axis so the fold opens by 2*mu; the x-axis row is the crease.  The
+    graph's Gaussian curvature is -kxy^2 at the origin only, and
+    -kxy^2 / (1 + kxy^2 (x^2 + y^2))^2 elsewhere, so the mesh's interior
+    defect density, the graph's mean K, is smaller in magnitude than kxy^2,
+    to leading order by 2 kxy^2 <x^2 + y^2> relative, the mean taken over
+    the rectangle (0.077 against 0.083 for kxy = 0.5 on the unit square).
     """
     if not (a_len > 0 and b_len > 0):
         raise ParameterError(f"patch side lengths must be positive, got {a_len}, {b_len}")
@@ -236,12 +240,6 @@ def gen_twisted_patch(
     if not (0 <= mu < math.pi / 2):
         raise ParameterError(f"half fold angle mu must lie in [0, pi/2), got {mu}")
     _check_resolution(nu, nv)
-    if abs(kxy) * max(a_len, b_len) > 0.3:
-        warnings.warn(
-            "patch is outside the shallow-twist regime (|kxy|*size > 0.3)",
-            ShallowRegimeWarning,
-            stacklevel=2,
-        )
     nv += nv % 2  # keep the y = 0 crease row on the grid
     _check_size((nu + 1) * (nv + 1))
     x = np.linspace(-a_len / 2, a_len / 2, nu + 1)

@@ -5,9 +5,11 @@ mudguard report), with their own model by quadrature (27 mudguard reports),
 with a limit (mudguard r -> 0, gore n -> infinity and its 1/n^2 deficit
 scaling), or with identities: algebraic ones (mohr) and one that holds by
 construction (Gauss-Bonnet on a closed gore mesh).  In tube-balance the
-ruled strip's second fundamental form, integrated by quadrature, is compared
-with the crease law at the exact fold.  So 9 of the 66 reports of
-run_suite("all") test a closed form against an independent oracle."""
+ruled strip's second fundamental form, integrated in closed form, is
+compared with the crease law at the exact fold; strip-curvature compares
+the tube mesh's density with that strip's exact mean K, its total over its
+area.  So 9 of the 66 reports of run_suite("all") test a closed form against
+an independent oracle."""
 
 from __future__ import annotations
 
@@ -71,7 +73,7 @@ def _rel(case, closed, oracle_value, tol, **meta):
 
 def suite_tube_balance() -> list[VerificationReport]:
     """The tube carries no Gaussian curvature overall: its ruled strip's
-    total per unit crease length, by quadrature, against the crease law
+    total per unit crease length, in closed form, against the crease law
     2*kappa*sin(mu), kappa = sin^2(alpha)/a, at the exact fold mu.  Over a
     parameter grid, and on the tubes that close with 6 and 48 strips."""
     cases = [(f"a={a} alpha={alpha:.4f} h/a={ratio}", curvature.TubeSpec(a, alpha, ratio * a))
@@ -82,13 +84,11 @@ def suite_tube_balance() -> list[VerificationReport]:
     names, specs = zip(*cases)
     total, area = quadrature.tube_strip_total(list(specs))
     reports = []
-    for name, spec, strip, err, width in zip(names, specs, total.value.tolist(),
-                                             total.error_estimate.tolist(), area.value.tolist()):
+    for name, spec, strip, width in zip(names, specs, total.tolist(), area.value.tolist()):
         mu = creases.tube_half_fold_angle(spec)
         crease = 2.0 * (math.sin(spec.alpha) ** 2 / spec.a) * math.sin(mu)
         reports.append(_rel(f"tube-balance {name}", crease, -strip, 1e-13, a=spec.a,
-                            alpha=spec.alpha, h=spec.h, mu=mu, error_estimate=err,
-                            area_over_h=width / spec.h))
+                            alpha=spec.alpha, h=spec.h, mu=mu, area_over_h=width / spec.h))
     return reports
 
 
@@ -198,10 +198,11 @@ def suite_twist_independence() -> list[VerificationReport]:
 
 def suite_strip_curvature() -> list[VerificationReport]:
     """Interior angle-defect density of the 12-strip tube at 64x32 (23,968
-    vertices) against the closed-form strip Gaussian curvature."""
+    vertices) against the ruled strip's exact mean Gaussian curvature, its
+    total over its area."""
     a, alpha, n_strips, nu, nv = 1.0, math.pi / 4, 12, 64, 32
-    spec = curvature.tube_spec_for_strips(a, alpha, n_strips)
-    expected = curvature.gaussian_curvature(curvature.prismatic_curvatures(spec))
+    total, area = quadrature.tube_strip_total(curvature.tube_spec_for_strips(a, alpha, n_strips))
+    expected = total / area.value
     mesh = surfaces.gen_twisted_prismatic_tube(a, alpha, n_strips, nu, nv)
     density = oracle.angle_defect(mesh).interior_defect_density()
     return [_rel("strip-curvature tube density", expected, density, 0.02,

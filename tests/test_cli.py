@@ -12,9 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from creasegeom import (
-    MeshError, ShallowRegimeWarning, __version__, cli, load_obj, surfaces, trimesh,
-)
+from creasegeom import MeshError, __version__, cli, load_obj, surfaces, trimesh
 from creasegeom.cli import main
 
 
@@ -249,17 +247,30 @@ def test_analyze_deterministic_reports(tmp_path, capsys):
 
 
 def test_analyze_sidecar_of_a_wide_strip_cylinder_lets_no_warning_escape(tmp_path, capsys):
-    # h/a = 0.3 is past the shallow regime: building the spec warns, but the
-    # sidecar path silences that warning and the closed-form summary raises none
+    # h/a = 0.3: neither building the spec nor the closed-form summary warns
     out = tmp_path / "c.obj"
-    with pytest.warns(ShallowRegimeWarning, match="h/a"):
-        assert run(["generate", "cylinder", "--a", 1, "--alpha", 0.6, "--h", 0.3,
-                    "--nu", 16, "--nv", 8, "--out", out]) == 0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        assert run(["generate", "cylinder", "--a", 1, "--alpha", 0.6, "--h", 0.3,
+                    "--nu", 16, "--nv", 8, "--out", out]) == 0
         assert run(["analyze", "--in", f"{out}.json", "--report", tmp_path / "r.json"]) == 0
     assert [str(w.message) for w in caught] == []
     assert "closed_forms" in json.loads((tmp_path / "r.json").read_text())
+
+
+def test_cylinder_spacing_adjustment_warns_once_per_command(tmp_path, capsys):
+    # h sits between 8 and 9 lines per hoop: generate and the sidecar analyze
+    # each build the mesh once, and each says once that the spacing moved
+    out = tmp_path / "c.obj"
+    h = 2 * math.pi * math.cos(0.4) / 8.45
+    for argv in (["generate", "cylinder", "--a", 1, "--alpha", 0.4, "--h", h, "--nu", 16,
+                  "--nv", 4, "--out", out],
+                 ["analyze", "--in", f"{out}.json", "--report", tmp_path / "r.json"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv) == 0
+        assert [(w.category, str(w.message).startswith("line spacing adjusted"))
+                for w in caught] == [(UserWarning, True)]
 
 
 def test_cylinder_sidecar_reports_no_crease_balance(tmp_path, capsys):
@@ -609,15 +620,13 @@ TINY_LENGTH_FLAGS = {  # L is the shape's smallest length; each flag set accepts
 def test_generate_accepts_min_length_and_refuses_less_with_exit_2(tmp_path, capsys, shape):
     flags, name = TINY_LENGTH_FLAGS[shape]
     out = tmp_path / "x.obj"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ShallowRegimeWarning)
-        assert run(["generate", shape, *flags.format(L="1e-50").split(), "--nu=8", "--nv=4",
-                    f"--out={out}"]) == 0
-        assert run(["analyze", "--in", f"{out}.json", f"--report={tmp_path / 'r.json'}"]) == 0
-        out.unlink()
-        capsys.readouterr()
-        assert run(["generate", shape, *flags.format(L="1e-51").split(), "--nu=8", "--nv=4",
-                    f"--out={out}"]) == 2
+    assert run(["generate", shape, *flags.format(L="1e-50").split(), "--nu=8", "--nv=4",
+                f"--out={out}"]) == 0
+    assert run(["analyze", "--in", f"{out}.json", f"--report={tmp_path / 'r.json'}"]) == 0
+    out.unlink()
+    capsys.readouterr()
+    assert run(["generate", shape, *flags.format(L="1e-51").split(), "--nu=8", "--nv=4",
+                f"--out={out}"]) == 2
     assert assert_one_line_error(capsys) == f"error: {name} must be at least 1e-50, got 1e-51\n"
     assert not out.exists()
 
@@ -931,6 +940,6 @@ if HAVE_HYPOTHESIS:  # mutated sidecar bytes and random generate flags through m
         out = tmp_path_factory.getbasetemp() / "fuzz-gen.obj"
         argv = ["generate", shape, f"--out={out}", *(["--degrees"] if degrees else [])]
         argv += [f"{cli._flag(name)}={value}" for name, value in flags.items()]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ShallowRegimeWarning)
+        with warnings.catch_warnings():  # random cylinders may need their spacing adjusted
+            warnings.filterwarnings("ignore", "line spacing adjusted", UserWarning)
             run_quietly(argv)

@@ -84,11 +84,18 @@ def crease_term(spec):
 def test_tube_balance_canonical():
     spec = TubeSpec(a=1.0, alpha=math.pi / 4, h=0.05)
     total, area = tube_strip_total(spec)
-    assert total.value == pytest.approx(-crease_term(spec), rel=1e-13)
-    assert total.error_estimate <= 1e-15
+    assert total == pytest.approx(-crease_term(spec), rel=1e-13)
     # the shallow strip term -(h/a^2) sin^2 cos^2 = -h/4, off at O((h/a)^2)
-    assert total.value == pytest.approx(-0.0125, rel=1e-4)
+    assert total == pytest.approx(-0.0125, rel=1e-4)
     assert area.value == pytest.approx(spec.h, rel=1e-4)
+
+
+@pytest.mark.parametrize("a, alpha, h", [(1.0, 1.2, 10.0), (1.0, 1.2, 8.0), (1.0, 0.7, 5.0)])
+def test_tube_balance_where_the_strip_nears_the_axis(a, alpha, h):
+    # theta = (h/a) cos(alpha) near pi: K W peaks sharply at mid-strip, where
+    # 32 quadrature nodes read the balance only to 2.9e-4, 7.4e-6 and 8.6e-9
+    spec = TubeSpec(a, alpha, h)
+    assert tube_strip_total(spec)[0] == pytest.approx(-crease_term(spec), rel=1e-13)
 
 
 def test_tube_strip_total_of_a_batch_is_each_specs_single_call():
@@ -97,11 +104,10 @@ def test_tube_strip_total_of_a_batch_is_each_specs_single_call():
     total, area = tube_strip_total(specs)
     for i, spec in enumerate(specs):
         one_total, one_area = tube_strip_total(spec)
-        assert (one_total.value, one_total.error_estimate) == (total.value[i],
-                                                               total.error_estimate[i])
+        assert isinstance(one_total, float) and one_total == total[i]
         assert (one_area.value, one_area.error_estimate) == (area.value[i],
                                                              area.error_estimate[i])
-    assert total.evaluations == area.evaluations == len(specs) * one_total.evaluations
+    assert area.evaluations == len(specs) * one_area.evaluations
 
 
 def test_tube_strip_area_at_twelve_strips():
@@ -113,6 +119,6 @@ def test_tube_strip_area_at_twelve_strips():
 
 def test_tube_strip_total_at_axial_and_hoop_lines():
     total, area = tube_strip_total(TubeSpec(1.0, 0.0, 0.05))
-    assert total.value == 0.0 and area.value > 0.0
+    assert total == 0.0 and area.value > 0.0
     spec = TubeSpec(1.0, math.pi / 2, 0.05)
-    assert tube_strip_total(spec)[0].value == pytest.approx(-crease_term(spec), rel=1e-15)
+    assert tube_strip_total(spec)[0] == pytest.approx(-crease_term(spec), rel=1e-15)

@@ -11,7 +11,6 @@ from creasegeom import (
     MudguardSpec,
     ParameterError,
     ResolutionError,
-    ShallowRegimeWarning,
     TriMesh,
     TubeSpec,
     gen_curved_crease,
@@ -45,11 +44,8 @@ def test_cylinder_lies_on_cylinder():
 
 def test_cylinder_adjusts_spacing_with_warning():
     # h sits between 8 and 9 lines per hoop, so the spacing snaps by > 5%
-    from creasegeom import TubeSpec
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ShallowRegimeWarning)
-        bad = TubeSpec(a=1.0, alpha=0.4, h=2 * math.pi * math.cos(0.4) / 8.45)
-    with pytest.warns(ShallowRegimeWarning, match="adjusted"):
+    bad = TubeSpec(a=1.0, alpha=0.4, h=2 * math.pi * math.cos(0.4) / 8.45)
+    with pytest.warns(UserWarning, match="adjusted"):
         gen_cylinder(bad, 16, 4)
 
 
@@ -125,8 +121,10 @@ def test_twisted_patch_fold_is_rigid():
         angle_defect(flat).total_defect, rel=1e-9)
 
 
-def test_twisted_patch_warns_outside_shallow_regime():
-    with pytest.warns(ShallowRegimeWarning):
+def test_strongly_twisted_patch_raises_no_warning():
+    # -kxy^2 is the pointwise K at the patch centre at every twist
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         gen_twisted_patch(0.5, 1.0, 1.0, 0.0, 8, 8)
 
 
@@ -351,14 +349,12 @@ SIZED = {  # odd nu/nv where a generator rounds them up to even
 
 @pytest.mark.parametrize("shape", sorted(SIZED))
 def test_size_check_counts_vertices_exactly(shape, monkeypatch):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ShallowRegimeWarning)
-        count = SIZED[shape]().num_vertices
-        monkeypatch.setattr(surfaces, "MAX_VERTICES", count)
+    count = SIZED[shape]().num_vertices
+    monkeypatch.setattr(surfaces, "MAX_VERTICES", count)
+    SIZED[shape]()
+    monkeypatch.setattr(surfaces, "MAX_VERTICES", count - 1)
+    with pytest.raises(ResolutionError, match=f"{count} vertices, over the limit"):
         SIZED[shape]()
-        monkeypatch.setattr(surfaces, "MAX_VERTICES", count - 1)
-        with pytest.raises(ResolutionError, match=f"{count} vertices, over the limit"):
-            SIZED[shape]()
 
 
 class NoArrays:
@@ -506,9 +502,7 @@ def reference_gore_sphere(spec, nu, nv):
 
 @pytest.mark.parametrize("shape", sorted(SIZED))
 def test_generators_index_in_int32_as_int64_would(shape):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ShallowRegimeWarning)
-        mesh = SIZED[shape]()
+    mesh = SIZED[shape]()
     assert mesh.triangles.dtype == np.int32
     wide = TriMesh(mesh.vertices, mesh.triangles.astype(np.int64), mesh.crease_polylines)
     assert wide.triangles.dtype == np.int64
@@ -532,13 +526,11 @@ BUILT = {  # called through surfaces, so that the references can stand in
 
 @pytest.mark.parametrize("shape", sorted(BUILT))
 def test_generators_match_stacking_reference(shape, monkeypatch):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ShallowRegimeWarning)
-        mesh = BUILT[shape]()
-        monkeypatch.setattr(surfaces, "_grid_triangles", reference_grid_triangles)
-        monkeypatch.setattr(surfaces, "_helical_band", reference_helical_band)
-        monkeypatch.setattr(surfaces, "gen_gore_sphere", reference_gore_sphere)
-        ref = BUILT[shape]()
+    mesh = BUILT[shape]()
+    monkeypatch.setattr(surfaces, "_grid_triangles", reference_grid_triangles)
+    monkeypatch.setattr(surfaces, "_helical_band", reference_helical_band)
+    monkeypatch.setattr(surfaces, "gen_gore_sphere", reference_gore_sphere)
+    ref = BUILT[shape]()
     for name in ("vertices", "triangles"):
         got, want = getattr(mesh, name), getattr(ref, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
