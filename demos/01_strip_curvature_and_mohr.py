@@ -17,7 +17,7 @@ from creasegeom import (
     mohr_circle,
     principal_curvatures,
     prismatic_curvatures,
-    tube_half_fold_angle,
+    tube_crease_specific_curvature,
     tube_strip_total,
 )
 
@@ -42,7 +42,7 @@ print(
 print(f"{'alpha':>7} {'strip total':>12} {'crease term':>12} {'rel resid':>10} {'area/h':>9}")
 total, area = tube_strip_total(specs)
 for spec, strip, width in zip(specs, total, area.value):
-    crease = 2.0 * math.sin(spec.alpha) ** 2 / A * math.sin(tube_half_fold_angle(spec))
+    crease = tube_crease_specific_curvature(spec)
     print(
         f"{math.degrees(spec.alpha):>6.0f}d {strip:12.8f} {crease:12.8f} "
         f"{abs(strip + crease) / crease if crease else 0.0:10.1e} {width / H:9.6f}"

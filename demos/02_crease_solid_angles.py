@@ -21,7 +21,7 @@ from creasegeom import (
     angle_defect,
     crease_specific_curvature,
     gen_curved_crease,
-    tube_half_fold_angle,
+    tube_crease_specific_curvature,
     tube_strip_total,
 )
 
@@ -39,7 +39,7 @@ print(f"{'h':>6} {'strip total':>12} {'crease term':>12} {'rel resid':>10} {'are
 specs = [TubeSpec(a=1.0, alpha=math.pi / 4, h=h) for h in (0.1, 0.05, 0.025, 0.0125)]
 total, area = tube_strip_total(specs)
 for spec, strip, width in zip(specs, total, area.value):
-    crease = 2.0 * math.sin(spec.alpha) ** 2 / spec.a * math.sin(tube_half_fold_angle(spec))
+    crease = tube_crease_specific_curvature(spec)
     print(
         f"{spec.h:6.4f} {strip:12.8f} {crease:12.8f} "
         f"{abs(strip + crease) / crease:10.1e} {width / spec.h:9.6f}"

@@ -2,8 +2,10 @@
 
 Two ways to trade smooth curvature for folds.  The mudguard replaces a curved
 crease by a narrow doubly-curved band and its total solid angle barely
-notices.  The gore sphere replaces a smooth sphere by flat-ish gores and its
-4*pi of curvature simply migrates into the seams and survives the move.
+notices.  The gore sphere replaces a smooth sphere by developable gores and
+its 4*pi of curvature migrates into the seams: along each, the crease law
+2 kappa sin(mu), with the seam ellipse's curvature and its exact fold,
+integrates to 4*pi/n.
 """
 
 import math
@@ -14,7 +16,6 @@ from creasegeom import (
     angle_defect,
     gauss_map_integrate,
     gen_gore_sphere,
-    gore_sphere_total,
     mudguard_closed_form,
     mudguard_surface,
     mudguard_total,
@@ -39,17 +40,18 @@ print(
     f"{mudguard_closed_form(spec.R, spec.r, spec.mu):.8f} sr."
 )
 
-print("\ngore sphere: seam totals approach 4 pi = 12.56637061 from below")
-print(f"{'n':>6} {'seam total':>13} {'deficit':>11} {'mesh total':>13}")
+print("\ngore sphere (32 x 4 meshes): each seam carries 4 pi / n by the crease law")
+print(f"{'n':>6} {'4 pi / n':>11} {'mesh seam':>11} {'rel gap':>9} {'poles':>9} "
+      f"{'mesh total':>12}")
 for n in (6, 12, 24, 48):
-    total = gore_sphere_total(GoreSphereSpec(R=1.0, n=n)).value
-    mesh = gen_gore_sphere(GoreSphereSpec(R=1.0, n=n), 32, 4)
-    mesh_total = angle_defect(mesh).total_defect
+    field = angle_defect(gen_gore_sphere(GoreSphereSpec(R=1.0, n=n), 32, 4))
+    law, seam = 4 * math.pi / n, field.crease_totals[1]  # every seam alike by symmetry
     print(
-        f"{n:>6} {total:13.8f} {4 * math.pi - total:11.2e} {mesh_total:13.8f}"
+        f"{n:>6} {law:11.8f} {seam:11.8f} {seam / law - 1:9.1e} "
+        f"{field.defect[0] + field.defect[1]:9.2e} {field.total_defect:12.8f}"
     )
 print(
-    "\nEvery mesh column reads exactly 4 pi: Gauss-Bonnet holds on the "
-    "triangulation\nno matter how coarse, while the quadrature column shows "
-    "the 1/n^2 seam deficit."
+    "\nEvery mesh total reads 4 pi = 12.56637061: Gauss-Bonnet holds on the\n"
+    "triangulation no matter how coarse. At this resolution the seams fall short\n"
+    "of the law by about 1e-3, and the two pole vertices carry the rest."
 )

@@ -87,21 +87,20 @@ class Shape:
     summary: Callable[[object, dict], dict]
 
 
-def _balance_rows(specs: list):
-    """Per TubeSpec: the ruled strip's total curvature per unit crease length,
-    the crease's 2*kappa*sin(mu) (kappa = sin^2(alpha)/a, mu the exact fold),
+def _balance_row(strip: float, spec) -> tuple:
+    """For a TubeSpec and its ruled strip's total curvature per unit crease
+    length: that total, the crease's 2*kappa*sin(mu) at the exact fold,
     their sum, and its size relative to the larger term."""
-    for spec, x in zip(specs, quadrature.tube_strip_total(specs)[0].tolist()):
-        mu = creases.tube_half_fold_angle(spec)
-        y = 2.0 * (math.sin(spec.alpha) ** 2 / spec.a) * math.sin(mu)
-        scale = max(abs(x), abs(y))
-        yield x, y, x + y, abs(x + y) / scale if scale > 0 else 0.0
+    crease = creases.tube_crease_specific_curvature(spec)
+    scale = max(abs(strip), abs(crease))
+    return strip, crease, strip + crease, abs(strip + crease) / scale if scale > 0 else 0.0
 
 
 def _tube_summary(spec) -> dict:
     """The balance, and the ruled strip's exact mean K: its total over its area."""
-    strip, crease, residual, _ = next(_balance_rows([spec]))
-    return {"strip_gaussian_curvature": strip / quadrature.tube_strip_total(spec)[1].value,
+    total, area = quadrature.tube_strip_total(spec)
+    strip, crease, residual, _ = _balance_row(total, spec)
+    return {"strip_gaussian_curvature": strip / area.value,
             "strip_specific_curvature": strip, "crease_specific_curvature": crease,
             "balance_residual": residual}
 
@@ -147,7 +146,7 @@ SHAPES = {
         lambda p: surfaces.GoreSphereSpec(R=p["radius"], n=p["n"]),
         lambda s, p: surfaces.gen_gore_sphere(s, p["nu"], p["nv"]),
         lambda s, p: {
-            "seam_total_solid_angle": quadrature.gore_sphere_total(s).value,
+            "seam_total_solid_angle": s.n * (4.0 * math.pi / s.n),  # n seams of 4*pi/n
             "gauss_bonnet_total": 4.0 * math.pi,
         },
     ),
@@ -353,6 +352,11 @@ def _alpha_rows(cs):
         yield strip, curvature.gaussian_curvature(state), circle.center, circle.radius
 
 
+def _h_rows(cs):
+    specs = _tube_specs(cs)
+    return map(_balance_row, quadrature.tube_strip_total(specs)[0].tolist(), specs)
+
+
 def _crease_mudguard_rows(cs):
     rates, specs = [], []
     for c in cs:
@@ -367,8 +371,9 @@ def _r_rows(cs):
 
 
 def _n_rows(cs):
-    total = quadrature.gore_sphere_total([surfaces.GoreSphereSpec(c["R"], c["n"]) for c in cs])
-    return zip(total.value.tolist(), (4.0 * math.pi - total.value).tolist())
+    """n seams' total and each one's 4*pi/n, creases.gore_seam_crease's integral."""
+    ns = [surfaces.GoreSphereSpec(c["R"], c["n"]).n for c in cs]
+    return ((n * (4.0 * math.pi / n), 4.0 * math.pi / n) for n in ns)
 
 
 _CREASE_MUDGUARD = ("crease_specific_curvature", "mudguard_closed_form",
@@ -379,13 +384,12 @@ _CREASE_MUDGUARD = ("crease_specific_curvature", "mudguard_closed_form",
 SWEEPS = {
     "alpha": (("strip_specific_curvature", "gaussian_curvature", "mohr_center",
                "mohr_radius"), _alpha_rows),
-    "h": (("strip_term", "crease_term", "residual", "relative_residual"),
-          lambda cs: _balance_rows(_tube_specs(cs))),
+    "h": (("strip_term", "crease_term", "residual", "relative_residual"), _h_rows),
     "mu": (_CREASE_MUDGUARD, _crease_mudguard_rows),
     "R": (_CREASE_MUDGUARD, _crease_mudguard_rows),
     "r": (("mudguard_closed_form", "mudguard_quadrature", "residual",
            "limit_4pi_sin_mu"), _r_rows),
-    "n": (("gore_total", "deficit_from_4pi"), _n_rows),
+    "n": (("gore_total", "seam_solid_angle"), _n_rows),
 }
 
 # Sweep context flags and their defaults.

@@ -1,6 +1,7 @@
 """Closed-form crease laws: the specific curvature 2*sin(mu)/R of a curved
-crease, and the exact fold angle of the creased tube, at which the law
-balances the total of the tube's ruled strips (quadrature.tube_strip_total).
+crease, the exact fold angle of the creased tube, at which the law balances
+the total of the tube's ruled strips (quadrature.tube_strip_total), and the
+crease of a gore sphere's seam, whose curvature and fold vary along it.
 
 A crease is characterised by its half fold angle mu (the surface normal turns
 by 2*mu across it) and the radius of curvature R along it.  Its torsion does
@@ -66,3 +67,28 @@ def tube_half_fold_angle(spec: TubeSpec) -> float:
     return math.atan2(2.0 * a * math.sin(h * c / (2.0 * a)) ** 2,
                       h * s * s + a * c * math.sin(h * c / a))
 
+
+def tube_crease_specific_curvature(spec: TubeSpec) -> float:
+    """2*kappa*sin(mu), kappa = sin^2(alpha)/a, at the exact fold mu: the
+    negative of tube_strip_total's curvature.  Not through CreaseSpec, which
+    refuses the mu >= pi/2 of a wide strip."""
+    return 2.0 * (math.sin(spec.alpha) ** 2 / spec.a) * math.sin(tube_half_fold_angle(spec))
+
+
+def gore_seam_crease(spec, theta: float) -> CreaseSpec:
+    """The crease of a gore seam at latitude theta in [-pi/2, pi/2]; spec is
+    a surfaces.GoreSphereSpec, beta = pi/n, q = 1 - sin^2(beta) cos^2(theta).
+
+    gen_gore_sphere's seams are ellipses (A cos(theta), B sin(theta)) in
+    mirror planes, A = R/cos(beta), B = R: kappa = AB/(A^2 sin^2 + B^2 cos^2)^1.5
+    = cos^2(beta)/(R q^1.5) and ds = R sqrt(q)/cos(beta) dtheta.  In the seam
+    plane's (radial, azimuthal, vertical) frame the gore normals either side
+    are (cos(theta) cos(beta), +-cos(theta) sin(beta), sin(theta)), so
+    sin(mu) = sin(beta) cos(theta) exactly, and 2 kappa sin(mu) ds =
+    2 sin(beta) cos(beta) cos(theta) dtheta / q integrates to 4 beta = 4*pi/n
+    for every R.  A circle of radius R folded at mu = beta cos(theta) carries
+    3.0% less at n = 6."""
+    beta = math.pi / spec.n
+    sin_mu = math.sin(beta) * math.cos(theta)
+    return CreaseSpec(R=spec.R * (1.0 - sin_mu * sin_mu) ** 1.5 / math.cos(beta) ** 2,
+                      mu=math.asin(sin_mu))

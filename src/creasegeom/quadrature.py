@@ -1,6 +1,6 @@
 """Deterministic 1-D Gauss–Legendre quadrature over many integrals at once,
-the two closed-form totals it verifies, the mudguard hoop integral and the
-gore-sphere seam total, and the creased tube's ruled-strip total."""
+the mudguard's closed-form total and the hoop integral it verifies, and the
+creased tube's ruled-strip total."""
 
 from __future__ import annotations
 
@@ -133,19 +133,3 @@ def tube_strip_total(specs):
     return (_out(total),
             QuadratureResult(_out(area.value * a), _out(area.error_estimate * a),
                              area.evaluations))
-
-
-def gore_sphere_total(specs) -> QuadratureResult:
-    """Total seam solid angle of an n-gore sphere in the small-angle seam model.
-
-    n * integral over latitude of 2*sin((pi/n)*cos(theta)): the crease law
-    2*sin(mu)/R along each seam, with the small-angle half fold
-    mu = (pi/n)*cos(theta).  Approaches 4*pi from below as n grows.  A model,
-    not the exact seam rate: gen_gore_sphere's seams carry 4*pi/n each,
-    3.1% above the model's share at n = 6.  Takes a GoreSphereSpec or a list
-    of them; value and error are n times integrate's, evaluations its total.
-    """
-    n = np.vectorize(attrgetter("n"), otypes=[float])(specs)
-    quad = integrate(lambda theta, beta: 2.0 * np.sin(beta * np.cos(theta)),
-                     -np.pi / 2, np.pi / 2, args=(np.pi / n,))
-    return QuadratureResult(_out(n * quad.value), _out(n * quad.error_estimate), quad.evaluations)

@@ -1,15 +1,14 @@
 """Verification suites; a suite passes iff each of its VerificationReports
 does.  Closed forms are compared with an oracle (the angle defects of a mesh
-in crease-law, twist-independence and strip-curvature, the Gauss map in one
-mudguard report), with their own model by quadrature (27 mudguard reports),
-with a limit (mudguard r -> 0, gore n -> infinity and its 1/n^2 deficit
-scaling), or with identities: algebraic ones (mohr) and one that holds by
-construction (Gauss-Bonnet on a closed gore mesh).  In tube-balance the
-ruled strip's second fundamental form, integrated in closed form, is
-compared with the crease law at the exact fold; strip-curvature compares
-the tube mesh's density with that strip's exact mean K, its total over its
-area.  So 9 of the 66 reports of run_suite("all") test a closed form against
-an independent oracle."""
+in crease-law, gore, twist-independence and strip-curvature, the Gauss map
+in one mudguard report), with their own model by quadrature (27 mudguard
+reports), with a limit (mudguard r -> 0), or with identities: algebraic
+ones (mohr) and one that holds by construction (Gauss-Bonnet on a closed
+gore mesh).  In tube-balance the ruled strip's second fundamental form,
+integrated in closed form, is compared with the crease law at the exact
+fold; strip-curvature compares the tube mesh's density with that strip's
+exact mean K, its total over its area.  So 13 of the 66 reports of
+run_suite("all") test a closed form against an independent oracle."""
 
 from __future__ import annotations
 
@@ -85,10 +84,9 @@ def suite_tube_balance() -> list[VerificationReport]:
     total, area = quadrature.tube_strip_total(list(specs))
     reports = []
     for name, spec, strip, width in zip(names, specs, total.tolist(), area.value.tolist()):
-        mu = creases.tube_half_fold_angle(spec)
-        crease = 2.0 * (math.sin(spec.alpha) ** 2 / spec.a) * math.sin(mu)
-        reports.append(_rel(f"tube-balance {name}", crease, -strip, 1e-13, a=spec.a,
-                            alpha=spec.alpha, h=spec.h, mu=mu, area_over_h=width / spec.h))
+        reports.append(_rel(f"tube-balance {name}", creases.tube_crease_specific_curvature(spec),
+                            -strip, 1e-13, a=spec.a, alpha=spec.alpha, h=spec.h,
+                            mu=creases.tube_half_fold_angle(spec), area_over_h=width / spec.h))
     return reports
 
 
@@ -149,28 +147,36 @@ def suite_mudguard() -> list[VerificationReport]:
 
 
 def suite_gore() -> list[VerificationReport]:
-    """Seam quadrature total against 4*pi, its 1/n^2 deficit scaling, and
-    Gauss-Bonnet on generated gore-sphere meshes.
-
-    Only the n -> infinity limit of the small-angle seam model is checked.
-    At finite n no report compares the model with the mesh, whose seams
-    carry 4*pi/n each: the model is 3.0% low at n = 6 and 0.76% at n = 12."""
-    four_pi = 4.0 * math.pi
-    ns = (1000, 8, 16, 32, 64)
-    totals = quadrature.gore_sphere_total([surfaces.GoreSphereSpec(1.0, n) for n in ns]).value
-    reports = [_rel("gore total n=1000", four_pi, totals[0], 1e-4, n=1000)]
-    deficits = {n: four_pi - total for n, total in zip(ns[1:], totals[1:])}
-    for n in (8, 16, 32):
-        ratio = deficits[n] / deficits[2 * n]
-        reports.append(_report(f"gore deficit scaling n={n}->{2 * n}",
-                               4.0, ratio, ratio - 4.0, 0.4, "ratio"))
-    nu, nv = 48, 6
+    """Gore-sphere meshes at 48x6 with n = 6 and 8 against the crease law
+    along seams whose curvature and fold vary (creases.gore_seam_crease):
+    each seam vertex's defect over half its two segments against
+    2*kappa*sin(mu) at the latitude of its z, skipping the rows beside the
+    poles; each seam's total against the law's 4*pi/n; and Gauss-Bonnet,
+    which holds on any closed genus-0 mesh by construction."""
+    four_pi, nu, nv = 4.0 * math.pi, 48, 6
+    reports, gauss_bonnet = [], []
     for n in (6, 8):
-        mesh = surfaces.gen_gore_sphere(surfaces.GoreSphereSpec(R=1.0, n=n), nu, nv)
-        total_defect = oracle.angle_defect(mesh).total_defect
-        reports.append(_report(f"gore mesh gauss-bonnet n={n}", four_pi, total_defect,
-                               total_defect - four_pi, 1e-9, "absolute", nu=nu, nv=nv))
-    return reports
+        spec = surfaces.GoreSphereSpec(R=1.0, n=n)
+        mesh = surfaces.gen_gore_sphere(spec, nu, nv)
+        field = oracle.angle_defect(mesh)
+        rows = []  # (law, rate, theta) per seam vertex
+        for chain in mesh.crease_polylines.values():
+            points = mesh.vertices[chain]
+            segments = np.linalg.norm(np.diff(points, axis=0), axis=1)
+            rate = field.defect[chain[1:-1]] / (0.5 * (segments[:-1] + segments[1:]))
+            theta = np.arcsin(points[1:-1, 2] / spec.R).tolist()
+            rows += zip([creases.crease_specific_curvature(creases.gore_seam_crease(spec, t))
+                         for t in theta], rate.tolist(), theta)
+        law, rate, theta = max(rows, key=lambda row: abs(row[1] / row[0] - 1.0))
+        seam, total = max(field.crease_totals.items(), key=lambda kv: abs(kv[1] - four_pi / n))
+        reports += [_rel(f"gore seam rate n={n}", law, rate, 1e-3, n=n, nu=nu, nv=nv,
+                         theta=theta),
+                    _rel(f"gore seam total n={n}", four_pi / n, total, 1e-3, n=n, nu=nu, nv=nv,
+                         seam=seam)]
+        total_defect = field.total_defect
+        gauss_bonnet.append(_report(f"gore mesh gauss-bonnet n={n}", four_pi, total_defect,
+                                    total_defect - four_pi, 1e-9, "absolute", nu=nu, nv=nv))
+    return reports + gauss_bonnet
 
 
 def suite_twist_independence() -> list[VerificationReport]:
@@ -188,11 +194,11 @@ def suite_twist_independence() -> list[VerificationReport]:
         length = field.crease_totals[1] / field.crease_rates[1]  # what crease_rates divides by
         rate = (field.crease_totals[1] - field.interior_defect_density() * area) / length
         kappa, torsion = math.sin(alpha) ** 2 / a, math.sin(alpha) * math.cos(alpha) / a
-        mu = creases.tube_half_fold_angle(curvature.tube_spec_for_strips(a, alpha, n_strips))
+        spec = curvature.tube_spec_for_strips(a, alpha, n_strips)
         reports.append(_rel(f"twist-independence tube crease alpha={alpha:.4f}",
-                            2.0 * kappa * math.sin(mu), rate, 1e-3, a=a, alpha=alpha,
-                            n_strips=n_strips, nu=nu, nv=nv, curvature=kappa, torsion=torsion,
-                            mu=mu))
+                            creases.tube_crease_specific_curvature(spec), rate, 1e-3, a=a,
+                            alpha=alpha, n_strips=n_strips, nu=nu, nv=nv, curvature=kappa,
+                            torsion=torsion, mu=creases.tube_half_fold_angle(spec)))
     return reports
 
 

@@ -93,8 +93,8 @@ def test_criterion_5_gore_sphere(capsys):
         for n in (6, 8, 12)
     )
     check_suite(capsys, 5, "gore sphere", "gore", 6, by_prefix({
-        "gore total": 1e-4,
-        "gore deficit scaling": 0.4,
+        "gore seam rate": 1e-3,
+        "gore seam total": 1e-3,
         "gore mesh gauss-bonnet": 1e-9,
     }), gb_worst <= 1e-9, f", Gauss-Bonnet at 32x4 worst {gb_worst:.2e} <= 1e-9")
 

@@ -386,12 +386,12 @@ def test_sweep_n_monotone(tmp_path, capsys):
     csv_path = tmp_path / "n.csv"
     assert run(["sweep", "--param", "n", "--range", "4:64:13",
                 "--csv", csv_path]) == 0
-    totals = [
-        float(line.split(",")[1])
-        for line in csv_path.read_text().splitlines()[1:]
-    ]
-    assert totals == sorted(totals)
-    assert totals[-1] < 4 * math.pi
+    rows = [list(map(float, line.split(",")))
+            for line in csv_path.read_text().splitlines()[1:]]
+    # each seam's share 4*pi/n falls as n grows; the n seams keep 4*pi
+    seams = [seam for _, _, seam in rows]
+    assert seams == sorted(seams, reverse=True) and len(set(seams)) == len(seams)
+    assert all(total == pytest.approx(4 * math.pi, rel=1e-15) for _, total, _ in rows)
 
 
 def test_sweep_bad_range_exit_2(tmp_path, capsys):
@@ -424,37 +424,27 @@ def test_sweep_step_cap_exit_2_before_any_value(tmp_path, capsys):
         assert peak < 400_000  # the cap's value list alone would take about 3 MB
 
 
-def gore_series(n):
-    """The seam model's total n * 2 pi H_0(pi/n), from the Struve series
-    H_0(z) = (2/pi) sum (-1)^k z^(2k+1) / ((2k+1)!!)^2."""
-    beta, double_factorial, terms = math.pi / n, 1.0, []
-    for k in range(40):
-        double_factorial *= 2 * k + 1
-        terms.append((-1) ** k * beta ** (2 * k + 1) / double_factorial**2)
-    return 4 * n * math.fsum(terms)
-
-
 def test_sweep_n_above_int64_keeps_exact_gore_counts(tmp_path, capsys):
     csv_path = tmp_path / "n.csv"
     assert run(["sweep", "--param", "n", "--range", "3:1e19:3", "--csv", csv_path]) == 0
     rows = csv_path.read_text().splitlines()[1:]
-    # the large-n deficits are rounding of 4*pi, one ulp: the exact ones are
-    # below 6e-37
+    # each seam carries 4*pi/n exactly; n seams carry 4*pi to rounding
     assert rows == [
-        "3,11.100878286527182,1.4654923278319902",
-        "5000000000000000000,12.56637061435917,1.7763568394002505e-15",
-        "10000000000000000000,12.56637061435917,1.7763568394002505e-15",
+        "3,12.566370614359172,4.1887902047863905",
+        "5000000000000000000,12.566370614359172,2.5132741228718344e-18",
+        "10000000000000000000,12.566370614359172,1.2566370614359172e-18",
     ]
     for row in rows:
-        n, total, deficit = row.split(",")
-        assert abs(float(total) - gore_series(int(n))) <= 1e-14 * float(total)
-        assert float(deficit) == 4 * math.pi - float(total)
+        n, total, seam = row.split(",")
+        assert float(seam) == 4 * math.pi / int(n)
+        assert float(total) == pytest.approx(4 * math.pi, rel=1e-15)
 
 
 @pytest.mark.parametrize("param, text", [("n", "3:2002:2000"), ("mu", "0.05:1.05:2000")])
 def test_quadrature_sweep_batches_its_rows(tmp_path, capsys, monkeypatch, param, text):
     # 4,000 integrand calls when each row runs its own quadrature; one
-    # batched call makes one per Gauss-Legendre rule.
+    # batched call makes one per Gauss-Legendre rule.  The gore seams' 4*pi/n
+    # is a closed form, so the `n` sweep makes none.
     from creasegeom import quadrature
 
     calls = 0
@@ -470,7 +460,7 @@ def test_quadrature_sweep_batches_its_rows(tmp_path, capsys, monkeypatch, param,
     monkeypatch.setattr(quadrature, "integrate", counting)
     assert run(["sweep", "--param", param, "--range", text,
                 "--csv", tmp_path / "x.csv"]) == 0
-    assert calls == 2
+    assert calls == (0 if param == "n" else 2)
 
 
 def assert_one_line_error(capsys):

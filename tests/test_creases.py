@@ -5,10 +5,15 @@ import pytest
 
 from creasegeom import (
     CreaseSpec,
+    GoreSphereSpec,
     ParameterError,
     TubeSpec,
     crease_specific_curvature,
+    gen_gore_sphere,
     gen_twisted_prismatic_tube,
+    gore_seam_crease,
+    integrate,
+    tube_crease_specific_curvature,
     tube_half_fold_angle,
     tube_spec_for_strips,
     tube_strip_total,
@@ -76,15 +81,10 @@ def test_tube_half_fold_angle_tends_to_shallow_limit():
         assert coarse / fine == pytest.approx(4.0, rel=0.01)
 
 
-def crease_term(spec):
-    """2 kappa sin(mu) with kappa = sin^2(alpha)/a and the exact fold mu."""
-    return 2.0 * math.sin(spec.alpha) ** 2 / spec.a * math.sin(tube_half_fold_angle(spec))
-
-
 def test_tube_balance_canonical():
     spec = TubeSpec(a=1.0, alpha=math.pi / 4, h=0.05)
     total, area = tube_strip_total(spec)
-    assert total == pytest.approx(-crease_term(spec), rel=1e-13)
+    assert total == pytest.approx(-tube_crease_specific_curvature(spec), rel=1e-13)
     # the shallow strip term -(h/a^2) sin^2 cos^2 = -h/4, off at O((h/a)^2)
     assert total == pytest.approx(-0.0125, rel=1e-4)
     assert area.value == pytest.approx(spec.h, rel=1e-4)
@@ -95,7 +95,8 @@ def test_tube_balance_where_the_strip_nears_the_axis(a, alpha, h):
     # theta = (h/a) cos(alpha) near pi: K W peaks sharply at mid-strip, where
     # 32 quadrature nodes read the balance only to 2.9e-4, 7.4e-6 and 8.6e-9
     spec = TubeSpec(a, alpha, h)
-    assert tube_strip_total(spec)[0] == pytest.approx(-crease_term(spec), rel=1e-13)
+    assert tube_strip_total(spec)[0] == pytest.approx(-tube_crease_specific_curvature(spec),
+                                                      rel=1e-13)
 
 
 def test_tube_strip_total_of_a_batch_is_each_specs_single_call():
@@ -121,4 +122,45 @@ def test_tube_strip_total_at_axial_and_hoop_lines():
     total, area = tube_strip_total(TubeSpec(1.0, 0.0, 0.05))
     assert total == 0.0 and area.value > 0.0
     spec = TubeSpec(1.0, math.pi / 2, 0.05)
-    assert tube_strip_total(spec)[0] == pytest.approx(-crease_term(spec), rel=1e-15)
+    assert tube_strip_total(spec)[0] == pytest.approx(-tube_crease_specific_curvature(spec),
+                                                      rel=1e-15)
+
+
+# -- gore seams --------------------------------------------------------------
+
+def unit_normal(mesh, triangle):
+    a, b, c = mesh.vertices[triangle]
+    normal = np.cross(b - a, c - a)
+    return normal / np.linalg.norm(normal)
+
+
+@pytest.mark.parametrize("R, n", [(1.0, 3), (2.5, 6), (1.0, 12)])
+def test_gore_seam_half_fold_matches_mesh_faces(R, n):
+    # every face of a gore is a chord of its cylinder: its normal is the
+    # gore's at the mid latitude of its two rows, so half the dihedral angle
+    # across a seam edge is the law's mu there
+    spec = GoreSphereSpec(R=R, n=n)
+    mesh = gen_gore_sphere(spec, 24, 4)
+    for chain in mesh.crease_polylines.values():
+        theta = np.arcsin(mesh.vertices[chain, 2] / R)
+        for i in range(len(chain) - 1):
+            at_edge = (mesh.triangles == chain[i]).any(1) & (mesh.triangles == chain[i + 1]).any(1)
+            n1, n2 = (unit_normal(mesh, t) for t in mesh.triangles[at_edge])
+            half_fold = 0.5 * math.atan2(np.linalg.norm(np.cross(n1, n2)), np.dot(n1, n2))
+            mu = gore_seam_crease(spec, 0.5 * (theta[i] + theta[i + 1])).mu
+            assert half_fold == pytest.approx(mu, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [6, 12, 1000])
+def test_gore_seam_law_integrates_to_four_pi_over_n(n):
+    # ds = R sqrt(sin^2(theta) / cos^2(beta) + cos^2(theta)) dtheta on the seam ellipse
+    spec, beta = GoreSphereSpec(R=2.0, n=n), math.pi / n
+
+    def law_ds(theta):
+        rate = [crease_specific_curvature(gore_seam_crease(spec, t)) for t in theta.ravel()]
+        ds = spec.R * np.sqrt((np.sin(theta) / math.cos(beta)) ** 2 + np.cos(theta) ** 2)
+        return np.reshape(rate, theta.shape) * ds
+
+    total = integrate(law_ds, -math.pi / 2, math.pi / 2)
+    assert abs(total.value - 4 * math.pi / n) <= total.error_estimate
+    assert total.value == pytest.approx(4 * math.pi / n, rel=1e-13)

@@ -13,7 +13,6 @@ from creasegeom import (
     GoreSphereSpec,
     MudguardSpec,
     ParameterError,
-    gore_sphere_total,
     integrate,
     mudguard_closed_form,
     mudguard_total,
@@ -115,29 +114,6 @@ def test_mudguard_r_to_zero_limit():
     # per unit hoop length the rate recovers the curved-crease law 2 sin(mu)/R
     rate = mudguard_closed_form(10.0, 1e-6, mu) / (2 * math.pi * 10.0)
     assert rate == pytest.approx(2 * math.sin(mu) / 10.0, rel=1e-6)
-
-
-def test_gore_sphere_total_values():
-    total8 = gore_sphere_total(GoreSphereSpec(R=1.0, n=8)).value
-    assert total8 == pytest.approx(12.35237, rel=1e-5)
-    assert total8 < 4 * math.pi
-    # monotone approach to 4*pi from below
-    total16 = gore_sphere_total(GoreSphereSpec(R=1.0, n=16)).value
-    assert total8 < total16 < 4 * math.pi
-
-
-def test_gore_sphere_total_large_n():
-    total = gore_sphere_total(GoreSphereSpec(R=1.0, n=1000)).value
-    assert total == pytest.approx(4 * math.pi, rel=1e-4)
-
-
-def test_gore_deficit_quarter_per_doubling():
-    deficits = {
-        n: 4 * math.pi - gore_sphere_total(GoreSphereSpec(R=1.0, n=n)).value
-        for n in (8, 16, 32, 64)
-    }
-    for n in (8, 16, 32):
-        assert deficits[n] / deficits[2 * n] == pytest.approx(4.0, rel=0.1)
 
 
 def test_spec_validation():
@@ -282,41 +258,41 @@ def test_totals_take_lists_of_specs():
         one = mudguard_total(spec)
         assert (one.value, one.error_estimate) == (both.value[i], both.error_estimate[i])
     assert both.evaluations == 2 * one.evaluations
-    gores = gore_sphere_total([GoreSphereSpec(R=1.0, n=n) for n in (8, 16)])
-    assert gores.value.tolist() == [gore_sphere_total(GoreSphereSpec(R=1.0, n=n)).value
-                                    for n in (8, 16)]
 
 
 @pytest.mark.parametrize("n", [3, 8, 64, 1000, 10**6, 10**9, 10**15])
 def test_gore_error_estimate_bounds_the_struve_series(n):
-    # integral of 2 sin(beta cos theta) over (-pi/2, pi/2) is 2 pi H_0(beta),
-    # H_0(z) = (2/pi) sum (-1)^k z^(2k+1) / ((2k+1)!!)^2 the Struve function
+    # the integrand of the small-angle gore seam model that the exact seam law
+    # replaced: 2 sin(beta cos theta) over (-pi/2, pi/2), beta = pi/n,
+    # integrates to 2 pi H_0(beta), H_0(z) = (2/pi) sum (-1)^k z^(2k+1) /
+    # ((2k+1)!!)^2 the Struve function, a series to check integrate against
+    # where the integrand's size runs down to 1e-15
     beta = math.pi / n
     terms, double_factorial = [], 1.0
     for k in range(40):
         double_factorial *= 2 * k + 1 if k else 1.0
         terms.append((-1) ** k * beta ** (2 * k + 1) / double_factorial**2)
-    series = 4 * n * math.fsum(terms)
-    total = gore_sphere_total(GoreSphereSpec(R=1.0, n=n))
+    series = 4 * math.fsum(terms)
+    total = integrate(lambda theta, b: 2.0 * np.sin(b * np.cos(theta)),
+                      -math.pi / 2, math.pi / 2, args=(beta,))
     assert abs(total.value - series) <= total.error_estimate
     assert abs(total.value - series) <= 1e-14 * total.value
 
 
-# Traced peak of a 2,000-spec gore_sphere_total (n = 3..2002, the param-study
-# `n` sweep's size): 1.67 MB measured with numpy 2.4, about four arrays of
-# 32 nodes by 2,000 integrals.  The ceiling leaves 10%, and stays below a
-# 512^2 Gauss map's peak.
-GORE_SWEEP_PEAK_BYTES = 1_835_000
+# Traced peak of a 2,000-spec mudguard_total (the param-study `mu` sweep's
+# size): 1.25 MB measured with numpy 2.4, a few arrays of 32 nodes by 2,000
+# integrals.  The ceiling leaves 10%, and stays below a 512^2 Gauss map's peak.
+MUDGUARD_SWEEP_PEAK_BYTES = 1_377_000
 
 
-def test_gore_sweep_peak_memory():
-    specs = [GoreSphereSpec(R=1.0, n=n) for n in range(3, 2003)]
-    gore_sphere_total(specs[:4])  # numpy's first-call allocations
+def test_mudguard_sweep_peak_memory():
+    specs = [MudguardSpec(R=10.0, r=0.1, mu=mu) for mu in np.linspace(0.05, 1.05, 2000).tolist()]
+    mudguard_total(specs[:4])  # numpy's first-call allocations
     tracemalloc.start()
     try:
-        total = gore_sphere_total(specs)
+        total = mudguard_total(specs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert total.value.shape == (2000,)
-    assert peak < GORE_SWEEP_PEAK_BYTES
+    assert peak < MUDGUARD_SWEEP_PEAK_BYTES

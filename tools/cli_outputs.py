@@ -17,7 +17,8 @@ face record indented (which sends it to the record-by-record parser), and of
 a copy with its face records in a seeded random order (no generator writes
 such a mesh, and the kernel's per-vertex sums depend on triangle order);
 `sweep` of every parameter, of alpha in degrees, of mu and n over 2,500
-values, of mu at tiny radii and of n near 1e9; a few inputs that must
+values (mu's a batch of 2,500 integrals, n's closed forms), of mu at tiny
+radii and of n near 1e9; a few inputs that must
 be refused, whose stderr and exit code are the output; and `--version` and
 every `--help`.
 Beside each command's files it writes NAME.stdout, NAME.stderr and NAME.exit.
@@ -75,10 +76,11 @@ SWEEPS = {
     "R": "--param R --range 2:50:20",
     "r": "--param r --range 0.01:0.5:20",
     "n": "--param n --range 3:200:30",
-    # 2,500 integrals in one batch, evaluated at 16 + 32 nodes each
+    # 2,500 integrals in one batch, evaluated at 16 + 32 nodes each, and
+    # 2,500 rows of the gore seams' closed form
     "mu-blocks": "--param mu --range 0.1:1.2:2500",
     "n-blocks": "--param n --range 3:2502:2500",
-    # an integrand of about 1e8 (R = 1e-8), and gore totals within rounding of 4*pi
+    # an integrand of about 1e8 (R = 1e-8), and seams of about 1.3e-8 each
     "mu-tiny-radii": "--param mu --range 0.1:1.2:2 --R=1e-8 --r=1e-9",
     "n-near-1e9": "--param n --range 999999999:1000000000:2",
 }
