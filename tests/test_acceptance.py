@@ -11,6 +11,7 @@ import pytest
 from creasegeom import (
     GoreSphereSpec,
     angle_defect,
+    creases,
     gen_gore_sphere,
     mudguard_closed_form,
     oracle,
@@ -64,12 +65,39 @@ def test_criterion_2_crease_law(capsys):
                for r in reports if r.case_name.startswith("crease-law rate"))
 
 
+def test_crease_law_rates_fail_mu_in_place_of_sin_mu(monkeypatch):
+    # the rungs read the law to 2.5e-5 and finer, so the 1% tolerance catches
+    # a law 4.7% high (mu = pi/6 = 0.524 against sin(mu) = 0.5)
+    monkeypatch.setattr(creases, "crease_specific_curvature", lambda spec: 2.0 * spec.mu / spec.R)
+    rates = [r for r in run_suite("crease-law") if r.case_name.startswith("crease-law rate ")]
+    assert [r.metadata["nu"] for r in rates] == [32, 64, 128]
+    assert all(r.residual == pytest.approx(-0.045, abs=1e-3) and not r.passed for r in rates)
+
+
 def test_criterion_3_twist_independence(capsys):
     reports = check_suite(capsys, 3, "twist independence", "twist-independence", 2, by_prefix({
         "twist-independence tube crease": 1e-3,
     }))
     ratios = [r.metadata["torsion"] / r.metadata["curvature"] for r in reports]
     assert ratios[0] > 2 * ratios[1]  # one law at torsion/curvature 2.41 and 0.41
+
+
+def test_twist_independence_fails_the_shallow_fold(monkeypatch):
+    # the 64x16 tubes read the law to +5.1e-4 and -2.4e-4; (h/2a) cos^2(alpha)
+    # in place of the exact fold reads -1.9e-3 at alpha = pi/8
+    monkeypatch.setattr(creases, "tube_half_fold_angle",
+                        lambda spec: spec.h / (2 * spec.a) * math.cos(spec.alpha) ** 2)
+    low, _ = run_suite("twist-independence")
+    assert (low.metadata["nu"], low.metadata["nv"]) == (64, 16)
+    assert low.metadata["alpha"] == math.pi / 8 and not low.passed
+
+
+def test_twist_independence_fails_without_the_strip_share(monkeypatch):
+    # the strips' share is about 6% of crease 1's defect at nv = 16
+    monkeypatch.setattr(oracle.DefectField, "interior_defect_density", lambda field: 0.0)
+    reports = run_suite("twist-independence")
+    assert [(r.metadata["nu"], r.metadata["nv"]) for r in reports] == [(64, 16)] * 2
+    assert all(r.residual < -0.05 and not r.passed for r in reports)
 
 
 def test_criterion_4_mudguard(capsys):

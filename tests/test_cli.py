@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from creasegeom import MeshError, __version__, cli, load_obj, surfaces, trimesh
+from creasegeom import MeshError, __version__, cli, creases, load_obj, surfaces, trimesh
 from creasegeom.cli import main
 
 
@@ -675,6 +675,32 @@ def test_spec_lengths_are_refused_alike_by_generate_sidecar_and_sweep(tmp_path, 
                 f"--csv={csv_path}"]) == 2
     assert assert_one_line_error(capsys) == f"error: {message}\n"
     assert not csv_path.exists()
+
+
+# A gore seam's radius runs from R cos(pi/n) to R / cos^2(pi/n), R/2 to 4R at
+# n = 3, so at the length limits the seam's crease passes the limits that a
+# CreaseSpec checks on input; input past them is still refused.
+def test_gore_seam_crease_at_the_length_limits_and_crease_input_past_them(tmp_path, capsys):
+    for R in (1e-50, 1e50):
+        for n in (3, 6):
+            spec, unit = surfaces.GoreSphereSpec(R, n), surfaces.GoreSphereSpec(1.0, n)
+            for theta in (k * math.pi / 8 - math.pi / 2 for k in range(9)):
+                crease = creases.gore_seam_crease(spec, theta)
+                law = creases.crease_specific_curvature(crease)
+                at_unit = creases.crease_specific_curvature(creases.gore_seam_crease(unit, theta))
+                assert law == pytest.approx(at_unit / R, rel=1e-15, abs=0.0)
+    assert creases.gore_seam_crease(surfaces.GoreSphereSpec(1e50, 3), 1.5).R > 1e50
+    assert creases.gore_seam_crease(surfaces.GoreSphereSpec(1e-50, 3), 0.0).R < 1e-50
+
+    out, csv_path = tmp_path / "x.obj", tmp_path / "x.csv"
+    assert run(["generate", "curved-crease", "--R=1e51", "--mu=0.2", "--width=0.1",
+                "--nu=8", "--nv=4", f"--out={out}"]) == 2
+    assert assert_one_line_error(capsys) == (
+        "error: crease radius R must be finite and at most 1e+50, got 1e+51\n")
+    assert run(["sweep", "--param=R", "--range=1e49:1e51:3", f"--csv={csv_path}"]) == 2
+    assert assert_one_line_error(capsys) == (
+        "error: crease radius R must be finite and at most 1e+50, got 5.05e+50\n")
+    assert not out.exists() and not csv_path.exists()
 
 
 # h's lower limit is 1e-50 a, not MIN_LENGTH: a tube of radius 1e-50 closes

@@ -335,13 +335,11 @@ def test_tube_generate_and_density_peak_rss_in_a_fresh_interpreter():
     assert vertices == 756_864
     assert grown / vertices < PEAK_RSS_BYTES_PER_VERTEX
 
-# Traced peak of run_suite("all"): 6.29-6.30 MB in 3 runs with numpy 2.4, set
-# by twist-independence's 128x32 tubes (47,552 vertices each), with
-# validate's edge keys freed before its sums (8.94-9.07 MB, ceiling 9.98 MB,
-# with the keys sorted on a second thread beside them).  The strip-curvature
-# suite's 64x32 tube peaks at 3.9 MB, and at 256x256 it set the whole run's
-# peak at 92.4 MB.  The ceiling leaves 10%.
-VERIFY_ALL_PEAK_BYTES = int(1.1 * 6.30e6)
+# Traced peak of run_suite("all"): 3.90 MB in 3 runs with numpy 2.4, set by
+# the strip-curvature suite's 64x32 tube (23,968 vertices); twist
+# independence's 64x16 tubes (12,000 vertices each) stay below it, and at
+# 128x32 (47,552 each) they set it at 6.30 MB.  The ceiling leaves 10%.
+VERIFY_ALL_PEAK_BYTES = int(1.1 * 3.90e6)
 
 
 def test_verify_all_peak_memory():
@@ -353,6 +351,20 @@ def test_verify_all_peak_memory():
         tracemalloc.stop()
     assert len(reports) == 66 and all(r.passed for r in reports)
     assert peak < VERIFY_ALL_PEAK_BYTES
+
+
+def test_verify_all_validates_at_most_60k_vertices(monkeypatch):
+    # 57,579 over its 8 meshes; the twist tubes at 128x32 and the crease-law
+    # rungs at nu = 64, 128 and 256 make it 145,091
+    validate, counted = TriMesh.validate, []
+
+    def counting(mesh):
+        counted.append(mesh.num_vertices)
+        return validate(mesh)
+
+    monkeypatch.setattr(TriMesh, "validate", counting)
+    assert len(verify.run_suite("all")) == 66
+    assert 0 < sum(counted) <= 60_000
 
 
 # -- exact defect sums -------------------------------------------------------
