@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 from .errors import ParameterError
 
@@ -101,6 +102,8 @@ def tube_spec_for_strips(a: float, alpha: float, n_strips: int) -> TubeSpec:
     The closure condition is n_strips * h / cos(alpha) = 2*pi*a, i.e.
     h = 2*pi*a*cos(alpha) / n_strips measured normal to the creases.
     """
+    if not isinstance(n_strips, Integral):
+        raise ParameterError(f"n_strips must be an integer, got {n_strips!r}")
     if n_strips < 3:
         raise ParameterError(f"n_strips must be >= 3, got {n_strips}")
     if not (0 <= alpha <= math.pi / 2):

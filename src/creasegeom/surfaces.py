@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -29,15 +30,12 @@ CREASE_ARC_SPAN = math.pi / 2
 # (945k-vertex tube, RSS above the interpreter): 1.0 and 1.7 GB at the limit.
 MAX_VERTICES = 10_000_000
 
-# Cells per block in which a helical band's strips are filled, so that its
-# temporaries stay a fixed size however long a strip is.
-_STRIP_CELLS = 1 << 14
-
 
 def _check_resolution(nu: int, nv: int, least_nu: int = 3, least_nv: int = 3) -> None:
-    """ResolutionError unless nu >= least_nu and nv >= least_nv."""
-    if nu < least_nu or nv < least_nv:
-        raise ResolutionError(f"need nu >= {least_nu} and nv >= {least_nv}, got ({nu}, {nv})")
+    """ResolutionError unless nu and nv are integers, nu >= least_nu and nv >= least_nv."""
+    if not all(isinstance(k, Integral) for k in (nu, nv)) or nu < least_nu or nv < least_nv:
+        raise ResolutionError(f"need integers nu >= {least_nu} and nv >= {least_nv}, "
+                              f"got ({nu!r}, {nv!r})")
 
 
 def _check_size(num_vertices: int) -> None:
@@ -81,8 +79,8 @@ class GoreSphereSpec:
 
     def __post_init__(self):
         _check_length("seam radius R", self.R)
-        if self.n < 3:
-            raise ParameterError(f"number of gores must be >= 3, got {self.n}")
+        if not (isinstance(self.n, Integral) and self.n >= 3):
+            raise ParameterError(f"number of gores must be an integer >= 3, got {self.n!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -119,64 +117,77 @@ def _diagonal(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# helical band: smooth cylinder and twisted-prismatic tube
+# bands of ruled strips joined along crease lines: the smooth cylinder, the
+# twisted-prismatic tube and the gores of the gore sphere
 # ---------------------------------------------------------------------------
 
+def _strip_ids(head, n, rows, nv, m, j, r=None):
+    """Vertex ids across strip j of a band, nv + 1 for each of the strip's
+    rows r (all of them by default): line j at row r + shift, the strip's
+    interior, then line (j + 1) % n at row r.  A band's vertices are head,
+    its n lines of rows each, then each strip's interior row by row; shift
+    is the seam shift m for the last strip, which is m rows short, and 0 for
+    the others.  j may be an array of strips, r then one of rows."""
+    shift = m * (j == n - 1)
+    r = np.arange(rows - shift) if r is None else r
+    ids = np.empty(np.broadcast(j, r).shape + (nv + 1,), dtype=np.int32)
+    ids[..., 0], ids[..., nv] = head + j * rows + shift + r, head + (j + 1) % n * rows + r
+    first = head + (n + j * (nv - 1)) * rows + (nv - 1) * r  # each row's first interior id
+    ids[..., 1:nv] = first[..., None] + np.arange(nv - 1)
+    return ids
+
+
+def _band(head, lines, nv, m, interior=None):
+    """Closed band of n ruled strips nv cells across, joined along its n crease
+    lines (n, rows, 3) and laid out as _strip_ids says.  A strip's interior
+    is (1 - k/nv) p0 + (k/nv) p1, k = 1..nv-1, between its line points p0 and
+    p1 of a row, unless interior(j, rows) gives strip j's at line j's rows."""
+    (n, rows), nh = lines.shape[:2], len(head)
+    vertices = np.empty((nh + n * rows * nv - m * (nv - 1), 3))
+    vertices[:nh], vertices[nh:nh + n * rows] = head, lines.reshape(-1, 3)
+    triangles = np.empty((2 * nv * (n * (rows - 1) - m), 3), dtype=np.int32)
+    t, done = np.arange(1, nv) / nv, 0
+    for j in range(n):  # each strip filled, then triangulated, in one pass
+        ids = _strip_ids(nh, n, rows, nv, m, j)
+        inner = vertices[ids[0, 1]:ids[-1, nv - 1] + 1].reshape(len(ids), nv - 1, 3)
+        if interior is None:  # (1 - t) p0 + t p1 at ids[:, 0] and ids[:, nv], a plane at a time
+            p0, p1 = lines[j, rows - len(ids):], lines[(j + 1) % n, :len(ids)]
+            for c in range(3):
+                np.multiply(p0[:, c, None], 1.0 - t, out=inner[..., c])
+                inner[..., c] += p1[:, c, None] * t
+        else:
+            inner[:] = interior(j, slice(rows - len(ids), rows))
+        cells = 2 * nv * (len(ids) - 1)
+        triangles[done:done + cells] = _grid_triangles(ids, vertices[ids], flip=True)
+        done += cells
+    polylines = {j + 1: nh + j * rows + np.arange(rows) for j in range(n)}
+    return TriMesh(vertices, triangles, polylines)
+
+
 def _helical_band(a, alpha, n_strips, nu, nv, flatten):
-    """Build the band of n_strips helical strips; flatten=True replaces each
-    strip by straight rulings (the prismatic tube), False keeps points on the
-    cylinder.  Each strip fills its own slices of the vertex and triangle
-    arrays, a block of rows at a time."""
+    """The band of n_strips helical strips on a cylinder of radius a between
+    helical lines at angle alpha; flatten=True joins the lines by straight
+    rulings (the prismatic tube), False keeps each strip on the cylinder."""
     _check_resolution(nu, nv)
     nu += nu % 2  # the helical seam shift below needs an even count
     h = TWO_PI * a * math.cos(alpha) / n_strips
     l_shift = TWO_PI * a * math.sin(alpha)
     length, m = (TWO_PI * a, 0) if l_shift == 0.0 else (2.0 * l_shift, nu // 2)
-    # n_strips lines of nu + 1, the last strip's interior m columns short
-    n_line = nu + 1
-    num_vertices = n_strips * n_line * nv - m * (nv - 1)
-    _check_size(num_vertices)
+    _check_size(n_strips * (nu + 1) * nv - m * (nv - 1))  # lines of nu + 1, the last strip m short
     xhat, yhat = np.array([[math.sin(alpha), math.cos(alpha)], [math.cos(alpha), -math.sin(alpha)]])
     x = np.linspace(0.0, length, nu + 1)
-    t = np.arange(1, nv) / nv
 
     def wrap(dev):
         s, z = dev[..., 0], dev[..., 1]
         return np.stack([a * np.cos(s / a), a * np.sin(s / a), z], axis=-1)
 
-    vertices = np.empty((num_vertices, 3))
-    triangles = np.empty((2 * nv * (n_strips * nu - m), 3), dtype=np.int32)
-    # crease-line vertices first, line j at developed offset j*h*yhat
-    line_pts = vertices[:n_strips * n_line].reshape(n_strips, n_line, 3)
-    line_pts[:] = wrap(np.arange(n_strips)[:, None, None] * h * yhat + x[:, None] * xhat)
+    def cylinder(j, rows):
+        return wrap((j * h + np.arange(1, nv) / nv * h)[None, :, None] * yhat
+                    + x[rows, None, None] * xhat)
 
-    step = max(2, _STRIP_CELLS // nv)  # vertex rows per block
-    for j in range(n_strips):  # the strips before j are all nu + 1 rows long
-        jn, shift = (j + 1) % n_strips, (m if j == n_strips - 1 else 0)
-        rows, offset = nu + 1 - shift, (n_strips + j * (nv - 1)) * n_line
-        interior = vertices[offset:offset + rows * (nv - 1)].reshape(rows, nv - 1, 3)
-        cells = triangles[2 * j * nu * nv:][:2 * (rows - 1) * nv].reshape(2, rows - 1, nv, 3)
-        for lo in range(0, rows, step):  # fill rows lo..hi-1, then the cells above lo-1
-            hi = min(lo + step, rows)
-            if flatten:  # (1 - t)*p0 + t*p1, a coordinate plane at a time
-                p0, p1 = line_pts[j, shift + lo:shift + hi], line_pts[jn, lo:hi]
-                for c in range(3):
-                    plane = interior[lo:hi, :, c]
-                    np.multiply(p0[:, c, None], 1.0 - t, out=plane)
-                    plane += p1[:, c, None] * t
-            else:
-                interior[lo:hi] = wrap((j * h + t * h)[None, :, None] * yhat
-                                       + x[shift + lo:shift + hi, None, None] * xhat)
-            r = np.arange(max(lo - 1, 0), hi)
-            ids = np.empty((len(r), nv + 1), dtype=np.int32)
-            ids[:, 0], ids[:, nv] = j * n_line + shift + r, jn * n_line + r
-            ids[:, 1:nv] = offset + (nv - 1) * r[:, None] + np.arange(nv - 1)
-            cells[:, r[0]:hi - 1] = _grid_triangles(ids, vertices[ids], flip=True).reshape(
-                2, -1, nv, 3)
-    polylines = {
-        j + 1: np.arange(j * n_line, (j + 1) * n_line) for j in range(n_strips)
-    }
-    return TriMesh(vertices, triangles, polylines)
+    # line j at developed offset j*h*yhat
+    lines = wrap(np.arange(n_strips)[:, None, None] * h * yhat + x[:, None] * xhat)
+    return _band(np.empty((0, 3)), lines, nv, m, None if flatten else cylinder)
 
 
 def gen_cylinder(spec: TubeSpec, nu: int, nv: int) -> TriMesh:
@@ -210,6 +221,32 @@ def gen_twisted_prismatic_tube(
     """
     tube_spec_for_strips(a, alpha, n_strips)
     return _helical_band(a, alpha, n_strips, nu, nv, flatten=True)
+
+
+def gen_gore_sphere(spec: GoreSphereSpec, nu: int, nv: int) -> TriMesh:
+    """Closed genus-0 mesh of n cylindrical gores joined along meridian seams.
+
+    A gore is the ruled strip between two seams, its rulings horizontal
+    chords, so it is developable, bent only about its central meridian; all
+    curvature sits in the seam polylines and the two shared pole vertices.
+    The gores are a band on the seams, each closed by a fan to either pole.
+    """
+    _check_resolution(nu, nv, least_nu=4, least_nv=2)
+    R, n = spec.R, spec.n
+    _check_size(2 + n * (nu - 1) * nv)  # poles, seams, gore interiors
+    theta = np.linspace(-math.pi / 2, math.pi / 2, nu + 1)[1:-1]
+    rho = R * np.cos(theta) / math.cos(math.pi / n)
+    # seam j lies in the plane at azimuth 2*pi*j/n
+    seams = np.stack([np.stack([rho * math.cos(TWO_PI * j / n), rho * math.sin(TWO_PI * j / n),
+                                R * np.sin(theta)], axis=-1) for j in range(n)])
+    band = _band(np.array([[0.0, 0.0, -R], [0.0, 0.0, R]]), seams, nv, 0)
+    # each gore's first row fans to south pole 0, its last to north pole 1
+    ends = _strip_ids(2, n, nu - 1, nv, 0, np.arange(n)[:, None], np.array([0, nu - 2]))
+    ends[:, 0] = ends[:, 0, ::-1]  # the south fan winds the other way
+    fans = np.empty((n, 2, nv, 3), dtype=np.int32)
+    fans[..., 0], fans[..., 1], fans[..., 2] = [[0], [1]], ends[..., :-1], ends[..., 1:]
+    return TriMesh(band.vertices, np.concatenate([band.triangles, fans.reshape(-1, 3)]),
+                   band.crease_polylines)
 
 
 # ---------------------------------------------------------------------------
@@ -329,54 +366,3 @@ def gen_mudguard(spec: MudguardSpec, nu: int, nv: int) -> TriMesh:
     wrapped = np.vstack([ids, ids[:1]])  # close the hoop
     tris = _grid_triangles(wrapped, np.concatenate([grid, grid[:1]], axis=0))
     return TriMesh(verts, tris)
-
-
-# ---------------------------------------------------------------------------
-# gore sphere
-# ---------------------------------------------------------------------------
-
-def gen_gore_sphere(spec: GoreSphereSpec, nu: int, nv: int) -> TriMesh:
-    """Closed genus-0 mesh of n cylindrical gores joined along meridian seams.
-
-    Each gore is bent only about its central meridian (rulings are horizontal
-    chords), so gore interiors are developable; all curvature sits in the
-    seam polylines and the two shared pole vertices.
-    """
-    _check_resolution(nu, nv, least_nu=4, least_nv=2)
-    R, n = spec.R, spec.n
-    _check_size(2 + n * (nu - 1) * nv)  # poles, seams, gore interiors
-    beta = math.pi / n
-    theta = np.linspace(-math.pi / 2, math.pi / 2, nu + 1)[1:-1]
-    ni = len(theta)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    rho = R * cos_t / math.cos(beta)
-    # seam j: ids 2 + j*ni + i, lying in the plane at azimuth 2*pi*j/n
-    seams = [np.stack([rho * math.cos(TWO_PI * j / n), rho * math.sin(TWO_PI * j / n),
-                       R * sin_t], axis=-1) for j in range(n)]
-    verts = [np.array([[0.0, 0.0, -R], [0.0, 0.0, R]]), *seams]
-    tris = []
-    f = 2.0 * np.arange(1, nv) / nv - 1.0  # interior ruling fractions
-    w = f[None, :] * (R * cos_t * math.tan(beta))[:, None]
-    offset = 2 + n * ni
-    for j in range(n):
-        phi_c = TWO_PI * (j + 0.5) / n
-        e1 = np.array([math.cos(phi_c), math.sin(phi_c), 0.0])
-        u = np.array([-math.sin(phi_c), math.cos(phi_c), 0.0])
-        interior = (
-            (R * cos_t)[:, None, None] * e1
-            + w[:, :, None] * u
-            + (R * sin_t)[:, None, None] * np.array([0.0, 0.0, 1.0])
-        )
-        verts.append(interior.reshape(-1, 3))
-        ids = np.empty((ni, nv + 1), dtype=np.int32)
-        ids[:, 0] = 2 + j * ni + np.arange(ni)
-        ids[:, nv] = 2 + (j + 1) % n * ni + np.arange(ni)
-        ids[:, 1:nv] = offset + np.arange(ni * (nv - 1)).reshape(ni, nv - 1)
-        offset += ni * (nv - 1)
-        grid = np.concatenate([seams[j][:, None], interior, seams[(j + 1) % n][:, None]], axis=1)
-        tris.append(_grid_triangles(ids, grid, flip=True))
-        # pole fans: south pole 0 below the first row, north pole 1 above the last
-        tris.append(np.stack([np.zeros(nv, np.int32), ids[0, 1:], ids[0, :-1]], axis=1))
-        tris.append(np.stack([np.ones(nv, np.int32), ids[-1, :-1], ids[-1, 1:]], axis=1))
-    polylines = {j + 1: 2 + j * ni + np.arange(ni) for j in range(n)}
-    return TriMesh(np.concatenate(verts), np.concatenate(tris), polylines)

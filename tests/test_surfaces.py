@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -84,6 +85,32 @@ def test_helical_band_rejects_hoop_lines_and_low_res():
         gen_twisted_prismatic_tube(1.0, math.pi / 2, 8, 16, 4)
     with pytest.raises(ParameterError, match="n_strips must be >= 3, got 2"):
         gen_twisted_prismatic_tube(1.0, math.pi / 4, 2, 16, 4)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: gen_twisted_prismatic_tube(1, 0.7, 6.5, 8, 4), ParameterError),
+    (lambda: gen_gore_sphere(GoreSphereSpec(1.0, 6.0), 8, 4), ParameterError),
+    (lambda: gen_curved_crease(CreaseSpec(1, 0.2), 0.1, 8.5, 4), ResolutionError),
+    (lambda: gen_twisted_prismatic_tube(1, 0.7, 6, 8.0, 4), ResolutionError),
+], ids=["tube-n_strips", "gore-sphere-n", "curved-crease-nu", "tube-nu"])
+def test_non_integer_counts_are_refused_before_numpy_sees_them(build, error):
+    with pytest.raises(error, match="integer"):
+        build()
+
+
+def test_numpy_integer_counts_build_what_python_integers_do():
+    i = np.int64
+    pairs = [
+        (gen_twisted_prismatic_tube(1.0, 0.7, i(6), i(8), np.int32(4)),
+         gen_twisted_prismatic_tube(1.0, 0.7, 6, 8, 4)),
+        (gen_gore_sphere(GoreSphereSpec(1.0, i(6)), i(8), i(4)),
+         gen_gore_sphere(GoreSphereSpec(1.0, 6), 8, 4)),
+        (gen_curved_crease(CreaseSpec(1.0, 0.2), 0.1, i(8), i(4)),
+         gen_curved_crease(CreaseSpec(1.0, 0.2), 0.1, 8, 4)),
+    ]
+    for got, want in pairs:
+        assert np.array_equal(got.vertices, want.vertices)
+        assert np.array_equal(got.triangles, want.triangles)
 
 
 # -- twisted patch -----------------------------------------------------------
@@ -457,7 +484,9 @@ def reference_helical_band(a, alpha, n_strips, nu, nv, flatten):
 
 
 def reference_gore_sphere(spec, nu, nv):
-    """The gore sphere built from per-gore lists that are concatenated."""
+    """The gore sphere built from per-gore lists that are concatenated: each
+    gore's interior the chords between its seams, its pole fans after all
+    the gores' strips."""
     R, n = spec.R, spec.n
     beta = math.pi / n
     theta = np.linspace(-math.pi / 2, math.pi / 2, nu + 1)[1:-1]
@@ -471,19 +500,13 @@ def reference_gore_sphere(spec, nu, nv):
             np.stack([rho * math.cos(phi_j), rho * math.sin(phi_j), R * sin_t], axis=-1)
         )
     offset = 2 + n * ni
-    tris = []
+    tris, fans = [], []
     interior_cols = nv - 1
+    t = (np.arange(1, nv) / nv)[None, :, None]
     for j in range(n):
-        phi_c = 2 * math.pi * (j + 0.5) / n
-        e1 = np.array([math.cos(phi_c), math.sin(phi_c), 0.0])
-        u = np.array([-math.sin(phi_c), math.cos(phi_c), 0.0])
-        f = (2.0 * np.arange(1, nv) / nv - 1.0)
-        w = f[None, :] * (R * cos_t * math.tan(beta))[:, None]
-        interior = (
-            (R * cos_t)[:, None, None] * e1
-            + w[:, :, None] * u
-            + (R * sin_t)[:, None, None] * np.array([0.0, 0.0, 1.0])
-        )
+        p0 = verts[1 + j][:, None, :]
+        p1 = verts[1 + (j + 1) % n][:, None, :]
+        interior = (1.0 - t) * p0 + t * p1
         verts.append(interior.reshape(-1, 3))
         ids = np.empty((ni, nv + 1), dtype=np.int32)
         ids[:, 0] = 2 + j * ni + np.arange(ni)
@@ -491,14 +514,14 @@ def reference_gore_sphere(spec, nu, nv):
         ids[:, 1:nv] = offset + np.arange(ni * interior_cols).reshape(ni, interior_cols)
         offset += ni * interior_cols
         grid = np.empty((ni, nv + 1, 3))
-        grid[:, 0] = verts[1 + j]
-        grid[:, nv] = verts[1 + (j + 1) % n]
+        grid[:, 0] = p0[:, 0]
+        grid[:, nv] = p1[:, 0]
         grid[:, 1:nv] = interior
         tris.append(reference_grid_triangles(ids, grid, flip=True))
-        tris.append(np.stack([np.zeros(nv, np.int32), ids[0, 1:], ids[0, :-1]], axis=1))
-        tris.append(np.stack([np.ones(nv, np.int32), ids[-1, :-1], ids[-1, 1:]], axis=1))
+        fans.append(np.stack([np.zeros(nv, np.int32), ids[0, 1:], ids[0, :-1]], axis=1)[::-1])
+        fans.append(np.stack([np.ones(nv, np.int32), ids[-1, :-1], ids[-1, 1:]], axis=1))
     polylines = {j + 1: 2 + j * ni + np.arange(ni) for j in range(n)}
-    return TriMesh(np.concatenate(verts), np.concatenate(tris), polylines)
+    return TriMesh(np.concatenate(verts), np.concatenate(tris + fans), polylines)
 
 @pytest.mark.parametrize("shape", sorted(SIZED))
 def test_generators_index_in_int32_as_int64_would(shape):
@@ -554,21 +577,50 @@ def test_grid_triangles_matches_reference_on_ties(flip):
     assert got == ([t[::-1] for t in main] if flip else main)
 
 
-# -- the band's strips in blocks ---------------------------------------------
+# -- the band's layout ------------------------------------------------------
 
-@pytest.mark.parametrize("strip_cells", [1, 5 * 64, 1 << 14])
-@pytest.mark.parametrize("shape", ["cylinder-8-lines", "tube-12-strips-64"])
-def test_band_in_blocks_matches_stacking_reference(shape, strip_cells, monkeypatch):
-    monkeypatch.setattr(surfaces, "_STRIP_CELLS", strip_cells)  # 2, 5 or all rows a block
-    mesh = BUILT[shape]()
-    monkeypatch.setattr(surfaces, "_grid_triangles", reference_grid_triangles)
-    monkeypatch.setattr(surfaces, "_helical_band", reference_helical_band)
-    ref = BUILT[shape]()
-    for name in ("vertices", "triangles"):
-        assert np.array_equal(getattr(mesh, name), getattr(ref, name)), name
-    assert mesh.crease_polylines.keys() == ref.crease_polylines.keys()
-    for cid, chain in ref.crease_polylines.items():
-        assert np.array_equal(mesh.crease_polylines[cid], chain)
+LAYOUTS = {  # a band, then its head vertices, lines, rows a line, cells across and seam shift
+    "tube": (lambda: gen_twisted_prismatic_tube(1.0, 0.7, 7, 10, 4), 0, 7, 11, 4, 5),
+    "tube-alpha0": (lambda: gen_twisted_prismatic_tube(1.0, 0.0, 7, 10, 4), 0, 7, 11, 4, 0),
+    "gore-sphere": (lambda: gen_gore_sphere(GoreSphereSpec(R=1.0, n=5), 8, 3), 2, 5, 7, 3, 0),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LAYOUTS))
+def test_strip_interiors_are_the_chords_between_the_line_points_named(shape):
+    build, head, n, rows, nv, m = LAYOUTS[shape]
+    mesh = build()
+    t = (np.arange(1, nv) / nv)[:, None]
+    interiors = []
+    for j in range(n):
+        ids = surfaces._strip_ids(head, n, rows, nv, m, j)
+        shift = m if j == n - 1 else 0  # the last strip starts m rows up its first line
+        assert np.array_equal(ids[:, 0], mesh.crease_polylines[j + 1][shift:])
+        assert np.array_equal(ids[:, nv], mesh.crease_polylines[(j + 1) % n + 1][:rows - shift])
+        p0, p1 = mesh.vertices[ids[:, :1]], mesh.vertices[ids[:, nv:]]
+        assert np.array_equal(mesh.vertices[ids[:, 1:nv]], (1.0 - t) * p0 + t * p1)
+        interiors.append(ids[:, 1:nv].ravel())
+    # the interiors follow the head and the lines, strip by strip, row by row
+    assert np.array_equal(np.concatenate(interiors), np.arange(head + n * rows, mesh.num_vertices))
+
+
+# Traced peak of building the 16-gore sphere at 418 x 6 (40,034 vertices)
+# beyond the mesh's own 1.92 MB: 1.19 MB with numpy 2.4, the gores filled in
+# place as one band and its triangles copied once to add the pole fans (2.11
+# MB when each gore was built on its own and all were concatenated).  The
+# ceiling leaves 10%.
+GORE_BUILD_EXTRA_BYTES = int(1.1 * 1.19e6)
+
+
+def test_gore_sphere_fills_its_gores_in_place():
+    tracemalloc.start()
+    try:
+        mesh = gen_gore_sphere(GoreSphereSpec(R=1.0, n=16), 418, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mesh.num_vertices == 40_034
+    assert peak < mesh.vertices.nbytes + mesh.triangles.nbytes + GORE_BUILD_EXTRA_BYTES
 
 
 def test_every_band_fills_its_strips_in_the_caller(monkeypatch):
@@ -580,7 +632,7 @@ def test_every_band_fills_its_strips_in_the_caller(monkeypatch):
         return triangulate(*args, **kwargs)
 
     monkeypatch.setattr(surfaces, "_grid_triangles", recorded)
-    for shape in ("tube-12-strips-64", "cylinder-8-lines"):
+    for shape in ("tube-12-strips-64", "cylinder-8-lines", "gore-sphere"):
         seen.clear()
         BUILT[shape]()
         assert seen == {threading.current_thread()}, shape

@@ -7,9 +7,10 @@ that two source trees can be compared byte for byte:
 Each command runs as its own `python -m creasegeom.cli` process, from the
 creasegeom that this script imports, with OUTDIR as its working directory
 (so no output names an absolute path).  It runs `verify --suite all --json`;
-`generate` of all six shapes at two resolutions, of one tube of many
-mesh-kernel blocks and of two meshes with exponent-form coordinates, each
-followed by `analyze` of the OBJ and of the JSON sidecar (report and CSV);
+`generate` of all six shapes at two resolutions, of a tube with axial
+creases, of one tube of many mesh-kernel blocks and of two meshes with
+exponent-form coordinates, each followed by `analyze` of the OBJ and of the
+JSON sidecar (report and CSV);
 `analyze` of that tube's OBJ with comments breaking its runs of `v` and `f`
 lines around each OBJ load block boundary, of two copies with a face
 index that int32 cannot hold (refused with exit 3), of a copy with one
@@ -45,6 +46,10 @@ SHAPES = {
 
 # The second resolution is odd, where some generators round up to even.
 RESOLUTIONS = {"default": "", "odd": "--nu 9 --nv 5"}
+
+# A tube whose last strip meets the first line unshifted (alpha = 0, seam
+# shift m = 0); a helical tube's last strip is shifted nu/2 rows.
+AXIAL = {"tube-alpha0": "tube --a 1 --alpha 0 --strips 8"}
 
 # Meshes of many mesh-kernel blocks (8,192 triangles each): this tube has
 # 122,880 triangles, so the kernel sums across 15 blocks.
@@ -150,7 +155,7 @@ def main(argv: list[str]) -> int:
     run(outdir, "verify", "verify --suite all --json verify.json")
     meshes = {f"{shape}-{res}": f"{shape} {params} {res_args}"
               for shape, params in SHAPES.items() for res, res_args in RESOLUTIONS.items()}
-    for name, args in {**meshes, **LARGE, **EXPONENT_FORM}.items():
+    for name, args in {**meshes, **AXIAL, **LARGE, **EXPONENT_FORM}.items():
         run(outdir, f"generate-{name}", f"generate {args} --out {name}.obj")
         run(outdir, f"analyze-obj-{name}", f"analyze --in {name}.obj "
                                            f"--report {name}.obj.report --csv {name}.obj.csv")
