@@ -12,12 +12,13 @@ import math
 
 from creasegeom import (
     TubeSpec,
+    crease_law,
+    creases,
     cylinder_curvatures,
     gaussian_curvature,
     mohr_circle,
     principal_curvatures,
     prismatic_curvatures,
-    tube_crease_specific_curvature,
     tube_strip_total,
 )
 
@@ -36,13 +37,14 @@ for spec in specs:
 
 print(
     "\nPer unit crease length, each ruled strip carries the total curvature below\n"
-    "(its second fundamental form, in closed form), and each crease 2 kappa sin(mu),\n"
-    "kappa = sin^2(alpha)/a, at the exact fold mu: the two cancel to rounding."
+    "(its second fundamental form, in closed form), and each crease the crease law\n"
+    "kappa (sin(mu) - sin(-mu)), kappa = sin^2(alpha)/a, at the exact fold mu\n"
+    "(creases.tube_crease): the two cancel to rounding."
 )
 print(f"{'alpha':>7} {'strip total':>12} {'crease term':>12} {'rel resid':>10} {'area/h':>9}")
 total, area = tube_strip_total(specs)
 for spec, strip, width in zip(specs, total, area.value):
-    crease = tube_crease_specific_curvature(spec)
+    crease = crease_law(*creases.tube_crease(spec))
     print(
         f"{math.degrees(spec.alpha):>6.0f}d {strip:12.8f} {crease:12.8f} "
         f"{abs(strip + crease) / crease if crease else 0.0:10.1e} {width / H:9.6f}"

@@ -12,7 +12,8 @@ from pathlib import Path
 from creasegeom import (
     CreaseSpec,
     angle_defect,
-    crease_specific_curvature,
+    crease_law,
+    creases,
     export_obj,
     gaussian_curvature,
     gen_curved_crease,
@@ -24,7 +25,7 @@ from creasegeom import (
 
 print("curved crease: R = 2, mu = 30 degrees, law says 2 sin(mu)/R = 0.5")
 spec = CreaseSpec(R=2.0, mu=math.pi / 6)
-law = crease_specific_curvature(spec)
+law = crease_law(*creases.curved_crease(spec))
 print(f"{'nu':>5} {'mesh rate':>12} {'rel error':>11}")
 for nu in (32, 64, 128, 256):
     mesh = gen_curved_crease(spec, strip_width=0.3, nu=nu, nv=max(4, nu // 8))

@@ -1,14 +1,13 @@
 """Gaussian curvature of creased and twisted thin shells.
 
-Closed-form results (Mohr-circle strip curvature, the crease law and its
-exact folds on the creased tube and the gore sphere's seams, the tube's
-balance, the mudguard total) next to independent discrete oracles (mesh
-angle defects, numerical Gauss maps, Gauss–Legendre quadrature) that
-verify them.
+Closed-form results (Mohr-circle strip curvature, the one crease law,
+crease_law, read on curved creases, on the creased tube's at their exact
+fold and on the gore sphere's seams, the tube's balance, the mudguard
+total) next to independent discrete oracles (mesh angle defects, numerical
+Gauss maps, Gauss–Legendre quadrature) that verify them.
 """
 
-from .creases import (CreaseSpec, crease_specific_curvature, gore_seam_crease,
-                      tube_crease_specific_curvature, tube_half_fold_angle)
+from .creases import CreaseSpec, crease_law, tube_half_fold_angle
 from .curvature import (CurvatureState, MohrCircle, TubeSpec, cylinder_curvatures,
                         gaussian_curvature, mohr_circle, principal_curvatures,
                         prismatic_curvatures, tube_spec_for_strips)
@@ -32,8 +31,7 @@ __all__ = [
     "prismatic_curvatures", "mohr_circle", "principal_curvatures",
     "gaussian_curvature", "tube_spec_for_strips",
     # creases
-    "CreaseSpec", "crease_specific_curvature", "tube_half_fold_angle",
-    "tube_crease_specific_curvature", "gore_seam_crease",
+    "CreaseSpec", "crease_law", "tube_half_fold_angle",
     # quadrature
     "QuadratureResult", "integrate",
     "mudguard_closed_form", "mudguard_total", "tube_strip_total",

@@ -89,9 +89,9 @@ class Shape:
 
 def _balance_row(strip: float, spec) -> tuple:
     """For a TubeSpec and its ruled strip's total curvature per unit crease
-    length: that total, the crease's 2*kappa*sin(mu) at the exact fold,
-    their sum, and its size relative to the larger term."""
-    crease = creases.tube_crease_specific_curvature(spec)
+    length: that total, the crease law at the exact fold (a float, which str()
+    writes twice as fast), their sum, and its size relative to the larger term."""
+    crease = float(creases.crease_law(*creases.tube_crease(spec)))
     scale = max(abs(strip), abs(crease))
     return strip, crease, strip + crease, abs(strip + crease) / scale if scale > 0 else 0.0
 
@@ -133,7 +133,8 @@ SHAPES = {
         ("R", "mu", "width"),
         lambda p: creases.CreaseSpec(R=p["R"], mu=p["mu"]),
         lambda s, p: surfaces.gen_curved_crease(s, p["width"], p["nu"], p["nv"]),
-        lambda s, p: {"crease_specific_curvature": creases.crease_specific_curvature(s)},
+        lambda s, p: {"crease_specific_curvature":
+                      creases.crease_law(*creases.curved_crease(s))},
     ),
     "mudguard": Shape(
         ("R", "r", "mu"),
@@ -358,11 +359,11 @@ def _h_rows(cs):
 
 
 def _crease_mudguard_rows(cs):
-    rates, specs = [], []
+    curved, specs = [], []
     for c in cs:
-        rates.append(creases.crease_specific_curvature(creases.CreaseSpec(R=c["R"], mu=c["mu"])))
+        curved.append(creases.curved_crease(creases.CreaseSpec(R=c["R"], mu=c["mu"])))
         specs.append(surfaces.MudguardSpec(R=c["R"], r=c["r"], mu=c["mu"]))
-    return zip(rates, *_mudguard_columns(specs))
+    return zip(creases.crease_law(*np.array(curved).T).tolist(), *_mudguard_columns(specs))
 
 
 def _r_rows(cs):
@@ -371,7 +372,7 @@ def _r_rows(cs):
 
 
 def _n_rows(cs):
-    """n seams' total and each one's 4*pi/n, creases.gore_seam_crease's integral."""
+    """n seams' total and each one's 4*pi/n, the law's integral along creases.gore_seam."""
     ns = [surfaces.GoreSphereSpec(c["R"], c["n"]).n for c in cs]
     return ((n * (4.0 * math.pi / n), 4.0 * math.pi / n) for n in ns)
 

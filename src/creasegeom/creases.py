@@ -1,19 +1,17 @@
-"""Closed-form crease laws: the specific curvature 2*sin(mu)/R of a curved
-crease, the exact fold angle of the creased tube, at which the law balances
-the total of the tube's ruled strips (quadrature.tube_strip_total), and the
-crease of a gore sphere's seam, whose curvature and fold vary along it.
-
-A crease is characterised by its half fold angle mu (the surface normal turns
-by 2*mu across it) and the radius of curvature R along it.  Its torsion does
-not enter the law; verify checks that on the tube's helical creases, whose
-torsion-to-curvature ratio is cot(alpha).  Canonical outputs keep the exact
-trigonometric forms; small-angle forms are documented approximations only.
+"""The one crease law, crease_law, and the creases it is read on, each
+stated once as (kappa, phi+, phi-) with its fold bisected, phi+- = +-mu:
+curved_crease; tube_crease at the exact fold, where the law balances the
+tube's ruled strips (quadrature.tube_strip_total); and gore_seam, whose
+curvature and fold vary along it.  Torsion does not enter the law; verify
+checks that on the tube's helical creases, torsion/curvature cot(alpha).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .curvature import TubeSpec, _check_length
 from .errors import ParameterError
@@ -37,19 +35,18 @@ class CreaseSpec:
         if not (0 <= self.mu < math.pi / 2):
             raise ParameterError(f"half fold angle mu must lie in [0, pi/2), got {self.mu}")
 
-    @property
-    def is_straight(self) -> bool:
-        return math.isinf(self.R)
+
+def crease_law(kappa, phi_plus, phi_minus):
+    """Specific Gaussian curvature kappa*(sin(phi+) - sin(phi-)) of a crease
+    of curvature kappa whose one-sided normals are cos(phi) N + sin(phi) B
+    in its Frenet frame, on floats or arrays.  phi+- = +-mu gives
+    2*kappa*sin(mu) bit for bit."""
+    return kappa * (np.sin(phi_plus) - np.sin(phi_minus))
 
 
-def crease_specific_curvature(spec: CreaseSpec) -> float:
-    """Specific Gaussian curvature of a crease: 2*sin(mu)/R.
-
-    Solid angle per unit arc length.  Zero for a straight crease.
-    """
-    if spec.is_straight:
-        return 0.0
-    return 2.0 * math.sin(spec.mu) / spec.R
+def curved_crease(spec: CreaseSpec) -> tuple:
+    """(kappa, phi+, phi-) of the circular crease: (1/R, mu, -mu)."""
+    return 1.0 / spec.R, spec.mu, -spec.mu
 
 
 def tube_half_fold_angle(spec: TubeSpec) -> float:
@@ -68,31 +65,25 @@ def tube_half_fold_angle(spec: TubeSpec) -> float:
                       h * s * s + a * c * math.sin(h * c / a))
 
 
-def tube_crease_specific_curvature(spec: TubeSpec) -> float:
-    """2*kappa*sin(mu), kappa = sin^2(alpha)/a, at the exact fold mu: the
-    negative of tube_strip_total's curvature.  Not through CreaseSpec, which
-    refuses the mu >= pi/2 of a wide strip."""
-    return 2.0 * (math.sin(spec.alpha) ** 2 / spec.a) * math.sin(tube_half_fold_angle(spec))
+def tube_crease(spec: TubeSpec) -> tuple:
+    """(kappa, phi+, phi-) of the tube's helical creases: (sin^2(alpha)/a, mu, -mu), mu exact."""
+    mu = tube_half_fold_angle(spec)
+    return math.sin(spec.alpha) ** 2 / spec.a, mu, -mu
 
 
-def gore_seam_crease(spec, theta: float) -> CreaseSpec:
-    """The crease of a gore seam at latitude theta in [-pi/2, pi/2]; spec is
-    a surfaces.GoreSphereSpec, beta = pi/n, q = 1 - sin^2(beta) cos^2(theta).
+def gore_seam(spec, theta) -> tuple:
+    """(kappa, phi+, phi-) of a gore seam at latitudes theta in [-pi/2, pi/2],
+    floats or arrays; spec is a surfaces.GoreSphereSpec, beta = pi/n.
 
     gen_gore_sphere's seams are ellipses (A cos(theta), B sin(theta)) in
     mirror planes, A = R/cos(beta), B = R: kappa = AB/(A^2 sin^2 + B^2 cos^2)^1.5
     = cos^2(beta)/(R q^1.5) and ds = R sqrt(q)/cos(beta) dtheta.  In the seam
     plane's (radial, azimuthal, vertical) frame the gore normals either side
     are (cos(theta) cos(beta), +-cos(theta) sin(beta), sin(theta)), so
-    sin(mu) = sin(beta) cos(theta) exactly, and 2 kappa sin(mu) ds =
-    2 sin(beta) cos(beta) cos(theta) dtheta / q integrates to 4 beta = 4*pi/n
-    for every R.  A circle of radius R folded at mu = beta cos(theta) carries
-    3.0% less at n = 6."""
+    phi+- = +-mu, sin(mu) = sin(beta) cos(theta) = sqrt(1 - q), and the law
+    2 kappa sin(mu) ds = 2 sin(beta) cos(beta) cos(theta) dtheta / q
+    integrates to 4 beta = 4*pi/n for every R."""
     beta = math.pi / spec.n
-    sin_mu = math.sin(beta) * math.cos(theta)
-    # The radius lies in [R cos(beta), R/cos^2(beta)], within [R/2, 4R], so
-    # near the length limits it passes those a CreaseSpec checks on input:
-    # the spec checks the fold, and the radius is set after.
-    crease = CreaseSpec(R=1.0, mu=math.asin(sin_mu))
-    object.__setattr__(crease, "R", spec.R * (1.0 - sin_mu * sin_mu) ** 1.5 / math.cos(beta) ** 2)
-    return crease
+    sin_mu = math.sin(beta) * np.cos(theta)
+    mu = np.arcsin(sin_mu)
+    return math.cos(beta) ** 2 / (spec.R * (1.0 - sin_mu * sin_mu) ** 1.5), mu, -mu

@@ -306,7 +306,7 @@ def gen_curved_crease(spec: CreaseSpec, strip_width: float, nu: int, nv: int) ->
     crease's (vertical) tangent plane: d = -sin(mu)*rho_hat +/- cos(mu)*z_hat.
     At mu = 0 the two strips join into a smooth cylindrical band.
     """
-    if spec.is_straight:
+    if math.isinf(spec.R):
         raise ParameterError("gen_curved_crease needs a finite crease radius")
     if not 0 < strip_width < spec.R / 4:
         raise ParameterError(

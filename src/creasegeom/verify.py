@@ -8,7 +8,8 @@ gore mesh).  In tube-balance the ruled strip's second fundamental form,
 integrated in closed form, is compared with the crease law at the exact
 fold; strip-curvature compares the tube mesh's density with that strip's
 exact mean K, its total over its area.  So 13 of the 66 reports of
-run_suite("all") test a closed form against an independent oracle."""
+run_suite("all") test a closed form against an independent oracle.  Each
+crease's law is creases.crease_law at that crease's (kappa, phi+, phi-)."""
 
 from __future__ import annotations
 
@@ -73,7 +74,7 @@ def _rel(case, closed, oracle_value, tol, **meta):
 def suite_tube_balance() -> list[VerificationReport]:
     """The tube carries no Gaussian curvature overall: its ruled strip's
     total per unit crease length, in closed form, against the crease law
-    2*kappa*sin(mu), kappa = sin^2(alpha)/a, at the exact fold mu.  Over a
+    at creases.tube_crease, 2*kappa*sin(mu) at the exact fold mu.  Over a
     parameter grid, and on the tubes that close with 6 and 48 strips."""
     cases = [(f"a={a} alpha={alpha:.4f} h/a={ratio}", curvature.TubeSpec(a, alpha, ratio * a))
              for a in (1.0, 2.0) for alpha in (math.pi / 6, math.pi / 4, math.pi / 3)
@@ -84,17 +85,18 @@ def suite_tube_balance() -> list[VerificationReport]:
     total, area = quadrature.tube_strip_total(list(specs))
     reports = []
     for name, spec, strip, width in zip(names, specs, total.tolist(), area.value.tolist()):
-        reports.append(_rel(f"tube-balance {name}", creases.tube_crease_specific_curvature(spec),
-                            -strip, 1e-13, a=spec.a, alpha=spec.alpha, h=spec.h,
-                            mu=creases.tube_half_fold_angle(spec), area_over_h=width / spec.h))
+        crease = creases.tube_crease(spec)
+        reports.append(_rel(f"tube-balance {name}", creases.crease_law(*crease), -strip, 1e-13,
+                            a=spec.a, alpha=spec.alpha, h=spec.h, mu=crease[1],
+                            area_over_h=width / spec.h))
     return reports
 
 
 def suite_crease_law() -> list[VerificationReport]:
-    """Discrete crease rate on the curved-crease mesh converges to 2*sin(mu)/R."""
+    """Discrete crease rate on the curved-crease mesh converges to the law, 2*sin(mu)/R."""
     resolutions = (32, 64, 128)
     spec = creases.CreaseSpec(R=2.0, mu=math.pi / 6)
-    exact = creases.crease_specific_curvature(spec)
+    exact = creases.crease_law(*creases.curved_crease(spec))
     reports = []
     errors = []
     for nu in resolutions:
@@ -146,33 +148,41 @@ def suite_mudguard() -> list[VerificationReport]:
     return reports
 
 
+def _first_of_worst(reading, target, order):
+    """Of the readings within 1e-12 relative of the one farthest from target
+    (mirror images, equal to rounding), the index least by order."""
+    worst = reading.flat[np.argmax(np.abs(reading - target))]
+    return min(zip(*np.nonzero(np.isclose(reading, worst, rtol=1e-12, atol=0.0))), key=order)
+
+
 def suite_gore() -> list[VerificationReport]:
     """Gore-sphere meshes at 48x6 with n = 6 and 8 against the crease law
-    along seams whose curvature and fold vary (creases.gore_seam_crease):
-    each seam vertex's defect over half its two segments against
-    2*kappa*sin(mu) at the latitude of its z, skipping the rows beside the
-    poles; each seam's total against the law's 4*pi/n; and Gauss-Bonnet,
-    which holds on any closed genus-0 mesh by construction."""
+    along seams whose curvature and fold vary (creases.gore_seam): the worst
+    seam vertex's defect over half its two segments against the law at the
+    latitude of its z, skipping the rows beside the poles; the worst seam's
+    total against the law's 4*pi/n; and Gauss-Bonnet, which holds on any
+    closed genus-0 mesh by construction.  Of mirror-image readings, the
+    reports name the lowest seam id and theta >= 0."""
     four_pi, nu, nv = 4.0 * math.pi, 48, 6
     reports, gauss_bonnet = [], []
     for n in (6, 8):
         spec = surfaces.GoreSphereSpec(R=1.0, n=n)
         mesh = surfaces.gen_gore_sphere(spec, nu, nv)
         field = oracle.angle_defect(mesh)
-        rows = []  # (law, rate, theta) per seam vertex
-        for chain in mesh.crease_polylines.values():
-            points = mesh.vertices[chain]
-            segments = np.linalg.norm(np.diff(points, axis=0), axis=1)
-            rate = field.defect[chain[1:-1]] / (0.5 * (segments[:-1] + segments[1:]))
-            theta = np.arcsin(points[1:-1, 2] / spec.R).tolist()
-            rows += zip([creases.crease_specific_curvature(creases.gore_seam_crease(spec, t))
-                         for t in theta], rate.tolist(), theta)
-        law, rate, theta = max(rows, key=lambda row: abs(row[1] / row[0] - 1.0))
-        seam, total = max(field.crease_totals.items(), key=lambda kv: abs(kv[1] - four_pi / n))
-        reports += [_rel(f"gore seam rate n={n}", law, rate, 1e-3, n=n, nu=nu, nv=nv,
-                         theta=theta),
-                    _rel(f"gore seam total n={n}", four_pi / n, total, 1e-3, n=n, nu=nu, nv=nv,
-                         seam=seam)]
+        seams = sorted(mesh.crease_polylines)
+        chains = np.array([mesh.crease_polylines[seam] for seam in seams])
+        points = mesh.vertices[chains]
+        segments = np.linalg.norm(np.diff(points, axis=1), axis=2)
+        rate = field.defect[chains[:, 1:-1]] / (0.5 * (segments[:, :-1] + segments[:, 1:]))
+        theta = np.arcsin(points[:, 1:-1, 2] / spec.R)
+        law = creases.crease_law(*creases.gore_seam(spec, theta))
+        at = _first_of_worst(rate / law, 1.0, lambda at: (at[0], theta[at] < 0))
+        totals = np.array([field.crease_totals[seam] for seam in seams])
+        [total_at] = _first_of_worst(totals, four_pi / n, lambda at: at)
+        reports += [_rel(f"gore seam rate n={n}", law[at], rate[at], 1e-3, n=n, nu=nu, nv=nv,
+                         seam=seams[at[0]], theta=float(theta[at])),
+                    _rel(f"gore seam total n={n}", four_pi / n, totals[total_at], 1e-3, n=n,
+                         nu=nu, nv=nv, seam=seams[total_at])]
         total_defect = field.total_defect
         gauss_bonnet.append(_report(f"gore mesh gauss-bonnet n={n}", four_pi, total_defect,
                                     total_defect - four_pi, 1e-9, "absolute", nu=nu, nv=nv))
@@ -183,7 +193,7 @@ def suite_twist_independence() -> list[VerificationReport]:
     """The crease law ignores torsion: on 12-strip tubes at 64x16 (12,000
     vertices) with helical creases of torsion/curvature cot(alpha) = 2.41 and
     0.41, crease 1's rate less its strips' share (interior density times the
-    crease vertices' lumped area) is 2*kappa*sin(mu), kappa = sin^2(alpha)/a, mu exact."""
+    crease vertices' lumped area) is the law at creases.tube_crease, mu exact."""
     a, n_strips, nu, nv = 1.0, 12, 64, 16
     reports = []
     for alpha in (math.pi / 8, 3 * math.pi / 8):
@@ -193,12 +203,11 @@ def suite_twist_independence() -> list[VerificationReport]:
         area = field.lumped_area[chain[~field.boundary_mask[chain]]].sum()
         length = field.crease_totals[1] / field.crease_rates[1]  # what crease_rates divides by
         rate = (field.crease_totals[1] - field.interior_defect_density() * area) / length
-        kappa, torsion = math.sin(alpha) ** 2 / a, math.sin(alpha) * math.cos(alpha) / a
-        spec = curvature.tube_spec_for_strips(a, alpha, n_strips)
+        crease = creases.tube_crease(curvature.tube_spec_for_strips(a, alpha, n_strips))
         reports.append(_rel(f"twist-independence tube crease alpha={alpha:.4f}",
-                            creases.tube_crease_specific_curvature(spec), rate, 1e-3, a=a,
-                            alpha=alpha, n_strips=n_strips, nu=nu, nv=nv, curvature=kappa,
-                            torsion=torsion, mu=creases.tube_half_fold_angle(spec)))
+                            creases.crease_law(*crease), rate, 1e-3, a=a, alpha=alpha,
+                            n_strips=n_strips, nu=nu, nv=nv, curvature=crease[0],
+                            torsion=math.sin(alpha) * math.cos(alpha) / a, mu=crease[1]))
     return reports
 
 

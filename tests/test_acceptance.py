@@ -6,16 +6,19 @@ asserted directly."""
 
 import math
 
+import numpy as np
 import pytest
 
 from creasegeom import (
     GoreSphereSpec,
+    TriMesh,
     angle_defect,
     creases,
     gen_gore_sphere,
     mudguard_closed_form,
     oracle,
     run_suite,
+    surfaces,
 )
 
 
@@ -68,10 +71,24 @@ def test_criterion_2_crease_law(capsys):
 def test_crease_law_rates_fail_mu_in_place_of_sin_mu(monkeypatch):
     # the rungs read the law to 2.5e-5 and finer, so the 1% tolerance catches
     # a law 4.7% high (mu = pi/6 = 0.524 against sin(mu) = 0.5)
-    monkeypatch.setattr(creases, "crease_specific_curvature", lambda spec: 2.0 * spec.mu / spec.R)
+    monkeypatch.setattr(creases, "crease_law", lambda kappa, phi_plus, phi_minus:
+                        kappa * (phi_plus - phi_minus))
     rates = [r for r in run_suite("crease-law") if r.case_name.startswith("crease-law rate ")]
     assert [r.metadata["nu"] for r in rates] == [32, 64, 128]
     assert all(r.residual == pytest.approx(-0.045, abs=1e-3) and not r.passed for r in rates)
+
+
+def test_one_law_with_plus_sin_phi_minus_fails_every_crease_report(monkeypatch):
+    # every fold is bisected, so the mutated law reads 0 on every crease; the
+    # crease-law rungs then divide by it, to infinite errors and nan ratios
+    monkeypatch.setattr(creases, "crease_law", lambda kappa, phi_plus, phi_minus:
+                        kappa * (np.sin(phi_plus) + np.sin(phi_minus)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reports = [r for suite in ("tube-balance", "crease-law", "gore", "twist-independence")
+                   for r in run_suite(suite)]
+    law = [r for r in reports if not r.case_name.startswith(("gore seam total", "gore mesh"))]
+    assert len(law) == 20 + 5 + 2 + 2
+    assert not [r.case_name for r in law if r.passed]
 
 
 def test_criterion_3_twist_independence(capsys):
@@ -125,6 +142,26 @@ def test_criterion_5_gore_sphere(capsys):
         "gore seam total": 1e-3,
         "gore mesh gauss-bonnet": 1e-9,
     }), gb_worst <= 1e-9, f", Gauss-Bonnet at 32x4 worst {gb_worst:.2e} <= 1e-9")
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_gore_reports_name_seam_1_and_theta_at_least_0(monkeypatch, mirrored):
+    # the worst readings tie to rounding over the n mirror-image seams and the
+    # latitudes +-theta; the mesh mirrored in z swaps each tie's two latitudes
+    generate = surfaces.gen_gore_sphere
+
+    def mirror(spec, nu, nv):
+        mesh = generate(spec, nu, nv)
+        return TriMesh(mesh.vertices * [1.0, 1.0, -1.0], mesh.triangles[:, ::-1],
+                       mesh.crease_polylines)
+
+    if mirrored:
+        monkeypatch.setattr(surfaces, "gen_gore_sphere", mirror)
+    seams = [r for r in run_suite("gore") if r.case_name.startswith("gore seam")]
+    assert [(r.case_name, r.metadata["seam"]) for r in seams] == [
+        ("gore seam rate n=6", 1), ("gore seam total n=6", 1),
+        ("gore seam rate n=8", 1), ("gore seam total n=8", 1)]
+    assert all(r.metadata["theta"] >= 0.0 for r in seams[::2])
 
 
 def test_criterion_6_strip_curvature_oracle(capsys):

@@ -1,5 +1,6 @@
 """Guards against orphaned API: every public function of the closed-form,
-generator, mesh, oracle and verification modules is reached by the
+generator, mesh, oracle and verification modules, and every public method
+and property of the classes the package exports, is reached by the
 verification suites or the command line, and the package exports exactly what
 its __init__ binds."""
 
@@ -25,11 +26,24 @@ def public_functions():
     }
 
 
+def public_methods():
+    """{'Class.name': code object} of the public methods and properties of
+    the classes the package exports."""
+    methods = {}
+    for cls_name in creasegeom.__all__:
+        cls = getattr(creasegeom, cls_name)
+        for name, attr in vars(cls).items() if inspect.isclass(cls) else ():
+            fn = attr.fget if isinstance(attr, property) else attr
+            if inspect.isfunction(fn) and not name.startswith("_"):
+                methods[f"{cls_name}.{name}"] = fn.__code__
+    return methods
+
+
 def cli_runs(tmp_path):
-    """One small run of every subcommand: verify --suite all, generate and
-    analyze (sidecar) of each shape, analyze of one OBJ, and a two-step sweep
-    of each parameter."""
-    runs = [["verify", "--suite", "all"]]
+    """One small run of every subcommand: verify --suite all --json, generate
+    and analyze (sidecar) of each shape, analyze of one OBJ, and a two-step
+    sweep of each parameter."""
+    runs = [["verify", "--suite", "all", f"--json={tmp_path / 'verify.json'}"]]
     params = {"a": 1, "alpha": 0.7, "h": 0.2, "strips": 6, "kxy": 0.1, "a_len": 1,
               "b_len": 1, "mu": 0.2, "R": 2, "r": 0.1, "width": 0.3, "radius": 1, "n": 6}
     for shape, spec in cli.SHAPES.items():
@@ -47,7 +61,7 @@ def cli_runs(tmp_path):
 
 
 def test_public_functions_are_reached(tmp_path, capsys):
-    public = public_functions()
+    public = {**public_functions(), **public_methods()}
     seen = set()
 
     def profile(frame, event, arg):

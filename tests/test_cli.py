@@ -10,6 +10,7 @@ import unittest.mock
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from creasegeom import MeshError, __version__, cli, creases, load_obj, surfaces, trimesh
@@ -681,16 +682,15 @@ def test_spec_lengths_are_refused_alike_by_generate_sidecar_and_sweep(tmp_path, 
 # n = 3, so at the length limits the seam's crease passes the limits that a
 # CreaseSpec checks on input; input past them is still refused.
 def test_gore_seam_crease_at_the_length_limits_and_crease_input_past_them(tmp_path, capsys):
+    theta = np.arange(9) * math.pi / 8 - math.pi / 2
     for R in (1e-50, 1e50):
         for n in (3, 6):
             spec, unit = surfaces.GoreSphereSpec(R, n), surfaces.GoreSphereSpec(1.0, n)
-            for theta in (k * math.pi / 8 - math.pi / 2 for k in range(9)):
-                crease = creases.gore_seam_crease(spec, theta)
-                law = creases.crease_specific_curvature(crease)
-                at_unit = creases.crease_specific_curvature(creases.gore_seam_crease(unit, theta))
-                assert law == pytest.approx(at_unit / R, rel=1e-15, abs=0.0)
-    assert creases.gore_seam_crease(surfaces.GoreSphereSpec(1e50, 3), 1.5).R > 1e50
-    assert creases.gore_seam_crease(surfaces.GoreSphereSpec(1e-50, 3), 0.0).R < 1e-50
+            law = creases.crease_law(*creases.gore_seam(spec, theta))
+            at_unit = creases.crease_law(*creases.gore_seam(unit, theta))
+            assert law == pytest.approx(at_unit / R, rel=1e-15, abs=0.0)
+    assert 1.0 / creases.gore_seam(surfaces.GoreSphereSpec(1e50, 3), 1.5)[0] > 1e50
+    assert 1.0 / creases.gore_seam(surfaces.GoreSphereSpec(1e-50, 3), 0.0)[0] < 1e-50
 
     out, csv_path = tmp_path / "x.obj", tmp_path / "x.csv"
     assert run(["generate", "curved-crease", "--R=1e51", "--mu=0.2", "--width=0.1",
@@ -935,8 +935,12 @@ if HAVE_HYPOTHESIS:  # mutated sidecar bytes and random generate flags through m
         path = tmp_path_factory.getbasetemp() / "fuzz.obj.json"
         path.write_bytes(bytes(data))
         # a digit inserted into a size can ask for millions of vertices; a
-        # lower cap keeps each mesh small and sends those to the cap's check
-        with unittest.mock.patch.object(surfaces, "MAX_VERTICES", 20_000):
+        # lower cap keeps each mesh small and sends those to the cap's check.
+        # A digit inserted into h ("h":10.2) gives a valid cylinder whose
+        # spacing must move to close the hoop, which warns as documented.
+        with unittest.mock.patch.object(surfaces, "MAX_VERTICES", 20_000), \
+                warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "line spacing adjusted", UserWarning)
             run_quietly(["analyze", "--in", path])
 
     # Flag values: valid, invalid and extreme.  Counts and resolutions are

@@ -8,16 +8,22 @@ from creasegeom import (
     GoreSphereSpec,
     ParameterError,
     TubeSpec,
-    crease_specific_curvature,
+    crease_law,
+    gen_curved_crease,
     gen_gore_sphere,
     gen_twisted_prismatic_tube,
-    gore_seam_crease,
     integrate,
-    tube_crease_specific_curvature,
     tube_half_fold_angle,
     tube_spec_for_strips,
     tube_strip_total,
 )
+from creasegeom.creases import curved_crease, gore_seam, tube_crease
+
+try:
+    from hypothesis import given, strategies as st
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
 
 
 def test_crease_spec_validation():
@@ -27,15 +33,27 @@ def test_crease_spec_validation():
         CreaseSpec(R=math.nan, mu=0.2)
     with pytest.raises(ParameterError):
         CreaseSpec(R=2.0, mu=math.pi / 2)
-    assert CreaseSpec(R=math.inf, mu=0.3).is_straight
-    assert not CreaseSpec(R=2.0, mu=0.3).is_straight
+    with pytest.raises(ParameterError, match="finite crease radius"):
+        gen_curved_crease(CreaseSpec(R=math.inf, mu=0.3), 0.1, 8, 4)
 
 
 def test_crease_specific_curvature():
-    # 2 sin(mu) / R
-    assert crease_specific_curvature(CreaseSpec(R=2.0, mu=math.pi / 6)) \
-        == pytest.approx(0.5)
-    assert crease_specific_curvature(CreaseSpec(R=math.inf, mu=0.4)) == 0.0
+    # 2 sin(mu) / R; a straight crease has kappa = 0
+    assert crease_law(*curved_crease(CreaseSpec(R=2.0, mu=math.pi / 6))) == pytest.approx(0.5)
+    assert crease_law(*curved_crease(CreaseSpec(R=math.inf, mu=0.4))) == 0.0
+    assert crease_law(0.0, 0.3, -0.1) == 0.0
+
+
+@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+@given(kappa=st.floats(-1e300, 1e300), mu=st.floats(0.0, math.pi / 2),
+       more=st.lists(st.tuples(st.floats(-1e300, 1e300), st.floats(0.0, math.pi / 2)),
+                     max_size=8))
+def test_bisected_fold_is_twice_kappa_sin_mu_bit_for_bit(kappa, mu, more):
+    # sin(mu) - sin(-mu) doubles sin(mu) exactly, and so one rounding of the
+    # same product remains
+    assert crease_law(kappa, mu, -mu) == 2.0 * kappa * np.sin(mu)
+    kappas, mus = np.array([(kappa, mu), *more]).T
+    assert np.array_equal(crease_law(kappas, mus, -mus), 2.0 * kappas * np.sin(mus))
 
 
 def test_tube_crease_fold_angle():
@@ -84,7 +102,7 @@ def test_tube_half_fold_angle_tends_to_shallow_limit():
 def test_tube_balance_canonical():
     spec = TubeSpec(a=1.0, alpha=math.pi / 4, h=0.05)
     total, area = tube_strip_total(spec)
-    assert total == pytest.approx(-tube_crease_specific_curvature(spec), rel=1e-13)
+    assert total == pytest.approx(-crease_law(*tube_crease(spec)), rel=1e-13)
     # the shallow strip term -(h/a^2) sin^2 cos^2 = -h/4, off at O((h/a)^2)
     assert total == pytest.approx(-0.0125, rel=1e-4)
     assert area.value == pytest.approx(spec.h, rel=1e-4)
@@ -95,7 +113,7 @@ def test_tube_balance_where_the_strip_nears_the_axis(a, alpha, h):
     # theta = (h/a) cos(alpha) near pi: K W peaks sharply at mid-strip, where
     # 32 quadrature nodes read the balance only to 2.9e-4, 7.4e-6 and 8.6e-9
     spec = TubeSpec(a, alpha, h)
-    assert tube_strip_total(spec)[0] == pytest.approx(-tube_crease_specific_curvature(spec),
+    assert tube_strip_total(spec)[0] == pytest.approx(-crease_law(*tube_crease(spec)),
                                                       rel=1e-13)
 
 
@@ -122,7 +140,7 @@ def test_tube_strip_total_at_axial_and_hoop_lines():
     total, area = tube_strip_total(TubeSpec(1.0, 0.0, 0.05))
     assert total == 0.0 and area.value > 0.0
     spec = TubeSpec(1.0, math.pi / 2, 0.05)
-    assert tube_strip_total(spec)[0] == pytest.approx(-tube_crease_specific_curvature(spec),
+    assert tube_strip_total(spec)[0] == pytest.approx(-crease_law(*tube_crease(spec)),
                                                       rel=1e-15)
 
 
@@ -143,12 +161,12 @@ def test_gore_seam_half_fold_matches_mesh_faces(R, n):
     mesh = gen_gore_sphere(spec, 24, 4)
     for chain in mesh.crease_polylines.values():
         theta = np.arcsin(mesh.vertices[chain, 2] / R)
+        _, mu, _ = gore_seam(spec, 0.5 * (theta[:-1] + theta[1:]))
         for i in range(len(chain) - 1):
             at_edge = (mesh.triangles == chain[i]).any(1) & (mesh.triangles == chain[i + 1]).any(1)
             n1, n2 = (unit_normal(mesh, t) for t in mesh.triangles[at_edge])
             half_fold = 0.5 * math.atan2(np.linalg.norm(np.cross(n1, n2)), np.dot(n1, n2))
-            mu = gore_seam_crease(spec, 0.5 * (theta[i] + theta[i + 1])).mu
-            assert half_fold == pytest.approx(mu, rel=1e-12)
+            assert half_fold == pytest.approx(mu[i], rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [6, 12, 1000])
@@ -157,9 +175,8 @@ def test_gore_seam_law_integrates_to_four_pi_over_n(n):
     spec, beta = GoreSphereSpec(R=2.0, n=n), math.pi / n
 
     def law_ds(theta):
-        rate = [crease_specific_curvature(gore_seam_crease(spec, t)) for t in theta.ravel()]
         ds = spec.R * np.sqrt((np.sin(theta) / math.cos(beta)) ** 2 + np.cos(theta) ** 2)
-        return np.reshape(rate, theta.shape) * ds
+        return crease_law(*gore_seam(spec, theta)) * ds
 
     total = integrate(law_ds, -math.pi / 2, math.pi / 2)
     assert abs(total.value - 4 * math.pi / n) <= total.error_estimate

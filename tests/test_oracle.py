@@ -21,7 +21,8 @@ from creasegeom import (
     ResolutionError,
     TriMesh,
     angle_defect,
-    crease_specific_curvature,
+    crease_law,
+    creases,
     gauss_map_integrate,
     gen_curved_crease,
     gen_cylinder,
@@ -112,7 +113,7 @@ def test_curved_crease_rate_matches_law():
     spec = CreaseSpec(R=2.0, mu=0.5)
     mesh = gen_curved_crease(spec, 0.3, 96, 8)
     rate = angle_defect(mesh).crease_rates[1]
-    assert rate == pytest.approx(crease_specific_curvature(spec), rel=1e-4)
+    assert rate == pytest.approx(crease_law(*creases.curved_crease(spec)), rel=1e-4)
 
 
 def test_crease_rate_unknown_id():
